@@ -41,6 +41,7 @@ from .checker import (
     cycle_product,
     propagate_potentials,
     run_checks,
+    solve_potentials,
 )
 from .constructor import construct_measure, verify_reversibility
 from .parametrizer import (

@@ -15,7 +15,18 @@ Three checks, all exact:
 The balance graph has one node per candidate root class (i, c), an edge
 between (i, c) and (j, d) whenever c has a j-neighbor and d an i-neighbor,
 and on that edge the exact ratio that detailed balance forces between the
-two classes' unnormalized weights.
+two classes' unnormalized weights.  That ratio factors per label pair:
+
+    ratio((i, c), (j, d)) = h((i, c), j) / h((j, d), i),
+    h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j,
+
+so the edges between labels i and j form a complete bipartite block (a
+clique when i = j) that is consistent exactly when pot / h is constant on
+it.  `solve_potentials` works on these blocks and never materializes the
+graph: with N classes and n labels it does O(N * n) exact operations plus
+the sort.  It returns the same potentials, the same spanning forest and the
+same violating cycle as `build_balance_graph` + `propagate_potentials`,
+which materialize every edge in O(N^2) and stay as the reference.
 """
 
 from __future__ import annotations
@@ -95,18 +106,17 @@ def check_condition_i(spec: GWSpec) -> Tuple[bool, Optional[Tuple[int, int, int,
     Returns (True, None) or (False, (i, j, k, c)) for the first violation in
     sorted iteration order.
     """
-    for i in range(1, spec.n + 1):
-        for j in range(1, spec.n + 1):
-            dist = spec.offspring.get((j, i))
-            if not dist:
-                continue
-            for e in sorted(dist):
-                c = increment(e, j)
-                for k, ck in enumerate(c, start=1):
-                    if ck == 0:
-                        continue
-                    if spec.pair_prob(k, i, decrement(c, k)) == 0:
-                        return False, (i, j, k, c)
+    # stored keys (j, i) in (i, j) order: the order of a loop over all
+    # label pairs, without touching the pairs that hold no law
+    for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
+        dist = spec.offspring[(j, i)]
+        for e in sorted(dist):
+            c = increment(e, j)
+            for k, ck in enumerate(c, start=1):
+                if ck == 0:
+                    continue
+                if spec.pair_prob(k, i, decrement(c, k)) == 0:
+                    return False, (i, j, k, c)
     return True, None
 
 
@@ -260,13 +270,121 @@ def cycle_product(graph: BalanceGraph, cycle: List[SupportClass]) -> Fraction:
     return prod
 
 
+def solve_potentials(
+    spec: GWSpec,
+) -> Tuple[List[SupportClass], Dict[SupportClass, Fraction], Optional[List[SupportClass]], int]:
+    """Balance-graph potentials, worked per label pair in O(N * n).
+
+    Returns (nodes, potentials, cycle, components): the sorted candidate
+    classes, their potentials, a violating cycle or None, and the number of
+    connected components.  Every value equals what `propagate_potentials`
+    gives on `build_balance_graph(spec)`:
+
+    * the BFS starts from the nodes in sorted order and appends each node's
+      undiscovered neighbours in sorted order; the neighbours of (i, c) are
+      the sides S(j, i) (label-j classes with d_i > 0) for c_j > 0, so a side
+      is scanned once, after which all of it is discovered;
+    * the violating cycle runs through the first inconsistent edge (u, v) in
+      sorted order.  With g = pot / h on each side, the edge (u, v) between
+      S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
+      of each label pair is read off the two sides in linear time.
+
+    Requires condition i (MissingOffspringTermError otherwise).
+    """
+    # the candidate classes of every label, read off the stored laws only
+    nodes = sorted({
+        SupportClass(i, increment(e, j))
+        for (j, i), dist in spec.offspring.items()
+        for e in dist
+    })
+    side: Dict[PairKey, List[SupportClass]] = {}
+    for u in nodes:
+        for j, cj in enumerate(u.vector, start=1):
+            if cj > 0:
+                side.setdefault((u.label, j), []).append(u)
+
+    cache: Dict[Tuple[SupportClass, int], Fraction] = {}
+
+    def h(u: SupportClass, j: int) -> Fraction:
+        # h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j
+        value = cache.get((u, j))
+        if value is None:
+            i, c = u
+            p = spec.pair_prob(j, i, decrement(c, j))
+            if p == 0:
+                raise MissingOffspringTermError(
+                    f"class {u} needs an unstored offspring probability for parent {j}"
+                )
+            value = cache[(u, j)] = p * total(c) / c[j - 1]
+        return value
+
+    pot: Dict[SupportClass, Fraction] = {}
+    parent: Dict[SupportClass, Optional[SupportClass]] = {}
+    scanned = set()
+    components = 0
+    for start in nodes:
+        if start in pot:
+            continue
+        components += 1
+        pot[start] = Fraction(1)
+        parent[start] = None
+        queue = [start]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            i = u.label
+            for j, cj in enumerate(u.vector, start=1):
+                key = (j, i)
+                if cj == 0 or key in scanned or key not in side:
+                    continue
+                scanned.add(key)
+                base = pot[u] / h(u, j)
+                for v in side[key]:
+                    if v not in pot:
+                        # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i)
+                        pot[v] = base * h(v, i)
+                        parent[v] = u
+                        queue.append(v)
+
+    def g(u: SupportClass, j: int) -> Fraction:
+        # (u, v) across sides S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i)
+        return pot[u] / h(u, j)
+
+    first = None
+    for (i, j), a_side in side.items():
+        if i > j:
+            continue
+        if i == j:
+            if len(a_side) < 2:
+                continue
+            g0 = g(a_side[0], i)
+            edge = next(((a_side[0], q) for q in a_side[1:] if g(q, i) != g0), None)
+        else:
+            b_side = side.get((j, i))
+            if not b_side:
+                continue
+            gb = [g(v, i) for v in b_side]
+            if any(x != gb[0] for x in gb):
+                g0 = g(a_side[0], j)
+                edge = next((a_side[0], v) for v, x in zip(b_side, gb) if x != g0)
+            else:
+                edge = next(((u, b_side[0]) for u in a_side if g(u, j) != gb[0]), None)
+        if edge is not None and (first is None or edge < first):
+            first = edge
+    cycle = None if first is None else _cycle_through(parent, *first)
+    return nodes, pot, cycle, components
+
+
 def check_condition_ii(
     spec: GWSpec, graph: Optional[BalanceGraph] = None
 ) -> Tuple[bool, Optional[List[SupportClass]]]:
-    """Exact cycle consistency of the balance graph."""
+    """Exact cycle consistency of the balance graph: per label pair through
+    `solve_potentials`, or edge by edge on a `graph` already built."""
     if graph is None:
-        graph = build_balance_graph(spec)
-    _, cycle = propagate_potentials(graph)
+        cycle = solve_potentials(spec)[2]
+    else:
+        _, cycle = propagate_potentials(graph)
     return (cycle is None), cycle
 
 
@@ -325,9 +443,9 @@ def run_checks(spec: GWSpec) -> CheckReport:
     cycle = None
     connected = None
     if cond_i:
-        graph = build_balance_graph(spec)
-        cond_ii, cycle = check_condition_ii(spec, graph)
-        connected = len(graph.components()) == 1
+        _, _, cycle, components = solve_potentials(spec)
+        cond_ii = cycle is None
+        connected = components == 1
     return CheckReport(
         labels_realized=realized,
         missing_label=missing,

@@ -160,17 +160,34 @@ def _estimate_obj(name, est) -> dict:
     }
 
 
+def _check_label(measure, label: int, what: str) -> None:
+    if not 1 <= label <= measure.n:
+        raise SpecError(f"{what}: label {label} outside [1, {measure.n}]")
+
+
+def _selector(measure, text: str):
+    cls = ff.parse_class_selector(text)
+    _check_label(measure, cls.label, text)
+    if len(cls.vector) != measure.n:
+        raise SpecError(f"{text}: vector of length {len(cls.vector)}, expected {measure.n}")
+    return cls
+
+
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise SpecError(f"--trials must be at least 1, got {args.trials}")
     measure = ff.load_measure(args.measure)
     if args.mtp is not None:
         i, j = (int(x) for x in args.mtp.split(","))
+        _check_label(measure, i, "--mtp")
+        _check_label(measure, j, "--mtp")
         fwd, bwd = mass_transport_check(measure, i, j, args.trials, args.seed)
         names = (f"transport {i}->{j}", f"transport {j}->{i}")
     else:
         if args.source is None or args.target is None:
             raise SpecError("simulate needs --from and --to, or --mtp i,j")
-        source = ff.parse_class_selector(args.source)
-        target = ff.parse_class_selector(args.target)
+        source = _selector(measure, args.source)
+        target = _selector(measure, args.target)
         fwd, bwd = estimate_flow(measure, source, target, args.trials, args.seed)
         names = (f"flow {source}->{target}", f"flow {target}->{source}")
     records = [_estimate_obj(names[0], fwd), _estimate_obj(names[1], bwd)]
@@ -231,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact detailed-balance check of a measure")
     p.add_argument("measure")
     p.set_defaults(func=cmd_verify)
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true",
-                       help="machine output (reports are always JSON)")
     return parser
 
 

@@ -10,9 +10,9 @@ distribution.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .checker import CheckReport, build_balance_graph, propagate_potentials, run_checks
+from .checker import CheckReport, run_checks, solve_potentials
 from .core import (
     ChecksFailedError,
     GWSpec,
@@ -41,24 +41,18 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
             f"spec fails admissibility checks: {', '.join(report.failed_names())}",
             report=report,
         )
-    graph = build_balance_graph(spec)
-    potentials, cycle = propagate_potentials(graph)
+    nodes, potentials, cycle, _ = solve_potentials(spec)
     if cycle is not None:  # unreachable once the report passed
         raise ChecksFailedError("balance graph is inconsistent", report=report)
 
     label_sum = {i: Fraction(0) for i in range(1, spec.n + 1)}
-    for node in graph.nodes:
+    for node in nodes:
         label_sum[node.label] += potentials[node]
     grand = sum(label_sum.values())
 
-    neighbor_dist = {
-        i: {
-            node.vector: potentials[node] / label_sum[i]
-            for node in graph.nodes
-            if node.label == i
-        }
-        for i in range(1, spec.n + 1)
-    }
+    neighbor_dist = {i: {} for i in range(1, spec.n + 1)}
+    for node in nodes:
+        neighbor_dist[node.label][node.vector] = potentials[node] / label_sum[node.label]
     root_dist = {i: label_sum[i] / grand for i in range(1, spec.n + 1)}
     measure = RootMeasure(
         n=spec.n,
@@ -83,6 +77,16 @@ def _assert_support_consistency(measure: RootMeasure) -> None:
                 )
 
 
+def _balance_key(measure: RootMeasure, u: SupportClass, j: int) -> Optional[Fraction]:
+    """k(u, j) = w(u) * c_j / (|c| * p(j,i)(c - e_j)) for u = (i, c), or None
+    when the offspring term is zero."""
+    i, c = u
+    p = measure.descendants.offspring_prob(j, i, decrement(c, j))
+    if p == 0:
+        return None
+    return measure.class_prob(u) * c[j - 1] / (total(c) * p)
+
+
 def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     """Exact detailed-balance check over every admissible pair of support
     classes.
@@ -94,10 +98,38 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     must hold exactly, where w is the unconditional class probability and
     p(x,y) the offspring law of a label-y vertex with label-x parent (in
     plain mode the parent label is ignored).  Returns all failing pairs with
-    both sides; an empty list means the measure is exactly reversible.
+    both sides, ordered by (first, second) with first < second; an empty
+    list means the measure is exactly reversible.
+
+    Dividing both sides by the two offspring terms, the pair balances iff
+    k((i, c), j) == k((j, d), i) with k(u, j) = w(u) * c_j / (|c| * p(j,i)(c - e_j)),
+    a zero term being a value of its own (both zero: 0 == 0).  The admissible
+    pairs of labels i and j are all pairs across the two sides (label-i
+    classes with c_j > 0, label-j classes with d_i > 0), so the measure is
+    reversible iff k takes one value on each label pair: O(N * n) work for N
+    classes and n labels.  Only a measure that fails is enumerated pair by
+    pair, to list its violations.
     """
-    spec = measure.descendants
     classes = measure.support_classes()
+    keys: Dict[Tuple[int, int], List[Optional[Fraction]]] = {}
+    for u in classes:
+        for j, cj in enumerate(u.vector, start=1):
+            if cj > 0:
+                keys.setdefault((u.label, j), []).append(_balance_key(measure, u, j))
+    for (i, j), values in keys.items():
+        if i > j:
+            continue
+        if i < j:
+            if (j, i) not in keys:
+                continue
+            values = values + keys[(j, i)]
+        if any(k != values[0] for k in values):
+            return _pairwise_violations(measure, classes)
+    return []
+
+
+def _pairwise_violations(measure: RootMeasure, classes: List[SupportClass]) -> List[Violation]:
+    spec = measure.descendants
     violations: List[Violation] = []
     for a in range(len(classes)):
         u = classes[a]

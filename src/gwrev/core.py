@@ -231,9 +231,9 @@ def candidate_support(spec: GWSpec, i: int) -> set:
     if spec.mode != PAIR:
         raise SpecError("candidate_support requires a pair-mode spec")
     out = set()
-    for j in range(1, spec.n + 1):
-        for e in spec.offspring.get((j, i), {}):
-            out.add(increment(e, j))
+    for (j, k), dist in spec.offspring.items():
+        if k == i:
+            out.update(increment(e, j) for e in dist)
     return out
 
 

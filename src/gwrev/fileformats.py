@@ -26,7 +26,10 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
         raise SpecError(f"not a rational literal: {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise SpecError(f"zero denominator in {text!r}") from None
 
 
 def format_fraction(value: Fraction) -> str:
@@ -46,7 +49,12 @@ def _obj_to_dist(entries, n: int) -> Dist:
         raise SpecError("distribution must be a non-empty list")
     dist: Dist = {}
     for entry in entries:
-        c = tuple(int(x) for x in entry["c"])
+        if not isinstance(entry, dict) or not isinstance(entry.get("c"), list):
+            raise SpecError(f"distribution entry {entry!r} needs a list \"c\"")
+        try:
+            c = tuple(int(x) for x in entry["c"])
+        except TypeError:
+            raise SpecError(f"vector {entry['c']!r} is not a list of counts") from None
         if len(c) != n:
             raise SpecError(f"vector {c} has length {len(c)}, expected {n}")
         if c in dist:

@@ -94,23 +94,25 @@ def validate_template(template: SupportTemplate) -> Tuple[bool, Optional[str]]:
         if not by_label[i]:
             return False, f"support_symmetry: label {i} has no class"
 
-    sees = {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if any(cls.vector[j - 1] > 0 for cls in by_label[i])
-    }
+    # side[(i, j)]: indices of the label-i classes with c_j > 0
+    classes = list(template.classes)
+    side: Dict[Tuple[int, int], List[int]] = {}
+    for k, cls in enumerate(classes):
+        for j, cj in enumerate(cls.vector, start=1):
+            if cj > 0:
+                side.setdefault((cls.label, j), []).append(k)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if ((i, j) in sees) != ((j, i) in sees):
+            if ((i, j) in side) != ((j, i) in side):
                 return False, (
                     f"support_symmetry: labels ({i}, {j}) are adjacent from one "
                     "side only"
                 )
 
     # Chain connectivity: classes u, v can be tree neighbors when u's vector
-    # counts v's label and vice versa; every label pair must be bridged.
-    classes = list(template.classes)
+    # counts v's label and vice versa, so every class of side (i, j) is a
+    # neighbor of every class of side (j, i) and each such pair of sides is
+    # one block; every label pair must be bridged.
     parent = list(range(len(classes)))
 
     def root(a):
@@ -119,11 +121,13 @@ def validate_template(template: SupportTemplate) -> Tuple[bool, Optional[str]]:
             a = parent[a]
         return a
 
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            u, v = classes[a], classes[b]
-            if u.vector[v.label - 1] > 0 and v.vector[u.label - 1] > 0:
-                parent[root(a)] = root(b)
+    for (i, j), members in side.items():
+        if i > j:
+            continue
+        block = members if i == j else members + side[(j, i)]
+        anchor = root(block[0])
+        for b in block:
+            parent[root(b)] = anchor
 
     comp_of_label: Dict[int, set] = {i: set() for i in range(1, n + 1)}
     for k, cls in enumerate(classes):
@@ -179,39 +183,40 @@ def solve_root_weights(
 ) -> Dict[int, Fraction]:
     """Recover the root-label weights forced by detailed balance.
 
-    The ratio weight(i) / weight(j) is read off any admissible class pair of
-    the two labels and propagated over the label adjacency graph; the result
-    is checked against every admissible pair and every non-tree edge, which
-    must agree exactly (InconsistentRatiosError otherwise).
+    The ratio weight(i) / weight(j) read off a class d of label j (d_i > 0)
+    and a class e of label i (e_j > 0) factors as
+
+        pair_ratio(d, e) = k(d, i) / k(e, j),
+        k((l, c), m) = w(l, c) * c_m / (|c| * p(m,l)(c - e_m)),
+
+    with w the class weight.  The ratio of the first pair is propagated over
+    the label adjacency graph by BFS from label 1.  Every admissible pair must
+    then match the propagated ratio T exactly, and by the factoring all do
+    iff pair_ratio(d, es[0]) == pair_ratio(ds[0], e) == T for every d and e:
+    O(N * n) work for N classes and n labels.  The label pairs are checked
+    in sorted order and the first failing one raises
+    InconsistentRatiosError.
     """
     n = template.n
-    by_label = template.by_label()
+    # side[(i, j)]: the label-i classes with c_j > 0, sorted
+    side: Dict[Tuple[int, int], List[SupportClass]] = {}
     adjacency: Dict[int, set] = {i: set() for i in range(1, n + 1)}
     for cls in template.classes:
         for j, cj in enumerate(cls.vector, start=1):
-            if cj > 0 and j != cls.label:
-                adjacency[cls.label].add(j)
-                adjacency[j].add(cls.label)
+            if cj > 0:
+                side.setdefault((cls.label, j), []).append(cls)
+                if j != cls.label:
+                    adjacency[cls.label].add(j)
+                    adjacency[j].add(cls.label)
 
-    def pair_ratio(i: int, j: int, d: SupportClass, e: SupportClass) -> Fraction:
-        # weight(i) / weight(j) via classes d of label j (d_i > 0) and
-        # e of label i (e_j > 0)
-        num = (
-            weights[d]
-            * offspring.pair_prob(j, i, decrement(e.vector, j))
-            * Fraction(d.vector[i - 1], total(d.vector))
-        )
-        den = (
-            weights[e]
-            * offspring.pair_prob(i, j, decrement(d.vector, i))
-            * Fraction(e.vector[j - 1], total(e.vector))
-        )
-        return num / den
+    def k(cls: SupportClass, m: int) -> Fraction:
+        c = cls.vector
+        p = offspring.pair_prob(m, cls.label, decrement(c, m))
+        return weights[cls] * c[m - 1] / (total(c) * p)
 
-    def admissible(i: int, j: int):
-        ds = [d for d in by_label[j] if d.vector[i - 1] > 0]
-        es = [e for e in by_label[i] if e.vector[j - 1] > 0]
-        return ds, es
+    def sides(i: int, j: int):
+        # ds: classes of label j with d_i > 0; es: classes of label i with e_j > 0
+        return side.get((j, i), []), side.get((i, j), [])
 
     potential = {1: Fraction(1)}
     queue = [1]
@@ -222,19 +227,20 @@ def solve_root_weights(
         for j in sorted(adjacency[i]):
             if j in potential:
                 continue
-            ds, es = admissible(i, j)
-            potential[j] = potential[i] / pair_ratio(i, j, ds[0], es[0])
+            ds, es = sides(i, j)
+            potential[j] = potential[i] / (k(ds[0], i) / k(es[0], j))
             queue.append(j)
     if len(potential) != n:
         raise SpecError("label graph is not connected; template is invalid")
 
     for i in range(1, n + 1):
         for j in sorted(adjacency[i]):
-            ds, es = admissible(i, j)
-            for d in ds:
-                for e in es:
-                    if pair_ratio(i, j, d, e) != potential[i] / potential[j]:
-                        raise InconsistentRatiosError(i, j)
+            ds, es = sides(i, j)
+            target = potential[i] / potential[j]
+            kd = [k(d, i) for d in ds]
+            ke = [k(e, j) for e in es]
+            if any(x / ke[0] != target for x in kd) or any(kd[0] / y != target for y in ke):
+                raise InconsistentRatiosError(i, j)
 
     grand = sum(potential.values())
     return {i: potential[i] / grand for i in range(1, n + 1)}

@@ -86,6 +86,25 @@ def break_condition_ii(spec: GWSpec) -> GWSpec:
     return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
 
 
+def dense_grid(k: int, seed: int = 0):
+    """The dense two-label template, every class (i, (a, b)) with
+    1 <= a, b <= k, and seeded random per-label weights.  Its balance graph
+    is complete bipartite between the labels and complete within them."""
+    import random
+
+    rng = random.Random(seed)
+    classes = tuple(
+        SupportClass(i, (a, b))
+        for i in (1, 2) for a in range(1, k + 1) for b in range(1, k + 1)
+    )
+    weights = {}
+    for i in (1, 2):
+        group = [cls for cls in classes if cls.label == i]
+        raw = [rng.randint(1, 99) for _ in group]
+        weights.update({cls: F(r, sum(raw)) for cls, r in zip(group, raw)})
+    return SupportTemplate(n=2, classes=classes), weights
+
+
 @pytest.fixture
 def pair_spec() -> GWSpec:
     return two_label_spec()

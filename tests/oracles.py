@@ -364,3 +364,103 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 7):
         u, v = rng.sample(range(m), 2)
         edges.add(tuple(sorted((u, v))))
     return sorted(edges)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise template checks, transcribed class pair by class pair
+# ---------------------------------------------------------------------------
+
+def _neighbors(u, v) -> bool:
+    """Classes (i, c), (j, d) can sit next to each other: c_j > 0 and d_i > 0."""
+    (i, c), (j, d) = u, v
+    return c[j - 1] > 0 and d[i - 1] > 0
+
+
+def pairwise_validate_template(template: SupportTemplate):
+    """(ok, reason) of support symmetry and chain connectivity, with the
+    chains found by joining every neighboring class pair."""
+    n = template.n
+    classes = list(template.classes)
+    for i in range(1, n + 1):
+        if not any(cls.label == i for cls in classes):
+            return False, f"support_symmetry: label {i} has no class"
+    sees = {(cls.label, j) for cls in classes for j in range(1, n + 1) if cls.vector[j - 1] > 0}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if ((i, j) in sees) != ((j, i) in sees):
+                return False, (
+                    f"support_symmetry: labels ({i}, {j}) are adjacent from one "
+                    "side only"
+                )
+    comp = list(range(len(classes)))
+    for a in range(len(classes)):
+        for b in range(a + 1, len(classes)):
+            if _neighbors(classes[a], classes[b]) and comp[a] != comp[b]:
+                old, new = comp[b], comp[a]
+                comp = [new if x == old else x for x in comp]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ci = {comp[k] for k, cls in enumerate(classes) if cls.label == i}
+            cj = {comp[k] for k, cls in enumerate(classes) if cls.label == j}
+            if not ci & cj:
+                return False, f"connectivity: no class chain links labels {i} and {j}"
+    return True, None
+
+
+def pairwise_root_weights(template: SupportTemplate, weights, offspring: GWSpec):
+    """Root-label weights propagated from label 1 by BFS over the label
+    graph, each ratio read off the first admissible class pair, then checked
+    against every admissible class pair.  Returns the weights, or the label
+    pair (i, j) of the first mismatch in sorted order."""
+    n = template.n
+    adjacent = {
+        i: sorted({
+            j for cls in template.classes for j in range(1, n + 1)
+            if j != i and ((cls.label == i and cls.vector[j - 1] > 0)
+                           or (cls.label == j and cls.vector[i - 1] > 0))
+        })
+        for i in range(1, n + 1)
+    }
+
+    def ratio(i, j, d, e):
+        # weight(i) / weight(j) from d of label j (d_i > 0), e of label i (e_j > 0)
+        (_, dv), (_, ev) = d, e
+        d_minus = dv[: i - 1] + (dv[i - 1] - 1,) + dv[i:]
+        e_minus = ev[: j - 1] + (ev[j - 1] - 1,) + ev[j:]
+        num = weights[d] * offspring.offspring[(j, i)][e_minus] * Fraction(dv[i - 1], sum(dv))
+        den = weights[e] * offspring.offspring[(i, j)][d_minus] * Fraction(ev[j - 1], sum(ev))
+        return num / den
+
+    def pairs(i, j):
+        ds = [d for d in template.classes if d.label == j and d.vector[i - 1] > 0]
+        es = [e for e in template.classes if e.label == i and e.vector[j - 1] > 0]
+        return ds, es
+
+    potential = {1: Fraction(1)}
+    queue = [1]
+    for i in queue:
+        for j in adjacent[i]:
+            if j not in potential:
+                ds, es = pairs(i, j)
+                potential[j] = potential[i] / ratio(i, j, ds[0], es[0])
+                queue.append(j)
+    for i in range(1, n + 1):
+        for j in adjacent[i]:
+            ds, es = pairs(i, j)
+            if any(ratio(i, j, d, e) != potential[i] / potential[j] for d in ds for e in es):
+                return (i, j)
+    grand = sum(potential.values())
+    return {i: potential[i] / grand for i in range(1, n + 1)}
+
+
+def random_template(rng: random.Random, n: int, max_classes: int = 6) -> SupportTemplate:
+    """A template of random classes with entries in {0, 1, 2}; most fail
+    support symmetry or chain connectivity."""
+    classes = set()
+    for _ in range(rng.randint(1, max_classes)):
+        c = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+        if sum(c):
+            classes.add(SupportClass(rng.randint(1, n), c))
+    if not classes:
+        classes.add(SupportClass(1, (1,) + (0,) * (n - 1)))
+    return SupportTemplate(n=n, classes=tuple(classes))

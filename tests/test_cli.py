@@ -6,11 +6,13 @@ import pytest
 from gwrev import fileformats as ff
 from gwrev.checker import build_balance_graph, cycle_product
 from gwrev.cli import main
-from gwrev.core import SupportClass
+from gwrev.core import GWSpec, PAIR, SupportClass
+from gwrev.parametrizer import solve_offspring
 
 from .conftest import (
     break_condition_i,
     break_condition_ii,
+    dense_grid,
     three_label_plain,
     two_label_spec,
     two_label_template,
@@ -244,3 +246,94 @@ def test_verify_detects_tampering(capsys, tmp_path, spec_path):
     code, result = run(capsys, "verify", str(out))
     assert code == 1
     assert result["violations"]
+
+
+# ---------------------------------------------------------------------------
+# malformed input exits 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+def _worked_spec_obj():
+    return ff.spec_to_obj(two_label_spec())
+
+
+def test_dist_entry_vector_not_a_list(capsys, tmp_path):
+    obj = _worked_spec_obj()
+    obj["offspring"][0]["dist"][0]["c"] = 5
+    assert main(["check", write(tmp_path / "spec.json", obj)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dist_entry_zero_denominator(capsys, tmp_path):
+    obj = _worked_spec_obj()
+    obj["offspring"][0]["dist"][0]["p"] = "1/0"
+    assert main(["check", write(tmp_path / "spec.json", obj)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_rejects_nonpositive_trials(capsys, tmp_path, spec_path, trials):
+    out = tmp_path / "measure.json"
+    run(capsys, "construct", spec_path, str(out))
+    code = main(["simulate", str(out), "--trials", trials, "--seed", "1", "--mtp", "1,2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--trials" in captured.err
+
+
+def test_simulate_mtp_label_outside_range(capsys, tmp_path):
+    spec_obj = {
+        "n": 1,
+        "mode": "pair",
+        "offspring": [
+            {"parent": 1, "child": 1,
+             "dist": [{"c": [1], "p": "1/2"}, {"c": [2], "p": "1/2"}]},
+        ],
+    }
+    out = tmp_path / "measure.json"
+    run(capsys, "construct", write(tmp_path / "agw.json", spec_obj), str(out))
+    code = main(["simulate", str(out), "--trials", "10", "--seed", "1", "--mtp", "1,7"])
+    assert code == 2
+    assert "outside [1, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selector", ["1:(1,1,1)", "3:(1,1)"])
+def test_simulate_selector_must_fit_the_measure(capsys, tmp_path, spec_path, selector):
+    out = tmp_path / "measure.json"
+    run(capsys, "construct", spec_path, str(out))
+    code = main(["simulate", str(out), "--trials", "10", "--seed", "1",
+                 "--from", selector, "--to", "2:(1,1)"])
+    assert code == 2
+    assert selector in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exact pipeline never builds the class-by-class balance graph
+# ---------------------------------------------------------------------------
+
+def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path, monkeypatch):
+    import gwrev.checker
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the CLI built the quadratic balance graph")
+
+    monkeypatch.setattr(gwrev.checker, "build_balance_graph", forbidden)
+    monkeypatch.setattr(gwrev.checker, "edge_ratio", forbidden)
+
+    template, weights = dense_grid(12)
+    tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(template))
+    params = write(tmp_path / "params.json", ff.weights_to_obj(weights))
+    code, _ = run(capsys, "parametrize", tmpl, params, str(tmp_path / "param.json"))
+    assert code == 0
+
+    spec = solve_offspring(template, weights)
+    path = write(tmp_path / "spec.json", ff.spec_to_obj(spec))
+    code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
+    assert code == 0
+    assert (tmp_path / "measure.json").read_bytes() == (tmp_path / "param.json").read_bytes()
+
+    flat = dict(spec.offspring)
+    flat[(1, 1)] = {c: F(1, len(flat[(1, 1)])) for c in flat[(1, 1)]}
+    path = write(tmp_path / "flat.json",
+                 ff.spec_to_obj(GWSpec(n=2, mode=PAIR, offspring=flat)))
+    code, report = run(capsys, "check", path)
+    assert code == 1 and report["failed"] == ["condition_ii"]
