@@ -39,6 +39,7 @@ from .checker import (
     check_condition_ii,
     check_strong_connectivity,
     cycle_product,
+    label_potentials,
     propagate_potentials,
     run_checks,
     solve_potentials,
@@ -60,6 +61,7 @@ from .norelabel import (
     NotMultinomialError,
     PlainSpec,
     check_plain_cycles,
+    check_plain_spec,
     construct_plain_measure,
     expand_plain_spec,
     extract_plain_spec,

@@ -239,7 +239,7 @@ def propagate_potentials(
     return pot, None
 
 
-def _cycle_through(parent, u: SupportClass, v: SupportClass) -> List[SupportClass]:
+def _cycle_through(parent, u, v) -> list:
     """Closed walk u -> ... -> v -> u using tree paths plus the edge (v, u)."""
     anc_u, x = [u], u
     while parent[x] is not None:
@@ -254,6 +254,46 @@ def _cycle_through(parent, u: SupportClass, v: SupportClass) -> List[SupportClas
     up = anc_u[: index_u[meet] + 1]  # u ... meet
     down = anc_v[:-1][::-1]  # meet-child ... v
     return up + down + [u]
+
+
+def label_potentials(
+    n: int, ratio: Dict[Tuple[int, int], Fraction]
+) -> Tuple[Dict[int, Fraction], Optional[List[int]], int]:
+    """Potentials on the labels 1..n from the forced ratios
+    ``ratio[(i, j)] = weight(i) / weight(j)``, i < j, one per label-graph edge.
+
+    The BFS starts from the labels in order and visits neighbours in sorted
+    order; the cycle runs through the first inconsistent edge (i, j) in sorted
+    order and ends ..., j, i.  Returns (potentials, cycle or None, number of
+    connected components).  The plain regime and the template parametrizer
+    both solve their root-label weights here.
+    """
+    # built from the sorted edges, so every neighbour list comes out sorted
+    adjacency: Dict[int, List[int]] = {i: [] for i in range(1, n + 1)}
+    for i, j in sorted(ratio):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    pot: Dict[int, Fraction] = {}
+    parent: Dict[int, Optional[int]] = {}
+    components = 0
+    for start in range(1, n + 1):
+        if start in pot:
+            continue
+        components += 1
+        pot[start] = Fraction(1)
+        parent[start] = None
+        queue = [start]
+        for u in queue:
+            for v in adjacency[u]:
+                if v not in pot:
+                    # ratio(u, v) = pot(u) / pot(v)
+                    pot[v] = pot[u] / ratio[(u, v)] if u < v else pot[u] * ratio[(v, u)]
+                    parent[v] = u
+                    queue.append(v)
+    for i, j in sorted(ratio):
+        if ratio[(i, j)] != pot[i] / pot[j]:
+            return pot, _cycle_through(parent, i, j), components
+    return pot, None, components
 
 
 def cycle_product(graph: BalanceGraph, cycle: List[SupportClass]) -> Fraction:
@@ -409,6 +449,11 @@ class CheckReport:
     condition_ii: Optional[bool]
     violating_cycle: Optional[List[SupportClass]]
     connected_support: Optional[bool]
+    # the balance-graph potentials of every candidate class, kept for the
+    # constructor; None when condition i failed
+    potentials: Optional[Dict[SupportClass, Fraction]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def ok(self) -> bool:
         return (
@@ -442,8 +487,9 @@ def run_checks(spec: GWSpec) -> CheckReport:
     cond_ii = None
     cycle = None
     connected = None
+    potentials = None
     if cond_i:
-        _, _, cycle, components = solve_potentials(spec)
+        _, potentials, cycle, components = solve_potentials(spec)
         cond_ii = cycle is None
         connected = components == 1
     return CheckReport(
@@ -456,4 +502,5 @@ def run_checks(spec: GWSpec) -> CheckReport:
         condition_ii=cond_ii,
         violating_cycle=cycle,
         connected_support=connected,
+        potentials=potentials,
     )

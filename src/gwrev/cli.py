@@ -18,7 +18,7 @@ from .checker import run_checks
 from .constructor import construct_measure, verify_reversibility
 from .core import GwrevError, PAIR, SpecError
 from .covers import label_vertices, lift_measure, load_graph, pair_digraph
-from .norelabel import PlainSpec, construct_plain_measure, run_plain_checks
+from .norelabel import PlainSpec, check_plain_spec, construct_plain_measure, run_plain_checks
 from .parametrizer import InconsistentRatiosError, assemble_measure, validate_template
 from .simulator import estimate_flow, mass_transport_check
 
@@ -42,22 +42,9 @@ def _violations_obj(violations) -> list:
 def cmd_check(args) -> int:
     spec = ff.load_spec(args.spec)
     if isinstance(spec, PlainSpec):
-        from .norelabel import check_plain_cycles, plain_connected
-
-        ok, cycle = check_plain_cycles(spec)
-        connected = plain_connected(spec)
-        report = {
-            "mode": "plain",
-            "ok": ok and connected,
-            "failed": ([] if ok else ["cycles"]) + ([] if connected else ["connected"]),
-            "multinomial": "pass",  # parameters were supplied directly
-            "cycles": "pass" if ok else "fail",
-            "connected": connected,
-        }
-        if cycle is not None:
-            report["violating_cycle"] = list(cycle)
-        _emit(report)
-        return 0 if report["ok"] else 1
+        report = check_plain_spec(spec)
+        _emit(ff.plain_report_to_obj(report))
+        return 0 if report.ok() else 1
     if spec.mode == PAIR:
         report = run_checks(spec)
         _emit(ff.report_to_obj(report))
@@ -70,11 +57,10 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     spec = ff.load_spec(args.spec)
     if isinstance(spec, PlainSpec):
-        from .norelabel import check_plain_cycles, plain_connected
-
-        ok, cycle = check_plain_cycles(spec)
-        if not ok or not plain_connected(spec):
-            _emit({"ok": False, "failed": ["cycles"] if not ok else ["connected"],
+        report = check_plain_spec(spec)
+        if not report.ok():
+            cycle = report.violating_cycle
+            _emit({"ok": False, "failed": report.failed_names()[:1],
                    **({"violating_cycle": list(cycle)} if cycle else {})})
             return 1
         measure = construct_plain_measure(spec)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .checker import CheckReport, run_checks, solve_potentials
+from .checker import CheckReport, run_checks
 from .core import (
     ChecksFailedError,
     GWSpec,
@@ -31,6 +31,8 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
 
     Runs the full admissibility checks first (unless a passing report is
     supplied) and raises ChecksFailedError carrying the report otherwise.
+    A supplied report must be `run_checks(spec)`: the class weights are the
+    balance-graph potentials it holds.
     """
     if spec.mode != PAIR:
         raise ChecksFailedError("construct_measure requires a pair-mode spec")
@@ -41,9 +43,8 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
             f"spec fails admissibility checks: {', '.join(report.failed_names())}",
             report=report,
         )
-    nodes, potentials, cycle, _ = solve_potentials(spec)
-    if cycle is not None:  # unreachable once the report passed
-        raise ChecksFailedError("balance graph is inconsistent", report=report)
+    potentials = report.potentials
+    nodes = sorted(potentials)
 
     label_sum = {i: Fraction(0) for i in range(1, spec.n + 1)}
     for node in nodes:

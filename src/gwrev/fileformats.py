@@ -99,12 +99,25 @@ def plain_spec_to_obj(pspec: PlainSpec) -> dict:
     }
 
 
+# what reading a document of the wrong shape raises: a number where a list
+# or an object belongs, a missing key, a value that is not an integer
+_SHAPE_ERRORS = (TypeError, KeyError, ValueError)
+
+
 def obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
     """Decode a spec document.
 
     Pair mode and explicit plain mode yield a GWSpec; the direct plain form
-    (degree distributions plus a parameter matrix) yields a PlainSpec.
+    (degree distributions plus a parameter matrix) yields a PlainSpec.  A
+    document of the wrong shape raises SpecError.
     """
+    try:
+        return _obj_to_spec(obj)
+    except _SHAPE_ERRORS as err:
+        raise SpecError(f"bad spec document: {err}") from None
+
+
+def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
     if not isinstance(obj, dict):
         raise SpecError("spec document must be a JSON object")
     try:
@@ -172,12 +185,15 @@ def obj_to_measure(obj) -> RootMeasure:
     if isinstance(descendants, PlainSpec):
         raise SpecError("measure descendants must be explicit offspring laws")
     n = descendants.n
-    root_dist = {
-        int(e["label"]): parse_fraction(e["p"]) for e in obj.get("root", [])
-    }
-    neighbor_dist = {
-        int(e["label"]): _obj_to_dist(e["dist"], n) for e in obj.get("neighbors", [])
-    }
+    try:
+        root_dist = {
+            int(e["label"]): parse_fraction(e["p"]) for e in obj.get("root", [])
+        }
+        neighbor_dist = {
+            int(e["label"]): _obj_to_dist(e["dist"], n) for e in obj.get("neighbors", [])
+        }
+    except _SHAPE_ERRORS as err:
+        raise SpecError(f"bad measure document: {err}") from None
     return RootMeasure(
         n=n, root_dist=root_dist, neighbor_dist=neighbor_dist, descendants=descendants
     )
@@ -203,7 +219,7 @@ def obj_to_template(obj) -> SupportTemplate:
             SupportClass(int(e["label"]), tuple(int(x) for x in e["c"]))
             for e in obj["classes"]
         )
-    except (KeyError, TypeError) as err:
+    except _SHAPE_ERRORS as err:
         raise SpecError(f"bad template document: {err}") from None
     return SupportTemplate(n=n, classes=classes)
 
@@ -224,7 +240,7 @@ def obj_to_weights(obj) -> Weights:
                 parse_fraction(e["p"])
             for e in obj["weights"]
         }
-    except (KeyError, TypeError) as err:
+    except _SHAPE_ERRORS as err:
         raise SpecError(f"bad weights document: {err}") from None
 
 

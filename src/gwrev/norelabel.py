@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .checker import label_potentials
 from .core import (
     ChecksFailedError,
     Dist,
@@ -228,52 +229,23 @@ def plain_label_edges(pspec: PlainSpec) -> List[Tuple[int, int]]:
     ]
 
 
+def _plain_potentials(pspec: PlainSpec):
+    """`label_potentials` on the label graph, with the ratio
+    weight(i) / weight(j) = p(j, i) / p(i, j) on every edge."""
+    ratio = {
+        (i, j): pspec.prob(j, i) / pspec.prob(i, j) for i, j in plain_label_edges(pspec)
+    }
+    return label_potentials(pspec.n, ratio)
+
+
 def check_plain_cycles(pspec: PlainSpec) -> Tuple[bool, Optional[List[int]]]:
     """Cycle identity on the label graph, by potential propagation.
 
     Returns (True, None) or (False, cycle) where cycle is a closed label walk
     whose ratio product p(i, j) / p(j, i) differs from 1.
     """
-    pot: Dict[int, Fraction] = {}
-    parent: Dict[int, Optional[int]] = {}
-    adjacency = {i: set() for i in range(1, pspec.n + 1)}
-    for i, j in plain_label_edges(pspec):
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    for start in range(1, pspec.n + 1):
-        if start in pot:
-            continue
-        pot[start] = Fraction(1)
-        parent[start] = None
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in sorted(adjacency[u]):
-                if v not in pot:
-                    # weight(u) / weight(v) = p(v, u) / p(u, v)
-                    pot[v] = pot[u] * pspec.prob(u, v) / pspec.prob(v, u)
-                    parent[v] = u
-                    queue.append(v)
-    for i, j in plain_label_edges(pspec):
-        if pot[i] / pot[j] != pspec.prob(j, i) / pspec.prob(i, j):
-            return False, _label_cycle(parent, i, j)
-    return True, None
-
-
-def _label_cycle(parent, u: int, v: int) -> List[int]:
-    anc_u, x = [u], u
-    while parent[x] is not None:
-        x = parent[x]
-        anc_u.append(x)
-    index_u = {node: k for k, node in enumerate(anc_u)}
-    anc_v, x = [v], v
-    while x not in index_u:
-        x = parent[x]
-        anc_v.append(x)
-    meet = anc_v[-1]
-    return anc_u[: index_u[meet] + 1] + anc_v[:-1][::-1] + [u]
+    _, cycle, _ = _plain_potentials(pspec)
+    return cycle is None, cycle
 
 
 def plain_cycle_product(pspec: PlainSpec, cycle: List[int]) -> Fraction:
@@ -284,22 +256,6 @@ def plain_cycle_product(pspec: PlainSpec, cycle: List[int]) -> Fraction:
     for i, j in zip(cycle, cycle[1:]):
         prod *= pspec.prob(i, j) / pspec.prob(j, i)
     return prod
-
-
-def plain_connected(pspec: PlainSpec) -> bool:
-    """Connectivity of the label graph on positive-parameter edges."""
-    adjacency = {i: set() for i in range(1, pspec.n + 1)}
-    for i, j in plain_label_edges(pspec):
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == pspec.n
 
 
 @dataclass
@@ -327,6 +283,13 @@ class PlainCheckReport:
         return out
 
 
+def check_plain_spec(pspec: PlainSpec) -> PlainCheckReport:
+    """Cycle and connectivity checks of a PlainSpec, whose rows are
+    multinomial parameters by definition."""
+    _, cycle, components = _plain_potentials(pspec)
+    return PlainCheckReport(True, None, None, cycle is None, cycle, components == 1)
+
+
 def run_plain_checks(spec: GWSpec) -> Tuple[PlainCheckReport, Optional[PlainSpec]]:
     """Extraction plus cycle and connectivity checks, collected in a report."""
     try:
@@ -349,12 +312,7 @@ def run_plain_checks(spec: GWSpec) -> Tuple[PlainCheckReport, Optional[PlainSpec
                              None, None, None),
             None,
         )
-    ok, cycle = check_plain_cycles(pspec)
-    connected = plain_connected(pspec)
-    return (
-        PlainCheckReport(True, None, None, ok, cycle, connected),
-        pspec,
-    )
+    return check_plain_spec(pspec), pspec
 
 
 def construct_plain_measure(pspec: PlainSpec) -> RootMeasure:
@@ -364,26 +322,11 @@ def construct_plain_measure(pspec: PlainSpec) -> RootMeasure:
     neighbor laws reuse the same multinomial rows, and the root-label
     weights solve the pairwise ratio equations.
     """
-    ok, cycle = check_plain_cycles(pspec)
-    if not ok:
+    pot, cycle, components = _plain_potentials(pspec)
+    if cycle is not None:
         raise ChecksFailedError(f"cycle identity fails along {cycle}")
-    if not plain_connected(pspec):
+    if components != 1:
         raise ChecksFailedError("label graph is disconnected")
-
-    pot: Dict[int, Fraction] = {1: Fraction(1)}
-    adjacency = {i: set() for i in range(1, pspec.n + 1)}
-    for i, j in plain_label_edges(pspec):
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    queue = [1]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for v in sorted(adjacency[u]):
-            if v not in pot:
-                pot[v] = pot[u] * pspec.prob(u, v) / pspec.prob(v, u)
-                queue.append(v)
     grand = sum(pot.values())
     root_dist = {i: pot[i] / grand for i in range(1, pspec.n + 1)}
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .checker import label_potentials
 from .core import (
     GWSpec,
     GwrevError,
@@ -178,72 +179,38 @@ def solve_offspring(template: SupportTemplate, weights: Weights) -> GWSpec:
     return GWSpec(n=n, mode=PAIR, offspring=laws)
 
 
-def solve_root_weights(
-    template: SupportTemplate, weights: Weights, offspring: GWSpec
-) -> Dict[int, Fraction]:
+def solve_root_weights(template: SupportTemplate, weights: Weights) -> Dict[int, Fraction]:
     """Recover the root-label weights forced by detailed balance.
 
-    The ratio weight(i) / weight(j) read off a class d of label j (d_i > 0)
-    and a class e of label i (e_j > 0) factors as
+    Under the laws of `solve_offspring`, the balance key of a label-j class
+    d toward label i is the normalizer of the law (i, j), the label flow
 
-        pair_ratio(d, e) = k(d, i) / k(e, j),
-        k((l, c), m) = w(l, c) * c_m / (|c| * p(m,l)(c - e_m)),
+        flow(i, j) = sum of w(d) * d_i / |d| over label-j classes d, d_i > 0,
 
-    with w the class weight.  The ratio of the first pair is propagated over
-    the label adjacency graph by BFS from label 1.  Every admissible pair must
-    then match the propagated ratio T exactly, and by the factoring all do
-    iff pair_ratio(d, es[0]) == pair_ratio(ds[0], e) == T for every d and e:
-    O(N * n) work for N classes and n labels.  The label pairs are checked
-    in sorted order and the first failing one raises
-    InconsistentRatiosError.
+    so every class pair across labels i and j forces the same ratio
+    weight(i) / weight(j) = flow(i, j) / flow(j, i).  `label_potentials`
+    solves these ratios over the label graph.  A disconnected label graph
+    raises SpecError; ratios that do not close around a label cycle raise
+    InconsistentRatiosError at the first inconsistent label pair in sorted
+    order.  O(N * n) work for N classes and n labels.
     """
-    n = template.n
-    # side[(i, j)]: the label-i classes with c_j > 0, sorted
-    side: Dict[Tuple[int, int], List[SupportClass]] = {}
-    adjacency: Dict[int, set] = {i: set() for i in range(1, n + 1)}
+    flow: Dict[Tuple[int, int], Fraction] = {}
     for cls in template.classes:
-        for j, cj in enumerate(cls.vector, start=1):
-            if cj > 0:
-                side.setdefault((cls.label, j), []).append(cls)
-                if j != cls.label:
-                    adjacency[cls.label].add(j)
-                    adjacency[j].add(cls.label)
-
-    def k(cls: SupportClass, m: int) -> Fraction:
-        c = cls.vector
-        p = offspring.pair_prob(m, cls.label, decrement(c, m))
-        return weights[cls] * c[m - 1] / (total(c) * p)
-
-    def sides(i: int, j: int):
-        # ds: classes of label j with d_i > 0; es: classes of label i with e_j > 0
-        return side.get((j, i), []), side.get((i, j), [])
-
-    potential = {1: Fraction(1)}
-    queue = [1]
-    qi = 0
-    while qi < len(queue):
-        i = queue[qi]
-        qi += 1
-        for j in sorted(adjacency[i]):
-            if j in potential:
-                continue
-            ds, es = sides(i, j)
-            potential[j] = potential[i] / (k(ds[0], i) / k(es[0], j))
-            queue.append(j)
-    if len(potential) != n:
+        j, d = cls
+        for i, di in enumerate(d, start=1):
+            if di > 0 and i != j:
+                flow[(i, j)] = flow.get((i, j), 0) + weights[cls] * di / total(d)
+    ratio = {
+        (i, j): f / flow[(j, i)] for (i, j), f in flow.items() if i < j and (j, i) in flow
+    }
+    potential, cycle, components = label_potentials(template.n, ratio)
+    if components != 1:
         raise SpecError("label graph is not connected; template is invalid")
-
-    for i in range(1, n + 1):
-        for j in sorted(adjacency[i]):
-            ds, es = sides(i, j)
-            target = potential[i] / potential[j]
-            kd = [k(d, i) for d in ds]
-            ke = [k(e, j) for e in es]
-            if any(x / ke[0] != target for x in kd) or any(kd[0] / y != target for y in ke):
-                raise InconsistentRatiosError(i, j)
-
+    if cycle is not None:
+        # the cycle ends ..., j, i with (i, j) its first inconsistent edge
+        raise InconsistentRatiosError(cycle[-1], cycle[-2])
     grand = sum(potential.values())
-    return {i: potential[i] / grand for i in range(1, n + 1)}
+    return {i: potential[i] / grand for i in range(1, template.n + 1)}
 
 
 def family_dimension(template: SupportTemplate) -> int:
@@ -258,7 +225,7 @@ def assemble_measure(template: SupportTemplate, weights: Weights) -> RootMeasure
         raise SpecError(f"invalid template: {reason}")
     validate_weights(template, weights)
     offspring = solve_offspring(template, weights)
-    root = solve_root_weights(template, weights, offspring)
+    root = solve_root_weights(template, weights)
     neighbor = {
         i: {cls.vector: weights[cls] for cls in template.by_label()[i]}
         for i in range(1, template.n + 1)

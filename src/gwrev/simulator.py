@@ -17,7 +17,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .core import (
-    Dist,
     GwrevError,
     RootMeasure,
     SupportClass,
@@ -48,20 +47,9 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
 
 
-def _draw(rng: np.random.Generator, dist: Dist):
-    """Inverse-CDF draw over sorted outcomes; Fraction-vs-float comparisons
-    are exact in Python."""
-    u = rng.random()
-    acc = Fraction(0)
-    items = sorted(dist.items())
-    for outcome, p in items:
-        acc += p
-        if u < acc:
-            return outcome
-    return items[-1][0]
-
-
-def _draw_label(rng: np.random.Generator, dist: Dict[int, Fraction]) -> int:
+def _draw(rng: np.random.Generator, dist: Dict):
+    """Inverse-CDF draw over sorted outcomes (labels or vectors);
+    Fraction-vs-float comparisons are exact in Python."""
     u = rng.random()
     acc = Fraction(0)
     items = sorted(dist.items())
@@ -138,7 +126,7 @@ def _sample_subtree(measure, parent_label, label, remaining, rng) -> TreeNode:
 
 
 def _sample(measure: RootMeasure, depth: int, rng) -> LabeledTree:
-    label = _draw_label(rng, measure.root_dist)
+    label = _draw(rng, measure.root_dist)
     vec = _draw(rng, measure.neighbor_dist[label])
     children = tuple(
         _sample_subtree(measure, label, j, depth - 1, rng)
@@ -300,7 +288,7 @@ def mass_transport_check(
     sum_f = sq_f = sum_b = sq_b = 0.0
     for t in range(trials):
         rng = trial_generator(seed, t)
-        label = _draw_label(rng, measure.root_dist)
+        label = _draw(rng, measure.root_dist)
         vec = _draw(rng, measure.neighbor_dist[label])
         deg = total(vec)
         if label == i:

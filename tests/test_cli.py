@@ -270,6 +270,31 @@ def test_dist_entry_zero_denominator(capsys, tmp_path):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def _worked_measure_obj():
+    from gwrev.constructor import construct_measure
+
+    return ff.measure_to_obj(construct_measure(two_label_spec()))
+
+
+@pytest.mark.parametrize("command, document, key, value", [
+    ("check", "spec", "offspring", 5),
+    ("check", "spec", "offspring", [5]),
+    ("check", "spec", "n", [2]),
+    ("check", "spec", "degree_dist", 5),  # the direct plain form
+    ("verify", "measure", "root", [5]),
+])
+def test_document_of_the_wrong_shape(capsys, tmp_path, command, document, key, value):
+    if document == "measure":
+        obj = _worked_measure_obj()
+    elif key == "degree_dist":
+        obj = ff.plain_spec_to_obj(three_label_plain())
+    else:
+        obj = _worked_spec_obj()
+    obj[key] = value
+    assert main([command, write(tmp_path / "doc.json", obj)]) == 2
+    assert f"error: bad {document} document" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_rejects_nonpositive_trials(capsys, tmp_path, spec_path, trials):
     out = tmp_path / "measure.json"
@@ -337,3 +362,33 @@ def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path, monkeypatch
                  ff.spec_to_obj(GWSpec(n=2, mode=PAIR, offspring=flat)))
     code, report = run(capsys, "check", path)
     assert code == 1 and report["failed"] == ["condition_ii"]
+
+
+# ---------------------------------------------------------------------------
+# construct solves the balance potentials once, in run_checks
+# ---------------------------------------------------------------------------
+
+def test_construct_solves_the_balance_potentials_once(capsys, tmp_path, monkeypatch):
+    import sys
+
+    import gwrev.checker
+
+    original = gwrev.checker.solve_potentials
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    # every gwrev module that holds the solver, the checker's own name included
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gwrev" and getattr(module, "solve_potentials", None) is original:
+            monkeypatch.setattr(module, "solve_potentials", counting)
+
+    template, weights = dense_grid(4)
+    for spec in (two_label_spec(), solve_offspring(template, weights)):
+        calls.clear()
+        path = write(tmp_path / "spec.json", ff.spec_to_obj(spec))
+        code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
+        assert code == 0
+        assert len(calls) == 1

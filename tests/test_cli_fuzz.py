@@ -1,0 +1,146 @@
+"""Fuzz the CLI boundary: mutated documents and argv never crash `main`.
+
+Every run either passes (0), names a failed condition (1) or rejects the
+input as malformed (2), and never raises.  argparse rejects a bad command
+line with SystemExit(2), which is the same exit status.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gwrev import fileformats as ff
+from gwrev.cli import main
+from gwrev.constructor import construct_measure
+from gwrev.norelabel import expand_plain_spec
+
+from .conftest import (
+    break_condition_i,
+    break_condition_ii,
+    three_label_plain,
+    two_label_spec,
+    two_label_template,
+    two_label_weights,
+)
+
+# passing documents and ones that fail a named condition
+SPECS = [
+    ff.spec_to_obj(two_label_spec()),
+    ff.spec_to_obj(break_condition_i(two_label_spec())),
+    ff.spec_to_obj(break_condition_ii(two_label_spec())),
+    ff.plain_spec_to_obj(three_label_plain()),
+    ff.plain_spec_to_obj(three_label_plain(p31=F(1, 4), p32=F(3, 4))),
+    ff.spec_to_obj(expand_plain_spec(three_label_plain())),
+]
+MEASURE = ff.measure_to_obj(construct_measure(two_label_spec()))
+TEMPLATE = ff.template_to_obj(two_label_template())
+WEIGHTS = ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
+
+JUNK = st.one_of(
+    st.integers(-2, 5),
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["", "x", "pair", "plain", "1/2", "1/0", "-1", "2.5"]),
+    st.floats(-3, 5, allow_nan=False),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.sampled_from([{}, {"c": [1, 1], "p": "1"}, {"label": 1, "p": "1"}]),
+)
+ARG_JUNK = st.sampled_from(
+    ["", "x", "-1", "0", "3", "1,7", "2,1", "1,x", "1:(1,1)", "2:(0,3)", "9:(1)",
+     "--trials", "--mtp", "missing.json"]
+)
+
+
+def mutate(data, doc):
+    """The document with up to three random nodes replaced, deleted or
+    duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(0, 3))):
+        parent, key, node = None, None, doc
+        for _ in range(data.draw(st.integers(0, 6))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+            parent, key = node, data.draw(st.sampled_from(keys))
+            node = node[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        junk = copy.deepcopy(data.draw(JUNK))  # sampled objects are shared
+        if parent is None:
+            doc = junk if action == "replace" else doc
+        elif action == "replace":
+            parent[key] = junk
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.append(copy.deepcopy(node))
+    return doc
+
+
+def command_line(data):
+    """A command over documents freshly written to the working directory,
+    then its argv mutated."""
+    def doc(name, obj):
+        with open(name, "w") as fh:
+            json.dump(mutate(data, obj), fh)
+        return name
+
+    command = data.draw(st.sampled_from(["check", "construct", "parametrize", "verify",
+                                         "simulate"]))
+    if command in ("check", "construct"):
+        argv = [command, doc("spec.json", data.draw(st.sampled_from(SPECS)))]
+        if command == "construct":
+            argv.append("out.json")
+    elif command == "parametrize":
+        argv = [command, doc("template.json", TEMPLATE), doc("weights.json", WEIGHTS),
+                "out.json"]
+    elif command == "verify":
+        argv = [command, doc("measure.json", MEASURE)]
+    else:
+        argv = [command, doc("measure.json", MEASURE), "--trials",
+                data.draw(st.sampled_from(["1", "3"])), "--seed", "7"]
+        if data.draw(st.booleans()):
+            argv += ["--mtp", "1,2"]
+        else:
+            argv += ["--from", "1:(1,1)", "--to", "2:(1,1)"]
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        k = data.draw(st.integers(0, len(argv) - 1))
+        if data.draw(st.booleans()):
+            argv[k] = data.draw(ARG_JUNK)
+        else:
+            del argv[k]
+    return argv
+
+
+def exit_status(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_never_crashes_on_mutated_input(data):
+    # a junk token in place of a path makes a file of that name: run in a
+    # fresh directory
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            argv = command_line(data)
+            code, out = exit_status(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2), (argv, code)
+    if code in (0, 1):
+        json.loads(out)  # a report, never a partial one

@@ -162,21 +162,18 @@ def test_verify_reversibility_matches_on_plain_measures():
 
 
 def test_solve_root_weights_matches_the_pairwise_check():
-    # laws solved from the weights make every class of a side agree, so the
-    # reweighted laws are what test the per-class halves of the check
-    rng = random.Random(3)
-    raised = {False: 0, True: 0}
+    # the label-flow solve against every class pair under the solved laws:
+    # the same weights, or the same first failing label pair
+    raised = 0
     for template, weights, spec in corpus(3):
-        for laws, changed in ((spec, False), (reweighted(rng, spec), True)):
-            expected = pairwise_root_weights(template, weights, laws)
-            try:
-                got = solve_root_weights(template, weights, laws)
-            except InconsistentRatiosError as err:
-                got = err.labels
-                raised[changed] += 1
-            assert got == expected
-    assert CORPUS // 5 < raised[False] < CORPUS - CORPUS // 5
-    assert raised[True] > raised[False]
+        expected = pairwise_root_weights(template, weights, spec)
+        try:
+            got = solve_root_weights(template, weights)
+        except InconsistentRatiosError as err:
+            got = err.labels
+            raised += 1
+        assert got == expected
+    assert CORPUS // 5 < raised < CORPUS - CORPUS // 5
 
 
 def test_validate_template_matches_the_pairwise_check():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gwrev.checker import label_potentials
 from gwrev.constructor import verify_reversibility
 from gwrev.core import ChecksFailedError, GWSpec, PLAIN, SpecError, degrees
 from gwrev.norelabel import (
@@ -11,12 +12,14 @@ from gwrev.norelabel import (
     NotMultinomialError,
     PlainSpec,
     check_plain_cycles,
+    check_plain_spec,
     construct_plain_measure,
     expand_plain_spec,
     extract_plain_spec,
     multinomial_dist,
     multinomial_pmf,
     plain_cycle_product,
+    plain_label_edges,
     run_plain_checks,
 )
 
@@ -150,6 +153,42 @@ def test_cycles_fail_with_replayable_witness():
     assert not ok
     assert cycle[0] == cycle[-1]
     assert plain_cycle_product(broken, cycle) != 1
+
+
+def test_label_potentials_count_components():
+    # labels {1, 2} and {3, 4, 5} joined within, apart between; 6 alone
+    ratio = {(1, 2): F(2), (3, 4): F(1, 3), (4, 5): F(5)}
+    pot, cycle, components = label_potentials(6, ratio)
+    assert cycle is None and components == 3
+    assert pot == {1: 1, 2: F(1, 2), 3: 1, 4: 3, 5: F(3, 5), 6: 1}
+
+
+def test_label_potentials_cycle_replays_on_a_broken_row():
+    broken = three_label_plain(p31=F(1, 4), p32=F(3, 4))
+    ratio = {(i, j): broken.prob(j, i) / broken.prob(i, j)
+             for i, j in plain_label_edges(broken)}
+    pot, cycle, components = label_potentials(broken.n, ratio)
+    assert components == 1
+    assert cycle[0] == cycle[-1]
+    assert plain_cycle_product(broken, cycle) != 1
+    # the cycle closes through its first inconsistent edge (i, j): ..., j, i
+    i, j = cycle[-1], cycle[-2]
+    assert ratio[(i, j)] != pot[i] / pot[j]
+    assert check_plain_cycles(broken) == (False, cycle)
+
+
+def test_check_plain_spec_reports_disconnected_labels():
+    # label 3 only ever has label-3 children and neighbours
+    pspec = PlainSpec(
+        n=3,
+        degree_dist={1: {1: F(1)}, 2: {1: F(1)}, 3: {2: F(1)}},
+        params={1: (F(1, 2), F(1, 2), F(0)), 2: (F(1), F(0), F(0)),
+                3: (F(0), F(0), F(1))},
+    )
+    report = check_plain_spec(pspec)
+    assert report.failed_names() == ["connected"] and report.violating_cycle is None
+    with pytest.raises(ChecksFailedError, match="disconnected"):
+        construct_plain_measure(pspec)
 
 
 def test_cycles_vacuous_single_label():
