@@ -47,6 +47,7 @@ from .checker import (
 from .constructor import construct_measure, verify_reversibility
 from .parametrizer import (
     InconsistentRatiosError,
+    InvalidTemplateError,
     SupportTemplate,
     assemble_measure,
     family_dimension,

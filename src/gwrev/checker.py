@@ -20,28 +20,34 @@ two classes' unnormalized weights.  That ratio factors per label pair:
     ratio((i, c), (j, d)) = h((i, c), j) / h((j, d), i),
     h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j,
 
-so the edges between labels i and j form a complete bipartite block (a
-clique when i = j) that is consistent exactly when pot / h is constant on
-it.  `solve_potentials` works on these blocks and never materializes the
-graph: with N classes and n labels it does O(N * n) exact operations plus
-the sort.  It returns the same potentials, the same spanning forest and the
-same violating cycle as `build_balance_graph` + `propagate_potentials`,
-which materialize every edge in O(N^2) and stay as the reference.
+so the edges between labels i and j form a complete bipartite block
+S(i, j) x S(j, i) of the sides of `core.class_sides` (a clique when
+i = j) that is consistent exactly when pot / h is constant on it.
+`solve_potentials` walks these blocks with `core.class_forest` and never
+materializes the graph: with N classes and n labels it does O(N * n) exact
+operations plus the sort.  It returns the same potentials, the same
+spanning forest and the same violating cycle as `build_balance_graph` +
+`propagate_potentials`, which materialize every edge in O(N^2) and stay as
+the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
+    ONE,
     GWSpec,
     GwrevError,
     PairKey,
     SupportClass,
     Vector,
+    bfs_forest,
     candidate_support,
+    class_forest,
     decrement,
     increment,
     total,
@@ -72,13 +78,7 @@ def check_strong_connectivity(spec: GWSpec) -> Tuple[bool, Optional[Tuple[PairKe
                 if ck > 0 and (j, k) in succ:
                     succ[(i, j)].add((j, k))
     for src in keys:
-        seen = {src}
-        stack = [src]
-        while stack:
-            for nxt in succ[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        _, seen = bfs_forest([src], succ.__getitem__)
         for tgt in keys:
             if tgt not in seen:
                 return False, (src, tgt)
@@ -273,23 +273,17 @@ def label_potentials(
     for i, j in sorted(ratio):
         adjacency[i].append(j)
         adjacency[j].append(i)
+    order, parent = bfs_forest(range(1, n + 1), adjacency.__getitem__)
     pot: Dict[int, Fraction] = {}
-    parent: Dict[int, Optional[int]] = {}
     components = 0
-    for start in range(1, n + 1):
-        if start in pot:
-            continue
-        components += 1
-        pot[start] = Fraction(1)
-        parent[start] = None
-        queue = [start]
-        for u in queue:
-            for v in adjacency[u]:
-                if v not in pot:
-                    # ratio(u, v) = pot(u) / pot(v)
-                    pot[v] = pot[u] / ratio[(u, v)] if u < v else pot[u] * ratio[(v, u)]
-                    parent[v] = u
-                    queue.append(v)
+    for v in order:
+        u = parent[v]
+        if u is None:
+            components += 1
+            pot[v] = ONE
+        else:
+            # ratio(u, v) = pot(u) / pot(v)
+            pot[v] = pot[u] / ratio[(u, v)] if u < v else pot[u] * ratio[(v, u)]
     for i, j in sorted(ratio):
         if ratio[(i, j)] != pot[i] / pot[j]:
             return pot, _cycle_through(parent, i, j), components
@@ -320,10 +314,8 @@ def solve_potentials(
     connected components.  Every value equals what `propagate_potentials`
     gives on `build_balance_graph(spec)`:
 
-    * the BFS starts from the nodes in sorted order and appends each node's
-      undiscovered neighbours in sorted order; the neighbours of (i, c) are
-      the sides S(j, i) (label-j classes with d_i > 0) for c_j > 0, so a side
-      is scanned once, after which all of it is discovered;
+    * the BFS (`class_forest`) starts from the nodes in sorted order and
+      appends each node's undiscovered neighbours in sorted order;
     * the violating cycle runs through the first inconsistent edge (u, v) in
       sorted order.  With g = pot / h on each side, the edge (u, v) between
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
@@ -337,59 +329,35 @@ def solve_potentials(
         for (j, i), dist in spec.offspring.items()
         for e in dist
     })
-    side: Dict[PairKey, List[SupportClass]] = {}
-    for u in nodes:
-        for j, cj in enumerate(u.vector, start=1):
-            if cj > 0:
-                side.setdefault((u.label, j), []).append(u)
+    side, order, parent = class_forest(nodes)
 
-    cache: Dict[Tuple[SupportClass, int], Fraction] = {}
-
+    @cache
     def h(u: SupportClass, j: int) -> Fraction:
         # h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j
-        value = cache.get((u, j))
-        if value is None:
-            i, c = u
-            p = spec.pair_prob(j, i, decrement(c, j))
-            if p == 0:
-                raise MissingOffspringTermError(
-                    f"class {u} needs an unstored offspring probability for parent {j}"
-                )
-            value = cache[(u, j)] = p * total(c) / c[j - 1]
-        return value
+        i, c = u
+        p = spec.pair_prob(j, i, decrement(c, j))
+        if p == 0:
+            raise MissingOffspringTermError(
+                f"class {u} needs an unstored offspring probability for parent {j}"
+            )
+        return p * total(c) / c[j - 1]
+
+    @cache
+    def g(u: SupportClass, j: int) -> Fraction:
+        # (u, v) across sides S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i);
+        # called only once pot[u] is set
+        return pot[u] / h(u, j)
 
     pot: Dict[SupportClass, Fraction] = {}
-    parent: Dict[SupportClass, Optional[SupportClass]] = {}
-    scanned = set()
     components = 0
-    for start in nodes:
-        if start in pot:
-            continue
-        components += 1
-        pot[start] = Fraction(1)
-        parent[start] = None
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            i = u.label
-            for j, cj in enumerate(u.vector, start=1):
-                key = (j, i)
-                if cj == 0 or key in scanned or key not in side:
-                    continue
-                scanned.add(key)
-                base = pot[u] / h(u, j)
-                for v in side[key]:
-                    if v not in pot:
-                        # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i)
-                        pot[v] = base * h(v, i)
-                        parent[v] = u
-                        queue.append(v)
-
-    def g(u: SupportClass, j: int) -> Fraction:
-        # (u, v) across sides S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i)
-        return pot[u] / h(u, j)
+    for v in order:
+        u = parent[v]
+        if u is None:
+            components += 1
+            pot[v] = ONE
+        else:
+            # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i), u = (i, c), v = (j, d)
+            pot[v] = g(u, v.label) * h(v, u.label)
 
     first = None
     for (i, j), a_side in side.items():
@@ -416,15 +384,10 @@ def solve_potentials(
     return nodes, pot, cycle, components
 
 
-def check_condition_ii(
-    spec: GWSpec, graph: Optional[BalanceGraph] = None
-) -> Tuple[bool, Optional[List[SupportClass]]]:
-    """Exact cycle consistency of the balance graph: per label pair through
-    `solve_potentials`, or edge by edge on a `graph` already built."""
-    if graph is None:
-        cycle = solve_potentials(spec)[2]
-    else:
-        _, cycle = propagate_potentials(graph)
+def check_condition_ii(spec: GWSpec) -> Tuple[bool, Optional[List[SupportClass]]]:
+    """Exact cycle consistency of the balance graph, per label pair through
+    `solve_potentials`."""
+    cycle = solve_potentials(spec)[2]
     return (cycle is None), cycle
 
 

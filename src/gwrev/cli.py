@@ -19,7 +19,7 @@ from .constructor import construct_measure, verify_reversibility
 from .core import GwrevError, PAIR, SpecError
 from .covers import label_vertices, lift_measure, load_graph, pair_digraph
 from .norelabel import PlainSpec, check_plain_spec, construct_plain_measure, run_plain_checks
-from .parametrizer import InconsistentRatiosError, assemble_measure, validate_template
+from .parametrizer import InconsistentRatiosError, InvalidTemplateError, assemble_measure
 from .simulator import estimate_flow, mass_transport_check
 
 
@@ -89,12 +89,11 @@ def cmd_construct(args) -> int:
 def cmd_parametrize(args) -> int:
     template = ff.obj_to_template(ff.load_json(args.template))
     weights = ff.obj_to_weights(ff.load_json(args.params))
-    ok, reason = validate_template(template)
-    if not ok:
-        _emit({"ok": False, "failed": [reason]})
-        return 1
     try:
         measure = assemble_measure(template, weights)
+    except InvalidTemplateError as err:
+        _emit({"ok": False, "failed": [err.reason]})
+        return 1
     except InconsistentRatiosError as err:
         _emit({"ok": False, "failed": ["inconsistent_ratios"],
                "labels": list(err.labels)})

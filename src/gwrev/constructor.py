@@ -10,7 +10,7 @@ distribution.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .checker import CheckReport, run_checks
 from .core import (
@@ -19,6 +19,7 @@ from .core import (
     PAIR,
     RootMeasure,
     SupportClass,
+    class_sides,
     decrement,
     total,
 )
@@ -105,51 +106,41 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     Dividing both sides by the two offspring terms, the pair balances iff
     k((i, c), j) == k((j, d), i) with k(u, j) = w(u) * c_j / (|c| * p(j,i)(c - e_j)),
     a zero term being a value of its own (both zero: 0 == 0).  The admissible
-    pairs of labels i and j are all pairs across the two sides (label-i
-    classes with c_j > 0, label-j classes with d_i > 0), so the measure is
-    reversible iff k takes one value on each label pair: O(N * n) work for N
-    classes and n labels.  Only a measure that fails is enumerated pair by
-    pair, to list its violations.
+    pairs of labels i and j are all pairs across the two sides S(i, j) and
+    S(j, i) of `class_sides` (label-i classes with c_j > 0, label-j classes
+    with d_i > 0), so the measure is reversible iff k takes one value on each
+    label pair: O(N * n) work for N classes and n labels.  Violations can
+    only lie in a block whose keys disagree, and only those blocks are
+    listed pair by pair.
     """
-    classes = measure.support_classes()
-    keys: Dict[Tuple[int, int], List[Optional[Fraction]]] = {}
-    for u in classes:
-        for j, cj in enumerate(u.vector, start=1):
-            if cj > 0:
-                keys.setdefault((u.label, j), []).append(_balance_key(measure, u, j))
-    for (i, j), values in keys.items():
-        if i > j:
-            continue
-        if i < j:
-            if (j, i) not in keys:
-                continue
-            values = values + keys[(j, i)]
-        if any(k != values[0] for k in values):
-            return _pairwise_violations(measure, classes)
-    return []
-
-
-def _pairwise_violations(measure: RootMeasure, classes: List[SupportClass]) -> List[Violation]:
     spec = measure.descendants
+    side = class_sides(measure.support_classes())
+    keys = {
+        (i, j): [_balance_key(measure, u, j) for u in members]
+        for (i, j), members in side.items()
+    }
     violations: List[Violation] = []
-    for a in range(len(classes)):
-        u = classes[a]
-        for b in range(a + 1, len(classes)):
-            v = classes[b]
-            i, c = u
-            j, d = v
-            if c[j - 1] == 0 or d[i - 1] == 0:
-                continue
-            lhs = (
-                measure.class_prob(u)
-                * spec.offspring_prob(i, j, decrement(d, i))
-                * Fraction(c[j - 1], total(c))
-            )
-            rhs = (
-                measure.class_prob(v)
-                * spec.offspring_prob(j, i, decrement(c, j))
-                * Fraction(d[i - 1], total(d))
-            )
-            if lhs != rhs:
-                violations.append((u, v, lhs, rhs))
-    return violations
+    for (i, j), members in side.items():
+        if i > j or (j, i) not in side:
+            continue
+        values = keys[(i, j)] if i == j else keys[(i, j)] + keys[(j, i)]
+        if all(k == values[0] for k in values):
+            continue
+        for u in members:
+            for v in side[(j, i)]:
+                if i == j and not u < v:
+                    continue
+                c, d = u.vector, v.vector
+                lhs = (
+                    measure.class_prob(u)
+                    * spec.offspring_prob(i, j, decrement(d, i))
+                    * Fraction(c[j - 1], total(c))
+                )
+                rhs = (
+                    measure.class_prob(v)
+                    * spec.offspring_prob(j, i, decrement(c, j))
+                    * Fraction(d[i - 1], total(d))
+                )
+                if lhs != rhs:
+                    violations.append((u, v, lhs, rhs))
+    return sorted(violations)

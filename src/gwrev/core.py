@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 Rat = Fraction
 Vector = Tuple[int, ...]
@@ -235,6 +235,70 @@ def candidate_support(spec: GWSpec, i: int) -> set:
         if k == i:
             out.update(increment(e, j) for e in dist)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Label-pair sides and the one graph traversal
+# ---------------------------------------------------------------------------
+
+def class_sides(classes: Iterable[SupportClass]) -> Dict[PairKey, List[SupportClass]]:
+    """S(i, j): the label-i classes with c_j > 0, in the given order.
+
+    Classes (i, c) and (j, d) can sit next to each other exactly when
+    c_j > 0 and d_i > 0, so the class graph's edges between labels i and j
+    are the complete block S(i, j) x S(j, i)."""
+    side: Dict[PairKey, List[SupportClass]] = {}
+    for u in classes:
+        for j, cj in enumerate(u.vector, start=1):
+            if cj > 0:
+                side.setdefault((u.label, j), []).append(u)
+    return side
+
+
+def bfs_forest(starts: Iterable, neighbours: Callable[..., Iterable]) -> Tuple[list, dict]:
+    """Breadth-first spanning forest: a new tree from each undiscovered start
+    in order, each vertex's undiscovered neighbours appended in the order
+    they are yielded.  Returns (order, parent), the vertices in discovery
+    order and their tree parents, None at every root."""
+    order: list = []
+    parent: dict = {}
+    for start in starts:
+        if start in parent:
+            continue
+        parent[start] = None
+        qi = len(order)
+        order.append(start)
+        while qi < len(order):
+            u = order[qi]
+            qi += 1
+            for v in neighbours(u):
+                if v not in parent:
+                    parent[v] = u
+                    order.append(v)
+    return order, parent
+
+
+def class_forest(classes: Sequence[SupportClass]):
+    """`bfs_forest` on the class graph, started from `classes` in order.
+
+    Returns (side, order, parent) with side = class_sides(classes).  The
+    neighbours of (i, c) are the sides S(j, i) for c_j > 0; each side is
+    scanned once, after which all of it is discovered, so the walk is
+    O(N * n) for N classes and n labels."""
+    side = class_sides(classes)
+    scanned = set()
+
+    def neighbours(u: SupportClass) -> List[SupportClass]:
+        out: List[SupportClass] = []
+        for j, cj in enumerate(u.vector, start=1):
+            key = (j, u.label)
+            if cj > 0 and key not in scanned and key in side:
+                scanned.add(key)
+                out += side[key]
+        return out
+
+    order, parent = bfs_forest(classes, neighbours)
+    return side, order, parent
 
 
 # ---------------------------------------------------------------------------

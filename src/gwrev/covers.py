@@ -25,6 +25,7 @@ from .core import (
     PairKey,
     RootMeasure,
     Vector,
+    bfs_forest,
 )
 
 
@@ -55,11 +56,12 @@ class FiniteGraph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
         self.edges = tuple(sorted(seen))
-        adj = [set() for _ in range(self.vertex_count)]
+        # only the vertices of some edge: a large isolated id costs nothing
+        adj: Dict[int, List[int]] = {}
         for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = [sorted(s) for s in adj]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        self._adj = {v: sorted(ws) for v, ws in adj.items()}
 
     @classmethod
     def from_edges(cls, edges, vertex_count: Optional[int] = None) -> "FiniteGraph":
@@ -69,22 +71,15 @@ class FiniteGraph:
         return cls(vertex_count=vertex_count, edges=tuple(edges))
 
     def neighbors(self, v: int) -> List[int]:
-        return self._adj[v]
+        return self._adj.get(v, [])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def connected(self) -> bool:
         if self.vertex_count == 0:
             return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return len(bfs_forest([0], self.neighbors)[0]) == self.vertex_count
 
 
 def load_graph(path) -> FiniteGraph:
@@ -114,8 +109,11 @@ def rooted_isomorphic(graph: FiniteGraph, x: int, y: int) -> bool:
     """
     if graph.degree(x) != graph.degree(y):
         return False
-    order = _bfs_order(graph, x)
-    degree = [graph.degree(v) for v in range(graph.vertex_count)]
+    # breadth-first from x, then any disconnected leftovers
+    order, _ = bfs_forest([x, *range(graph.vertex_count)], graph.neighbors)
+    # neighbour lists fetched once: the search below tests them many times
+    adj = [graph.neighbors(v) for v in range(graph.vertex_count)]
+    degree = [len(a) for a in adj]
     image: Dict[int, int] = {}
     used = set()
 
@@ -129,14 +127,14 @@ def rooted_isomorphic(graph: FiniteGraph, x: int, y: int) -> bool:
             if v == x and w != y:
                 continue
             ok = True
-            for u in graph.neighbors(v):
-                if u in image and image[u] not in graph.neighbors(w):
+            for u in adj[v]:
+                if u in image and image[u] not in adj[w]:
                     ok = False
                     break
             if ok:
                 # non-neighbors must stay non-neighbors
                 for u, wu in image.items():
-                    if u not in graph.neighbors(v) and wu in graph.neighbors(w):
+                    if u not in adj[v] and wu in adj[w]:
                         ok = False
                         break
             if ok:
@@ -149,23 +147,6 @@ def rooted_isomorphic(graph: FiniteGraph, x: int, y: int) -> bool:
         return False
 
     return extend(0)
-
-
-def _bfs_order(graph: FiniteGraph, start: int) -> List[int]:
-    order = [start]
-    seen = {start}
-    qi = 0
-    while qi < len(order):
-        for w in graph.neighbors(order[qi]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        qi += 1
-    for v in range(graph.vertex_count):  # disconnected leftovers, if any
-        if v not in seen:
-            order.append(v)
-            seen.add(v)
-    return order
 
 
 def label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> Dict[int, int]:

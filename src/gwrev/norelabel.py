@@ -34,6 +34,8 @@ class NotMultinomialError(GwrevError):
     """A conditional offspring law is not multinomial; carries (label, degree,
     vector) of the first failing entry."""
 
+    name = "not-multinomial"
+
     def __init__(self, label, degree, vec):
         super().__init__(
             f"law of label {label} at degree {degree} is not multinomial "
@@ -45,6 +47,8 @@ class NotMultinomialError(GwrevError):
 class DegreeDependentParametersError(GwrevError):
     """Multinomial parameters differ between two degrees of the same label."""
 
+    name = "degree-dependent-parameters"
+
     def __init__(self, label, degree_a, degree_b):
         super().__init__(
             f"label {label} has different multinomial parameters at degrees "
@@ -55,6 +59,8 @@ class DegreeDependentParametersError(GwrevError):
 
 class AsymmetricAdjacencyError(GwrevError):
     """p(i, j) > 0 but p(j, i) = 0: no reversible measure can exist."""
+
+    name = "asymmetric-adjacency"
 
     def __init__(self, i, j):
         super().__init__(f"label {i} can have {j}-children but not conversely")
@@ -294,24 +300,9 @@ def run_plain_checks(spec: GWSpec) -> Tuple[PlainCheckReport, Optional[PlainSpec
     """Extraction plus cycle and connectivity checks, collected in a report."""
     try:
         pspec = extract_plain_spec(spec)
-    except NotMultinomialError as err:
-        return (
-            PlainCheckReport(False, "not-multinomial",
-                             err.witness, None, None, None),
-            None,
-        )
-    except DegreeDependentParametersError as err:
-        return (
-            PlainCheckReport(False, "degree-dependent-parameters",
-                             err.witness, None, None, None),
-            None,
-        )
-    except AsymmetricAdjacencyError as err:
-        return (
-            PlainCheckReport(False, "asymmetric-adjacency", err.witness,
-                             None, None, None),
-            None,
-        )
+    except (NotMultinomialError, DegreeDependentParametersError,
+            AsymmetricAdjacencyError) as err:
+        return PlainCheckReport(False, err.name, err.witness, None, None, None), None
     return check_plain_spec(pspec), pspec
 
 

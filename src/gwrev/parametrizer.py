@@ -34,6 +34,8 @@ from .core import (
     RootMeasure,
     SpecError,
     SupportClass,
+    class_forest,
+    class_sides,
     decrement,
     total,
 )
@@ -51,6 +53,15 @@ class InconsistentRatiosError(GwrevError):
             "the template admits no reversible measure with these weights"
         )
         self.labels = (i, j)
+
+
+class InvalidTemplateError(SpecError):
+    """The template fails support symmetry or chain connectivity; `reason`
+    names the failed condition and a witness."""
+
+    def __init__(self, reason):
+        super().__init__(f"invalid template: {reason}")
+        self.reason = reason
 
 
 @dataclass
@@ -95,13 +106,7 @@ def validate_template(template: SupportTemplate) -> Tuple[bool, Optional[str]]:
         if not by_label[i]:
             return False, f"support_symmetry: label {i} has no class"
 
-    # side[(i, j)]: indices of the label-i classes with c_j > 0
-    classes = list(template.classes)
-    side: Dict[Tuple[int, int], List[int]] = {}
-    for k, cls in enumerate(classes):
-        for j, cj in enumerate(cls.vector, start=1):
-            if cj > 0:
-                side.setdefault((cls.label, j), []).append(k)
+    side, order, parent = class_forest(template.classes)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if ((i, j) in side) != ((j, i) in side):
@@ -111,28 +116,13 @@ def validate_template(template: SupportTemplate) -> Tuple[bool, Optional[str]]:
                 )
 
     # Chain connectivity: classes u, v can be tree neighbors when u's vector
-    # counts v's label and vice versa, so every class of side (i, j) is a
-    # neighbor of every class of side (j, i) and each such pair of sides is
-    # one block; every label pair must be bridged.
-    parent = list(range(len(classes)))
-
-    def root(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j), members in side.items():
-        if i > j:
-            continue
-        block = members if i == j else members + side[(j, i)]
-        anchor = root(block[0])
-        for b in block:
-            parent[root(b)] = anchor
-
+    # counts v's label and vice versa; every label pair must be bridged by a
+    # tree of the class forest.
+    root: Dict[SupportClass, SupportClass] = {}
     comp_of_label: Dict[int, set] = {i: set() for i in range(1, n + 1)}
-    for k, cls in enumerate(classes):
-        comp_of_label[cls.label].add(root(k))
+    for cls in order:
+        root[cls] = cls if parent[cls] is None else root[parent[cls]]
+        comp_of_label[cls.label].add(root[cls])
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if not (comp_of_label[i] & comp_of_label[j]):
@@ -161,22 +151,18 @@ def solve_offspring(template: SupportTemplate, weights: Weights) -> GWSpec:
     (j, d) with d_i > 0, seen through its parent slot, mass proportional to
     weight(j, d) * d_i / |d|.
     """
-    n = template.n
-    by_label = template.by_label()
+    side = class_sides(template.classes)
     laws: Dict[Tuple[int, int], Dict] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            targets = [cls for cls in by_label[j] if cls.vector[i - 1] > 0]
-            if not targets:
-                continue
-            raw = {
-                decrement(cls.vector, i): weights[cls]
-                * Fraction(cls.vector[i - 1], total(cls.vector))
-                for cls in targets
-            }
-            norm = sum(raw.values())
-            laws[(i, j)] = {c: w / norm for c, w in raw.items()}
-    return GWSpec(n=n, mode=PAIR, offspring=laws)
+    # the sides S(j, i) in (i, j) order
+    for (j, i) in sorted(side, key=lambda key: (key[1], key[0])):
+        raw = {
+            decrement(cls.vector, i): weights[cls]
+            * Fraction(cls.vector[i - 1], total(cls.vector))
+            for cls in side[(j, i)]
+        }
+        norm = sum(raw.values())
+        laws[(i, j)] = {c: w / norm for c, w in raw.items()}
+    return GWSpec(n=template.n, mode=PAIR, offspring=laws)
 
 
 def solve_root_weights(template: SupportTemplate, weights: Weights) -> Dict[int, Fraction]:
@@ -194,12 +180,11 @@ def solve_root_weights(template: SupportTemplate, weights: Weights) -> Dict[int,
     InconsistentRatiosError at the first inconsistent label pair in sorted
     order.  O(N * n) work for N classes and n labels.
     """
-    flow: Dict[Tuple[int, int], Fraction] = {}
-    for cls in template.classes:
-        j, d = cls
-        for i, di in enumerate(d, start=1):
-            if di > 0 and i != j:
-                flow[(i, j)] = flow.get((i, j), 0) + weights[cls] * di / total(d)
+    flow = {
+        (i, j): sum(weights[d] * d.vector[i - 1] / total(d.vector) for d in members)
+        for (j, i), members in class_sides(template.classes).items()
+        if i != j
+    }
     ratio = {
         (i, j): f / flow[(j, i)] for (i, j), f in flow.items() if i < j and (j, i) in flow
     }
@@ -222,7 +207,7 @@ def assemble_measure(template: SupportTemplate, weights: Weights) -> RootMeasure
     """Validate, solve, and assemble the full measure for (M, weights)."""
     ok, reason = validate_template(template)
     if not ok:
-        raise SpecError(f"invalid template: {reason}")
+        raise InvalidTemplateError(reason)
     validate_weights(template, weights)
     offspring = solve_offspring(template, weights)
     root = solve_root_weights(template, weights)

@@ -141,6 +141,30 @@ def strongly_connected_bruteforce(spec: GWSpec) -> bool:
     return all(reach[a][b] for a in range(m) for b in range(m))
 
 
+def unreachable_pair_bruteforce(spec: GWSpec):
+    """(True, None), or (False, (source, target)) for the first ordered pair
+    of realized pair types in sorted order with no directed path, every type
+    reaching itself: Warshall closure from all sources at once."""
+    keys = sorted(spec.offspring)
+    index = {k: a for a, k in enumerate(keys)}
+    m = len(keys)
+    reach = [[a == b for b in range(m)] for a in range(m)]
+    for (i, j) in keys:
+        for c in spec.offspring[(i, j)]:
+            for k, ck in enumerate(c, start=1):
+                if ck > 0 and (j, k) in index:
+                    reach[index[(i, j)]][index[(j, k)]] = True
+    for mid in range(m):
+        for a in range(m):
+            for b in range(m):
+                reach[a][b] = reach[a][b] or (reach[a][mid] and reach[mid][b])
+    for a in range(m):
+        for b in range(m):
+            if not reach[a][b]:
+                return False, (keys[a], keys[b])
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # Per-degree multinomial oracle (support completeness + swap identity)
 # ---------------------------------------------------------------------------

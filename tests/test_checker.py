@@ -159,8 +159,8 @@ def test_condition_ii_tree_graph_vacuous():
     })
     graph = build_balance_graph(spec)
     assert len(graph.edges()) == len(graph.nodes) - 1
-    ok, cycle = check_condition_ii(spec, graph)
-    assert ok and cycle is None
+    assert check_condition_ii(spec) == (True, None)
+    assert propagate_potentials(graph)[1] is None
 
 
 def test_condition_ii_invariant_under_entry_reordering(pair_spec):

@@ -392,3 +392,38 @@ def test_construct_solves_the_balance_potentials_once(capsys, tmp_path, monkeypa
         code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
         assert code == 0
         assert len(calls) == 1
+
+
+def test_parametrize_validates_the_template_once(capsys, tmp_path, monkeypatch):
+    import sys
+
+    import gwrev.parametrizer
+
+    original = gwrev.parametrizer.validate_template
+    calls = []
+
+    def counting(template):
+        calls.append(template)
+        return original(template)
+
+    # every gwrev module that holds the validator, the parametrizer's own name included
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gwrev" and getattr(module, "validate_template", None) is original:
+            monkeypatch.setattr(module, "validate_template", counting)
+
+    params = write(tmp_path / "params.json",
+                   ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
+    tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(two_label_template()))
+    code, _ = run(capsys, "parametrize", tmpl, params, str(tmp_path / "m.json"))
+    assert code == 0 and len(calls) == 1
+
+    # a template failing support symmetry: the same one-line report, exit 1
+    calls.clear()
+    one_sided = write(tmp_path / "bad.json", {
+        "n": 2,
+        "classes": [{"label": 1, "c": [0, 1]}, {"label": 2, "c": [0, 1]}],
+    })
+    code, report = run(capsys, "parametrize", one_sided, params, str(tmp_path / "m.json"))
+    assert code == 1 and len(calls) == 1
+    assert report == {"ok": False, "failed": [
+        "support_symmetry: labels (1, 2) are adjacent from one side only"]}

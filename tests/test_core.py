@@ -8,8 +8,11 @@ from gwrev.core import (
     InvalidDistributionError,
     PAIR,
     SpecError,
+    SupportClass,
     active_labels,
+    bfs_forest,
     candidate_support,
+    class_forest,
     decrement,
     degrees,
     increment,
@@ -119,3 +122,22 @@ def test_spec_validation_catches_bad_mode_and_empty():
         GWSpec(n=2, mode="other", offspring={(1, 1): {(1, 0): F(1)}})
     with pytest.raises(SpecError):
         GWSpec(n=2, mode=PAIR, offspring={})
+
+
+def test_bfs_forest_order_and_parents():
+    # two components; neighbours are appended in the order they are yielded,
+    # and a start already discovered opens no tree
+    adjacency = {1: [3, 2], 2: [1], 3: [1, 4], 4: [3], 5: []}
+    order, parent = bfs_forest([4, 1, 5, 2], adjacency.__getitem__)
+    assert order == [4, 3, 1, 2, 5]
+    assert parent == {4: None, 3: 4, 1: 3, 2: 1, 5: None}
+
+
+def test_class_forest_joins_the_two_sides_of_each_label_pair():
+    a, b = SupportClass(1, (1, 1)), SupportClass(1, (2, 0))
+    c, d = SupportClass(2, (1, 0)), SupportClass(2, (0, 3))
+    side, order, parent = class_forest([a, b, c, d])
+    assert side == {(1, 1): [a, b], (1, 2): [a], (2, 1): [c], (2, 2): [d]}
+    # a sees S(1, 1) = [a, b] and S(2, 1) = [c]; d only its own clique
+    assert order == [a, b, c, d]
+    assert parent == {a: None, b: a, c: a, d: None}

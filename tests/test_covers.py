@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from gwrev.checker import run_checks
+from gwrev.cli import main
 from gwrev.constructor import verify_reversibility
 from gwrev.covers import (
     FiniteGraph,
@@ -85,6 +87,26 @@ def test_graph_too_large():
     with pytest.raises(GraphTooLargeError):
         label_vertices(graph(path11))
     assert len(set(label_vertices(graph(path11), max_vertices=11).values())) == 6
+
+
+def test_large_vertex_id_is_rejected_without_allocating_per_id(capsys, tmp_path):
+    # one edge to id 300000 declares 300001 vertices; only the three that
+    # occur in an edge get adjacency, the rest are isolated
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 300000\n")
+    g = load_graph(path)
+    assert g.vertex_count == 300001
+    assert g.neighbors(1) == [0, 300000] and g.neighbors(5) == [] and g.degree(5) == 0
+    assert not g.connected()
+    tracemalloc.start()
+    try:
+        code = main(["cover", str(path), str(tmp_path / "out.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds the bound 10" in capsys.readouterr().err
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

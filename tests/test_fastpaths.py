@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from gwrev.checker import (
     build_balance_graph,
     check_condition_i,
+    check_strong_connectivity,
     propagate_potentials,
     run_checks,
     solve_potentials,
@@ -34,6 +35,7 @@ from .oracles import (
     random_template,
     random_template_candidate,
     random_template_weights,
+    unreachable_pair_bruteforce,
 )
 
 CORPUS = 600
@@ -98,6 +100,18 @@ def test_solve_potentials_matches_on_dense_and_broken_grids():
     for s in (spec, broken, two_label_spec(), break_condition_ii(two_label_spec())):
         assert solve_potentials(s) == graph_path(s)
     assert solve_potentials(broken)[2] is not None
+
+
+def test_strong_connectivity_matches_all_sources_reachability():
+    # the verdict and the first unreachable (source, target) pair
+    rng = random.Random(7)
+    failed = 0
+    for _, _, spec in corpus(7):
+        for s in (spec, reweighted(rng, spec)):
+            verdict = check_strong_connectivity(s)
+            assert verdict == unreachable_pair_bruteforce(s)
+            failed += not verdict[0]
+    assert CORPUS // 10 < failed < CORPUS
 
 
 def perturbed(rng, measure):
