@@ -10,6 +10,7 @@ fallback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,7 +189,11 @@ def cmd_verify(args) -> int:
     return 0 if not violations else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one.  Subcommands dispatch by name at call time, so a replaced
+    module-level `cmd_*` function is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="gwrev",
         description="Reversible root measures for multi-type branching trees.",
@@ -197,26 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the admissibility checks on a spec")
     p.add_argument("spec")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="build the reversible measure for a spec")
     p.add_argument("spec")
     p.add_argument("out")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("parametrize",
                        help="build the measure for a support template and weights")
     p.add_argument("template")
     p.add_argument("params")
     p.add_argument("out")
-    p.set_defaults(func=cmd_parametrize)
 
     p = sub.add_parser("cover", help="lift a finite graph to a measure")
     p.add_argument("graph")
     p.add_argument("out")
     p.add_argument("--dot", default=None, help="also write the pair digraph as DOT")
     p.add_argument("--max-vertices", type=int, default=10)
-    p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("simulate", help="Monte Carlo flow / transport estimates")
     p.add_argument("measure")
@@ -228,11 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="CLS", help='target class, e.g. "2:(1,1)"')
     p.add_argument("--mtp", default=None, metavar="I,J",
                    help="check the mass-transport identity for a label pair")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="exact detailed-balance check of a measure")
     p.add_argument("measure")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (GwrevError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

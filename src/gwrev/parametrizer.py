@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .checker import label_potentials
@@ -35,7 +36,6 @@ from .core import (
     SpecError,
     SupportClass,
     class_forest,
-    class_sides,
     decrement,
     total,
 )
@@ -93,6 +93,12 @@ class SupportTemplate:
             out[cls.label].append(cls)
         return out
 
+    @cached_property
+    def forest(self):
+        """`class_forest(classes)`, built once per template: (side, order,
+        parent), where side[(i, j)] is S(i, j)."""
+        return class_forest(self.classes)
+
 
 def validate_template(template: SupportTemplate) -> Tuple[bool, Optional[str]]:
     """Check support symmetry and chain connectivity.
@@ -101,12 +107,13 @@ def validate_template(template: SupportTemplate) -> Tuple[bool, Optional[str]]:
     a witness.
     """
     n = template.n
-    by_label = template.by_label()
+    side, order, parent = template.forest
+    # every class has a neighbor, so a label with a class has a side
+    seen = {i for (i, _) in side}
     for i in range(1, n + 1):
-        if not by_label[i]:
+        if i not in seen:
             return False, f"support_symmetry: label {i} has no class"
 
-    side, order, parent = class_forest(template.classes)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if ((i, j) in side) != ((j, i) in side):
@@ -144,15 +151,12 @@ def validate_weights(template: SupportTemplate, weights: Weights) -> None:
             raise SpecError(f"weights of label {i} sum to {s}, expected 1")
 
 
-def solve_offspring(template: SupportTemplate, weights: Weights) -> GWSpec:
-    """Recover the offspring laws forced by the class weights.
-
-    For each parent label i and own label j, the law assigns the class
-    (j, d) with d_i > 0, seen through its parent slot, mass proportional to
-    weight(j, d) * d_i / |d|.
-    """
-    side = class_sides(template.classes)
+def _forced_laws(template: SupportTemplate, weights: Weights):
+    """The offspring laws forced by the class weights, keyed (i, j), and
+    their normalizers, the label flows flow(i, j)."""
+    side = template.forest[0]
     laws: Dict[Tuple[int, int], Dict] = {}
+    flow: Dict[Tuple[int, int], Fraction] = {}
     # the sides S(j, i) in (i, j) order
     for (j, i) in sorted(side, key=lambda key: (key[1], key[0])):
         raw = {
@@ -160,9 +164,19 @@ def solve_offspring(template: SupportTemplate, weights: Weights) -> GWSpec:
             * Fraction(cls.vector[i - 1], total(cls.vector))
             for cls in side[(j, i)]
         }
-        norm = sum(raw.values())
+        flow[(i, j)] = norm = sum(raw.values())
         laws[(i, j)] = {c: w / norm for c, w in raw.items()}
-    return GWSpec(n=template.n, mode=PAIR, offspring=laws)
+    return laws, flow
+
+
+def solve_offspring(template: SupportTemplate, weights: Weights) -> GWSpec:
+    """Recover the offspring laws forced by the class weights.
+
+    For each parent label i and own label j, the law assigns the class
+    (j, d) with d_i > 0, seen through its parent slot, mass proportional to
+    weight(j, d) * d_i / |d|.
+    """
+    return GWSpec(n=template.n, mode=PAIR, offspring=_forced_laws(template, weights)[0])
 
 
 def solve_root_weights(template: SupportTemplate, weights: Weights) -> Dict[int, Fraction]:
@@ -180,22 +194,21 @@ def solve_root_weights(template: SupportTemplate, weights: Weights) -> Dict[int,
     InconsistentRatiosError at the first inconsistent label pair in sorted
     order.  O(N * n) work for N classes and n labels.
     """
-    flow = {
-        (i, j): sum(weights[d] * d.vector[i - 1] / total(d.vector) for d in members)
-        for (j, i), members in class_sides(template.classes).items()
-        if i != j
-    }
+    return _root_weights(template.n, _forced_laws(template, weights)[1])
+
+
+def _root_weights(n: int, flow) -> Dict[int, Fraction]:
     ratio = {
         (i, j): f / flow[(j, i)] for (i, j), f in flow.items() if i < j and (j, i) in flow
     }
-    potential, cycle, components = label_potentials(template.n, ratio)
+    potential, cycle, components = label_potentials(n, ratio)
     if components != 1:
         raise SpecError("label graph is not connected; template is invalid")
     if cycle is not None:
         # the cycle ends ..., j, i with (i, j) its first inconsistent edge
         raise InconsistentRatiosError(cycle[-1], cycle[-2])
     grand = sum(potential.values())
-    return {i: potential[i] / grand for i in range(1, template.n + 1)}
+    return {i: potential[i] / grand for i in range(1, n + 1)}
 
 
 def family_dimension(template: SupportTemplate) -> int:
@@ -209,12 +222,12 @@ def assemble_measure(template: SupportTemplate, weights: Weights) -> RootMeasure
     if not ok:
         raise InvalidTemplateError(reason)
     validate_weights(template, weights)
-    offspring = solve_offspring(template, weights)
-    root = solve_root_weights(template, weights)
-    neighbor = {
-        i: {cls.vector: weights[cls] for cls in template.by_label()[i]}
-        for i in range(1, template.n + 1)
-    }
+    laws, flow = _forced_laws(template, weights)
+    offspring = GWSpec(n=template.n, mode=PAIR, offspring=laws)
+    root = _root_weights(template.n, flow)
+    by_label = template.by_label()
+    neighbor = {i: {cls.vector: weights[cls] for cls in by_label[i]}
+                for i in range(1, template.n + 1)}
     return RootMeasure(
         n=template.n, root_dist=root, neighbor_dist=neighbor, descendants=offspring
     )

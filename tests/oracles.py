@@ -488,3 +488,121 @@ def random_template(rng: random.Random, n: int, max_classes: int = 6) -> Support
     if not classes:
         classes.add(SupportClass(1, (1,) + (0,) * (n - 1)))
     return SupportTemplate(n=n, classes=tuple(classes))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo through one generator per trial
+# ---------------------------------------------------------------------------
+
+def reference_estimate_flow(measure: RootMeasure, source, target, trials: int, seed: int):
+    """`simulator.estimate_flow` as a loop over per-trial generators: the
+    body it had before the counter-based bulk path."""
+    from gwrev.core import total
+    from gwrev.simulator import (
+        ClassNotInSupportError,
+        FlowEstimate,
+        _estimate,
+        _require_class,
+        _sample,
+        class_at,
+        exact_flow,
+        root_class,
+        trial_generator,
+    )
+
+    _require_class(measure, source)
+    _require_class(measure, target)
+    i, c = source
+    j, d = target
+    if c[j - 1] == 0 or d[i - 1] == 0:
+        raise ClassNotInSupportError(
+            f"classes {source} and {target} cannot sit next to each other"
+        )
+    fwd = 0
+    bwd = 0
+    for t in range(trials):
+        rng = trial_generator(seed, t)
+        tree = _sample(measure, 2, rng)
+        start = root_class(tree)
+        if start != source and start != target:
+            continue
+        k = int(rng.integers(total(start.vector)))
+        end = class_at(tree, (k,))
+        if start == source and end == target:
+            fwd += 1
+        if start == target and end == source:
+            bwd += 1
+    mean_f, se_f = _estimate(float(fwd), float(fwd), trials)
+    mean_b, se_b = _estimate(float(bwd), float(bwd), trials)
+    return (
+        FlowEstimate(mean_f, se_f, exact_flow(measure, source, target), trials, seed),
+        FlowEstimate(mean_b, se_b, exact_flow(measure, target, source), trials, seed),
+    )
+
+
+def reference_mass_transport_check(measure: RootMeasure, i: int, j: int, trials: int, seed: int):
+    """`simulator.mass_transport_check` as a loop over per-trial generators:
+    the body it had before the counter-based bulk path."""
+    from gwrev.core import total
+    from gwrev.simulator import (
+        FlowEstimate,
+        _draw,
+        _estimate,
+        exact_transport,
+        inverse_degree_mass,
+        trial_generator,
+    )
+
+    z = inverse_degree_mass(measure)
+    z_f = float(z)
+    sum_f = sq_f = sum_b = sq_b = 0.0
+    for t in range(trials):
+        rng = trial_generator(seed, t)
+        label = _draw(rng, measure.root_dist)
+        vec = _draw(rng, measure.neighbor_dist[label])
+        deg = total(vec)
+        if label == i:
+            v = vec[j - 1] / deg / z_f
+            sum_f += v
+            sq_f += v * v
+        if label == j:
+            v = vec[i - 1] / deg / z_f
+            sum_b += v
+            sq_b += v * v
+    mean_f, se_f = _estimate(sum_f, sq_f, trials)
+    mean_b, se_b = _estimate(sum_b, sq_b, trials)
+    return (
+        FlowEstimate(mean_f, se_f, exact_transport(measure, i, j), trials, seed),
+        FlowEstimate(mean_b, se_b, exact_transport(measure, j, i), trials, seed),
+    )
+
+
+def uint32_halves(words):
+    """The 32-bit draws a numpy bit generator makes of 64-bit words: the low
+    half of each word first, then its buffered high half."""
+    for w in words:
+        yield w & 0xFFFFFFFF
+        yield w >> 32
+
+
+def buffered_bounded_lemire_uint32(next_uint32, rng: int) -> int:
+    """numpy's `buffered_bounded_lemire_uint32` (random/src/distributions/
+    distributions.c): a uniform integer in [0, rng] for 0 < rng < 2**32 - 1,
+    drawing 32-bit values from `next_uint32()` until one is accepted."""
+    rng_excl = rng + 1
+    m = next_uint32() * rng_excl
+    leftover = m & 0xFFFFFFFF
+    if leftover < rng_excl:
+        threshold = (0xFFFFFFFF - rng) % rng_excl
+        while leftover < threshold:
+            m = next_uint32() * rng_excl
+            leftover = m & 0xFFFFFFFF
+    return m >> 32
+
+
+def bounded_integer(words, m: int) -> int:
+    """`Generator.integers(m)` for 1 <= m < 2**32 from the 64-bit words that
+    follow: m == 1 draws nothing, as numpy's range-0 branch does."""
+    if m == 1:
+        return 0
+    return buffered_bounded_lemire_uint32(uint32_halves(words).__next__, m - 1)

@@ -364,6 +364,34 @@ def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path, monkeypatch
     assert code == 1 and report["failed"] == ["condition_ii"]
 
 
+def test_simulate_builds_no_generator_per_trial(capsys, tmp_path, spec_path, monkeypatch):
+    import gwrev.cli
+    import gwrev.simulator
+
+    from .oracles import reference_estimate_flow, reference_mass_transport_check
+
+    out = tmp_path / "measure.json"
+    run(capsys, "construct", spec_path, str(out))
+    flow = ["simulate", str(out), "--trials", "4000", "--seed", "7",
+            "--from", "1:(1,1)", "--to", "2:(1,1)"]
+    mtp = ["simulate", str(out), "--trials", "4000", "--seed", "7", "--mtp", "1,2"]
+    with monkeypatch.context() as patch:
+        patch.setattr(gwrev.cli, "estimate_flow", reference_estimate_flow)
+        patch.setattr(gwrev.cli, "mass_transport_check", reference_mass_transport_check)
+        expected = []
+        for argv in (flow, mtp):
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulate built a generator for a trial")
+
+    monkeypatch.setattr(gwrev.simulator, "trial_generator", forbidden)
+    for argv, stdout in zip((flow, mtp), expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout
+
+
 # ---------------------------------------------------------------------------
 # construct solves the balance potentials once, in run_checks
 # ---------------------------------------------------------------------------
