@@ -333,6 +333,13 @@ class RootMeasure:
         for i, dist in self.neighbor_dist.items():
             # the root always has at least one neighbor
             validate_dist(dist, self.n, min_total=1)
+            # and each neighbor's subtree needs a law to be sampled from
+            for j, column in enumerate(zip(*dist), start=1):
+                if any(column) and not self.descendants.offspring_law(i, j):
+                    raise SpecError(
+                        f"label-{i} roots have label-{j} neighbors, but a label-{j} "
+                        f"vertex with a label-{i} parent has no offspring law"
+                    )
 
     def support_classes(self) -> list:
         """All (label, vector) classes carrying positive mass, sorted."""

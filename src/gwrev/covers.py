@@ -2,11 +2,18 @@
 
 Vertices of a finite connected simple graph are labeled by their
 rooted-isomorphism class (two vertices share a label exactly when some
-automorphism maps one to the other).  The degree-biased uniform measure on
-the vertices then lifts to a reversible measure on rooted trees of
-non-backtracking paths, whose descendant laws are deterministic: a vertex
-that entered from a j-labeled neighbor branches into its remaining
-neighbors' labels, always the same way.
+automorphism maps one to the other).  The classes are found by
+individualization-refinement (McKay and Piperno, "Practical graph
+isomorphism, II", 2014): canonical colour refinement separates vertices no
+automorphism can exchange, the trace of refining after individualizing a
+vertex is a further invariant, and a search between vertices with equal
+traces finds automorphisms, each of which merges whole orbits.
+
+The degree-biased uniform measure on the vertices then lifts to a
+reversible measure on rooted trees of non-backtracking paths, whose
+descendant laws are deterministic: a vertex that entered from a j-labeled
+neighbor branches into its remaining neighbors' labels, always the same
+way.
 
 These lifts double as golden inputs for the exact pipeline: point-mass laws
 make every check trivially decidable by hand.
@@ -14,6 +21,7 @@ make every check trivially decidable by hand.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -30,7 +38,8 @@ from .core import (
 
 
 class GraphTooLargeError(GwrevError):
-    """The exhaustive labeling is only meant for desk-scale graphs."""
+    """The graph has more vertices than the labeling's cap (`max_vertices`,
+    10 by default, which stays the contract of `cover`)."""
 
 
 class IllDefinedLabelingError(GwrevError):
@@ -45,6 +54,8 @@ class FiniteGraph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        if not self.edges:
+            raise ValueError("graph has no edges")
         seen = set()
         for (u, v) in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
@@ -77,8 +88,6 @@ class FiniteGraph:
         return len(self.neighbors(v))
 
     def connected(self) -> bool:
-        if self.vertex_count == 0:
-            return False
         return len(bfs_forest([0], self.neighbors)[0]) == self.vertex_count
 
 
@@ -101,58 +110,108 @@ def load_graph(path) -> FiniteGraph:
 # Rooted-isomorphism labeling
 # ---------------------------------------------------------------------------
 
+def _refine(adj: List[List[int]], colour: List[int]) -> Tuple[List[int], list]:
+    """Canonical colour refinement (1-WL) of a vertex colouring.
+
+    Each round gives every vertex the signature (colour, sorted neighbour
+    colours) and renames colours by the rank of their signature, never by
+    the order of discovery, so an automorphism that maps one colouring onto
+    another maps their refinements onto each other too.  Stops at the first
+    round that splits no cell or leaves every cell a singleton.  Returns the
+    colouring, with colours 0..cells-1, and the trace: each round's sorted
+    signature list.  Equal traces are necessary for such an automorphism to
+    exist.
+    """
+    cells = len(set(colour))
+    trace = []
+    while True:
+        of = colour.__getitem__
+        signatures = [(colour[v], tuple(sorted(map(of, ws)))) for v, ws in enumerate(adj)]
+        ranked = sorted(signatures)
+        trace.append(ranked)
+        rank = {s: r for r, s in enumerate(dict.fromkeys(ranked))}
+        colour = [rank[s] for s in signatures]
+        if len(rank) in (cells, len(adj)):  # stable, or discrete and so stable
+            return colour, trace
+        cells = len(rank)
+
+
+def _individualize(adj: List[List[int]], colour: List[int], v: int) -> Tuple[List[int], list]:
+    """Give v a colour of its own, then refine."""
+    colour = list(colour)
+    colour[v] = len(adj)  # above every colour in use
+    return _refine(adj, colour)
+
+
+def _automorphism(adj, pairs, left: List[int], right: List[int]) -> Optional[List[int]]:
+    """An automorphism mapping each left colour class onto the right class
+    of the same colour, as the list of vertex images, or None.
+
+    Both colourings are refined and have equal traces.  The first vertex of
+    the first non-singleton left cell is individualized against every
+    vertex of the same right cell, and the search recurses wherever the two
+    refinements still have equal traces.  A discrete colouring leaves one
+    candidate, checked edge by edge (`pairs` holds both orientations).
+    """
+    n = len(adj)
+    if len(set(left)) == n:
+        at = [0] * n
+        for v, c in enumerate(right):
+            at[c] = v
+        sigma = [at[c] for c in left]
+        if all((sigma[u], sigma[w]) in pairs for (u, w) in pairs):
+            return sigma
+        return None
+    first: Dict[int, int] = {}
+    for v, c in enumerate(left):
+        if c in first:
+            break
+        first[c] = v
+    sub, trace = _individualize(adj, left, first[c])
+    for b, cb in enumerate(right):
+        if cb == c:
+            image, image_trace = _individualize(adj, right, b)
+            if image_trace == trace:
+                sigma = _automorphism(adj, pairs, sub, image)
+                if sigma is not None:
+                    return sigma
+    return None
+
+
+def _stable_colouring(graph: FiniteGraph):
+    """Neighbour lists, the edges in both orientations, and the refinement
+    of the degree colouring."""
+    adj = [graph.neighbors(v) for v in range(graph.vertex_count)]
+    pairs = {(u, w) for (u, w) in graph.edges} | {(w, u) for (u, w) in graph.edges}
+    colour, _ = _refine(adj, [len(ws) for ws in adj])
+    return adj, pairs, colour
+
+
 def rooted_isomorphic(graph: FiniteGraph, x: int, y: int) -> bool:
     """Is there an automorphism of the graph mapping x to y?
 
-    Exhaustive backtracking over vertex images, pruned by degree and by
-    adjacency to already-placed vertices.
+    The search of `label_vertices` for this one pair: refine, individualize
+    x and y, and search only when their traces agree.
     """
-    if graph.degree(x) != graph.degree(y):
+    adj, pairs, colour = _stable_colouring(graph)
+    if colour[x] != colour[y]:
         return False
-    # breadth-first from x, then any disconnected leftovers
-    order, _ = bfs_forest([x, *range(graph.vertex_count)], graph.neighbors)
-    # neighbour lists fetched once: the search below tests them many times
-    adj = [graph.neighbors(v) for v in range(graph.vertex_count)]
-    degree = [len(a) for a in adj]
-    image: Dict[int, int] = {}
-    used = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in range(graph.vertex_count):
-            if w in used or degree[w] != degree[v]:
-                continue
-            if v == x and w != y:
-                continue
-            ok = True
-            for u in adj[v]:
-                if u in image and image[u] not in adj[w]:
-                    ok = False
-                    break
-            if ok:
-                # non-neighbors must stay non-neighbors
-                for u, wu in image.items():
-                    if u not in adj[v] and wu in adj[w]:
-                        ok = False
-                        break
-            if ok:
-                image[v] = w
-                used.add(w)
-                if extend(k + 1):
-                    return True
-                del image[v]
-                used.remove(w)
-        return False
-
-    return extend(0)
+    left, trace = _individualize(adj, colour, x)
+    right, right_trace = _individualize(adj, colour, y)
+    return trace == right_trace and _automorphism(adj, pairs, left, right) is not None
 
 
 def label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> Dict[int, int]:
-    """Partition the vertices into rooted-isomorphism classes.
+    """Partition the vertices into rooted-isomorphism classes (automorphism
+    orbits) by individualization-refinement.
 
-    Labels are 1..n in order of first appearance over the vertex numbering.
+    One refinement of the whole graph separates vertices that no
+    automorphism can exchange.  A vertex in a non-singleton cell is
+    individualized and refined once, when first compared.  The search runs
+    only between an orbit's representative (its smallest vertex) and a
+    vertex with an equal trace, and every automorphism it finds merges u
+    with its image for all u.  Labels are 1..n in order of first appearance
+    over the vertex numbering.
     """
     if graph.vertex_count > max_vertices:
         raise GraphTooLargeError(
@@ -160,17 +219,39 @@ def label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> Dict[int, int]
         )
     if not graph.connected():
         raise ValueError("graph must be connected")
-    labels: Dict[int, int] = {}
-    reps: List[int] = []
+    adj, pairs, colour = _stable_colouring(graph)
+    # refined once per vertex, on its first comparison
+    individualized = functools.cache(lambda v: _individualize(adj, colour, v))
+
+    # union-find over the orbits found so far; a root is its set's smallest vertex
+    root = list(range(graph.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    reps: Dict[int, List[int]] = {}  # the orbit representatives of each colour
     for v in range(graph.vertex_count):
-        for rep in reps:
-            if rooted_isomorphic(graph, rep, v):
-                labels[v] = labels[rep]
+        if find(v) < v:
+            continue
+        same_colour = reps.setdefault(colour[v], [])
+        for rep in same_colour:
+            (left, trace), (right, right_trace) = individualized(rep), individualized(v)
+            if trace != right_trace:
+                continue
+            sigma = _automorphism(adj, pairs, left, right)
+            if sigma is not None:
+                for u, image in enumerate(sigma):
+                    a, b = find(u), find(image)
+                    root[max(a, b)] = min(a, b)
                 break
         else:
-            reps.append(v)
-            labels[v] = len(reps)
-    return labels
+            same_colour.append(v)
+    orbit_label: Dict[int, int] = {}
+    return {v: orbit_label.setdefault(find(v), len(orbit_label) + 1)
+            for v in range(graph.vertex_count)}
 
 
 # ---------------------------------------------------------------------------

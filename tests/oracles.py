@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass
+from typing import Dict, List
+
+from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass, bfs_forest
+from gwrev.covers import FiniteGraph, GraphTooLargeError
 from gwrev.norelabel import PlainSpec
 from gwrev.parametrizer import SupportTemplate
 
@@ -390,6 +393,53 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 7):
     return sorted(edges)
 
 
+def random_cubic_graph(rng: random.Random, vertices: int):
+    """Edge list of a random connected simple 3-regular graph: the pairing
+    model, drawn again until simple and connected."""
+    while True:
+        points = [v for v in range(vertices) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == len(points) // 2 and all(a != b for a, b in edges):
+            graph = FiniteGraph.from_edges(sorted(edges))
+            if graph.connected():
+                return sorted(edges)
+
+
+def random_circulant(rng: random.Random, max_vertices: int = 12):
+    """Edge list of a random circulant graph C_m(S), S a nonempty set of
+    jumps in 1..m/2; it is vertex-transitive, and disconnected when the jumps
+    share a factor with m."""
+    m = rng.randint(3, max_vertices)
+    jumps = rng.sample(range(1, m // 2 + 1), rng.randint(1, m // 2))
+    return sorted({(min(v, (v + s) % m), max(v, (v + s) % m))
+                   for v in range(m) for s in jumps})
+
+
+def permute_measure(measure: RootMeasure, tau) -> RootMeasure:
+    """The measure with every label i renamed tau[i]."""
+    def vector(c):
+        out = [0] * measure.n
+        for j, cj in enumerate(c, start=1):
+            out[tau[j] - 1] = cj
+        return tuple(out)
+
+    def law(dist):
+        return {vector(c): p for c, p in dist.items()}
+
+    spec = measure.descendants
+    offspring = {
+        ((tau[key[0]], tau[key[1]]) if spec.mode == PAIR else tau[key]): law(dist)
+        for key, dist in spec.offspring.items()
+    }
+    return RootMeasure(
+        n=measure.n,
+        root_dist={tau[i]: p for i, p in measure.root_dist.items()},
+        neighbor_dist={tau[i]: law(dist) for i, dist in measure.neighbor_dist.items()},
+        descendants=GWSpec(n=spec.n, mode=spec.mode, offspring=offspring),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Pairwise template checks, transcribed class pair by class pair
 # ---------------------------------------------------------------------------
@@ -606,3 +656,79 @@ def bounded_integer(words, m: int) -> int:
     if m == 1:
         return 0
     return buffered_bounded_lemire_uint32(uint32_halves(words).__next__, m - 1)
+
+
+# ---------------------------------------------------------------------------
+# Automorphism orbits by blind backtracking
+# ---------------------------------------------------------------------------
+
+def backtracking_rooted_isomorphic(graph: FiniteGraph, x: int, y: int) -> bool:
+    """Is there an automorphism of the graph mapping x to y?
+
+    Exhaustive backtracking over vertex images, pruned by degree and by
+    adjacency to already-placed vertices.
+    """
+    if graph.degree(x) != graph.degree(y):
+        return False
+    # breadth-first from x, then any disconnected leftovers
+    order, _ = bfs_forest([x, *range(graph.vertex_count)], graph.neighbors)
+    # neighbour lists fetched once: the search below tests them many times
+    adj = [graph.neighbors(v) for v in range(graph.vertex_count)]
+    degree = [len(a) for a in adj]
+    image: Dict[int, int] = {}
+    used = set()
+
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in range(graph.vertex_count):
+            if w in used or degree[w] != degree[v]:
+                continue
+            if v == x and w != y:
+                continue
+            ok = True
+            for u in adj[v]:
+                if u in image and image[u] not in adj[w]:
+                    ok = False
+                    break
+            if ok:
+                # non-neighbors must stay non-neighbors
+                for u, wu in image.items():
+                    if u not in adj[v] and wu in adj[w]:
+                        ok = False
+                        break
+            if ok:
+                image[v] = w
+                used.add(w)
+                if extend(k + 1):
+                    return True
+                del image[v]
+                used.remove(w)
+        return False
+
+    return extend(0)
+
+
+def backtracking_label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> Dict[int, int]:
+    """Partition the vertices into rooted-isomorphism classes.
+
+    Labels are 1..n in order of first appearance over the vertex numbering.
+    """
+    if graph.vertex_count > max_vertices:
+        raise GraphTooLargeError(
+            f"{graph.vertex_count} vertices exceeds the bound {max_vertices}"
+        )
+    if not graph.connected():
+        raise ValueError("graph must be connected")
+    labels: Dict[int, int] = {}
+    reps: List[int] = []
+    for v in range(graph.vertex_count):
+        for rep in reps:
+            if backtracking_rooted_isomorphic(graph, rep, v):
+                labels[v] = labels[rep]
+                break
+        else:
+            reps.append(v)
+            labels[v] = len(reps)
+    return labels

@@ -331,6 +331,32 @@ def test_simulate_selector_must_fit_the_measure(capsys, tmp_path, spec_path, sel
     assert selector in capsys.readouterr().err
 
 
+# both roots have a neighbor of the other label, but there is no law (1, 2)
+# or (2, 1) to grow that neighbor's subtree from
+UNSAMPLEABLE_ROOT = {
+    "descendants": {"n": 2, "mode": "pair", "offspring": [
+        {"parent": 1, "child": 1, "dist": [{"c": [0, 0], "p": "1"}]},
+        {"parent": 2, "child": 2, "dist": [{"c": [0, 0], "p": "1"}]},
+    ]},
+    "root": [{"label": 1, "p": "1/2"}, {"label": 2, "p": "1/2"}],
+    "neighbors": [{"label": 1, "dist": [{"c": [1, 1], "p": "1"}]},
+                  {"label": 2, "dist": [{"c": [1, 1], "p": "1"}]}],
+}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("simulate", ["--trials", "10", "--seed", "1", "--from", "1:(1,1)", "--to", "2:(1,1)"]),
+    ("simulate", ["--trials", "10", "--seed", "1", "--mtp", "1,2"]),
+    ("verify", []),
+])
+def test_root_neighbor_without_offspring_law_is_malformed(capsys, tmp_path, command, options):
+    path = write(tmp_path / "measure.json", UNSAMPLEABLE_ROOT)
+    code = main([command, path, *options])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "label-1 roots have label-2 neighbors" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # the exact pipeline never builds the class-by-class balance graph
 # ---------------------------------------------------------------------------

@@ -144,3 +144,64 @@ def test_cli_never_crashes_on_mutated_input(data):
     assert code in (0, 1, 2), (argv, code)
     if code in (0, 1):
         json.loads(out)  # a report, never a partial one
+
+
+# graph documents for `cover`: a few connected graphs, line by line
+GRAPHS = [
+    ["0 1", "1 2", "0 2"],
+    ["# a star", "1 0", "1 2", "1 3"],
+    ["0 2", "0 3", "0 4", "1 2", "1 3", "1 4"],
+    [f"{k} {(k + 1) % 5}" for k in range(5)] + [f"{k} {k + 5}" for k in range(5)]
+    + [f"{5 + k} {5 + (k + 2) % 5}" for k in range(5)],  # Petersen
+]
+EDGE_JUNK = st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.tuples(st.integers(0, 11), st.sampled_from([40, 10**6, 2**40, 10**30])).map(
+        lambda e: f"{e[0]} {e[1]}"),  # a huge id
+    st.sampled_from(["", "# comment", "3 3", "0 1 # trailing", "1", "1 2 3", "a b", "-1 2",
+                     "1.5 2", "0x1 2", "\t4   5  ", "7 8", "9 10"]),  # 7 8 and 9 10: apart
+)
+MAX_VERTICES = st.sampled_from([None, None, None, "-1", "0", "3", "10", "24", "1000000", "x"])
+
+
+def graph_lines(data):
+    """A graph document with up to five lines replaced, deleted, duplicated
+    or inserted, or emptied altogether."""
+    lines = list(data.draw(st.sampled_from(GRAPHS)))
+    if data.draw(st.integers(0, 9)) == 0:
+        return data.draw(st.sampled_from([[], ["# nothing but a comment"]]))
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 1, 2, 5]))):
+        action = data.draw(st.sampled_from(["replace", "delete", "duplicate", "insert"]))
+        k = data.draw(st.integers(0, len(lines)))
+        if action == "insert" or k == len(lines):
+            lines.insert(k, data.draw(EDGE_JUNK))
+        elif action == "replace":
+            lines[k] = data.draw(EDGE_JUNK)
+        elif action == "delete":
+            del lines[k]
+        else:
+            lines.insert(k, lines[k])
+    return lines
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_cover_never_crashes_on_mutated_graphs(data):
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("g.txt", "w") as fh:
+                fh.write("".join(line + "\n" for line in graph_lines(data)))
+            argv = ["cover", "g.txt", "out.json"]
+            max_vertices = data.draw(MAX_VERTICES)
+            if max_vertices is not None:
+                argv += ["--max-vertices", max_vertices]
+            if data.draw(st.booleans()):
+                argv += ["--dot", "pairs.dot"]
+            code, out = exit_status(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2), (argv, code)
+    if code in (0, 1):
+        json.loads(out)

@@ -18,7 +18,15 @@ from gwrev.covers import (
     rooted_isomorphic,
 )
 
-from .oracles import balance_violations, random_connected_graph
+from .oracles import (
+    backtracking_label_vertices,
+    backtracking_rooted_isomorphic,
+    balance_violations,
+    permute_measure,
+    random_circulant,
+    random_connected_graph,
+    random_cubic_graph,
+)
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 P3 = [(0, 1), (1, 2)]
@@ -76,10 +84,157 @@ def test_labeling_is_isomorphism_invariant():
         )
 
 
+def test_lift_is_renumbering_invariant():
+    """Renumbering the vertices by sigma renames the labels by the
+    permutation sigma induces, and the lift by the same permutation."""
+    rng = random.Random(17)
+    for _ in range(40):
+        edges = random_connected_graph(rng, 9)
+        g = graph(edges)
+        labels = label_vertices(g)
+        sigma = list(range(g.vertex_count))
+        rng.shuffle(sigma)
+        renumbered = FiniteGraph.from_edges(
+            [(sigma[u], sigma[v]) for (u, v) in edges], vertex_count=g.vertex_count
+        )
+        relabels = label_vertices(renumbered)
+        tau = {}
+        for v in range(g.vertex_count):
+            assert tau.setdefault(labels[v], relabels[sigma[v]]) == relabels[sigma[v]]
+        assert sorted(tau.values()) == sorted(tau)
+        assert lift_measure(renumbered, relabels) == permute_measure(lift_measure(g, labels), tau)
+
+
 def test_rooted_isomorphic_basics():
     g = graph(P3)
     assert rooted_isomorphic(g, 0, 2)
     assert not rooted_isomorphic(g, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Orbits against the backtracking search
+# ---------------------------------------------------------------------------
+
+def petersen():
+    return ([(k, (k + 1) % 5) for k in range(5)] + [(k, k + 5) for k in range(5)]
+            + [(5 + k, 5 + (k + 2) % 5) for k in range(5)])
+
+
+def prism(m, twist=False):
+    """Two m-cycles joined rung by rung, or the Moebius ladder when twisted."""
+    edges = [(k, k + 1) for k in range(m - 1)] + [(m + k, m + k + 1) for k in range(m - 1)]
+    edges += [(k, m + k) for k in range(m)]
+    return edges + ([(m - 1, m), (0, 2 * m - 1)] if twist else [(m - 1, 0), (2 * m - 1, m)])
+
+
+def complete_bipartite(m, n):
+    return [(u, m + v) for u in range(m) for v in range(n)]
+
+
+def hexagon_and_triangles():
+    """Hubs 1 and 2 share neighbor 0; hub 1 also sees a hexagon, hub 2 two
+    triangles.  Colour refinement cannot tell a hexagon from two triangles,
+    so the hubs have equal traces but lie in different orbits."""
+    rings = [(3 + k, 3 + (k + 1) % 6) for k in range(6)]
+    rings += [(9 + k, 9 + (k + 1) % 3) for k in range(3)]
+    rings += [(12 + k, 12 + (k + 1) % 3) for k in range(3)]
+    return [(0, 1), (0, 2)] + [(1, v) for v in range(3, 9)] + [(2, v) for v in range(9, 15)] + rings
+
+
+def hub_gadgets():
+    """Two copies of `hexagon_and_triangles` with their shared neighbors
+    joined, the second numbered with its triangle hub first.  Mapping one
+    shared neighbor onto the other, the search first tries the hexagon hub
+    on the triangle hub: the traces agree there, the branch fails deeper,
+    and the search has to come back for the other hub."""
+    first = hexagon_and_triangles()
+    swap = {1: 2, 2: 1}
+    second = [(15 + swap.get(u, u), 15 + swap.get(v, v)) for (u, v) in first]
+    return first + second + [(0, 15)]
+
+
+NAMED_GRAPHS = [
+    petersen(),
+    [(u, u ^ (1 << k)) for u in range(8) for k in range(3) if u < u ^ (1 << k)],  # Q3
+    complete_bipartite(3, 3),
+    complete_bipartite(4, 4),
+    complete_bipartite(2, 5),
+    complete_bipartite(1, 6),  # a star
+    [(u, v) for u in range(5) for v in range(u + 1, 5)],  # K5
+    prism(5),  # a ladder closed into a ring
+    prism(4, twist=True),
+    *[[(k, k + 1) for k in range(m - 1)] for m in range(2, 11)],  # paths
+    *[[(k, (k + 1) % m) for k in range(m)] for m in range(3, 11)],  # cycles
+]
+
+
+def assert_orbits_match_the_oracle(edges, max_vertices=10):
+    g = graph(edges)
+    if g.connected():
+        assert label_vertices(g, max_vertices) == backtracking_label_vertices(g, max_vertices)
+    for x in range(g.vertex_count):
+        for y in range(g.vertex_count):
+            assert rooted_isomorphic(g, x, y) == backtracking_rooted_isomorphic(g, x, y), (x, y)
+
+
+@pytest.mark.parametrize("edges", NAMED_GRAPHS)
+def test_named_graph_orbits_match_the_backtracking_search(edges):
+    assert_orbits_match_the_oracle(edges)
+
+
+def test_equal_traces_in_different_orbits():
+    edges = hexagon_and_triangles()
+    assert_orbits_match_the_oracle(edges, max_vertices=15)
+    labels = label_vertices(graph(edges), max_vertices=15)
+    assert labels[1] != labels[2] and labels[3] != labels[9]
+    assert len(set(labels.values())) == 5
+
+
+def test_search_backtracks_past_an_image_with_an_equal_trace():
+    g = graph(hub_gadgets())
+    assert rooted_isomorphic(g, 0, 15) and rooted_isomorphic(g, 1, 17)
+    assert not rooted_isomorphic(g, 1, 16)
+    labels = label_vertices(g, max_vertices=30)
+    assert labels == backtracking_label_vertices(g, max_vertices=30)
+    assert (labels[0], labels[1], labels[2]) == (labels[15], labels[17], labels[16])
+    assert len(set(labels.values())) == 5
+
+
+def test_search_is_exact_without_trace_pruning(monkeypatch):
+    """With every trace blanked, the search tries every same-coloured image
+    and only the edge-by-edge check at a discrete colouring decides."""
+    from gwrev import covers
+
+    refine = covers._refine
+    monkeypatch.setattr(covers, "_refine", lambda adj, colour: (refine(adj, colour)[0], []))
+    assert_orbits_match_the_oracle(hexagon_and_triangles(), max_vertices=15)
+    rng = random.Random(67)
+    for _ in range(60):
+        assert_orbits_match_the_oracle(random_connected_graph(rng, 8))
+
+
+def test_random_graph_orbits_match_the_backtracking_search():
+    rng = random.Random(53)
+    for _ in range(150):
+        assert_orbits_match_the_oracle(random_connected_graph(rng, 10))
+
+
+def test_circulant_orbits_match_the_backtracking_search():
+    rng = random.Random(59)
+    for _ in range(40):
+        assert_orbits_match_the_oracle(random_circulant(rng), max_vertices=12)
+
+
+def test_large_symmetric_cubic_graphs_are_one_orbit():
+    for edges in (prism(12), prism(12, twist=True)):
+        labels = label_vertices(graph(edges), max_vertices=24)
+        assert set(labels.values()) == {1}
+
+
+def test_cubic_graph_orbits_match_the_backtracking_search():
+    rng = random.Random(61)
+    for vertices in (16, 18, 20, 24):
+        assert_orbits_match_the_oracle(random_cubic_graph(rng, vertices), max_vertices=24)
 
 
 def test_graph_too_large():
@@ -214,6 +369,16 @@ def test_random_graph_lifts_are_reversible():
         mu = lift_measure(g, label_vertices(g))
         assert verify_reversibility(mu) == []
         assert balance_violations(mu) == []
+
+
+@pytest.mark.parametrize("text", ["", "# only comments\n\n  # and blanks\n"])
+def test_edgeless_graph_file_is_rejected(capsys, tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="graph has no edges"):
+        load_graph(path)
+    assert main(["cover", str(path), str(tmp_path / "out.json")]) == 2
+    assert "graph has no edges" in capsys.readouterr().err
 
 
 def test_load_graph(tmp_path):

@@ -135,7 +135,10 @@ def perturbed(rng, measure):
             dist[b] -= delta
         else:
             c = vectors[0]
-            k = rng.randrange(measure.n)
+            # only toward a label whose subtree below label i has a law, as
+            # RootMeasure requires
+            k = rng.choice([k for k in range(measure.n)
+                            if measure.descendants.offspring_law(i, k + 1)])
             extra = c[:k] + (c[k] + 7,) + c[k + 1:]
             half = {v: p / 2 for v, p in dist.items()}
             half[extra] = half.get(extra, 0) + F(1, 2)
