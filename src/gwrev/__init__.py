@@ -32,15 +32,11 @@ from .core import (
     vector,
 )
 from .checker import (
-    BalanceGraph,
     CheckReport,
-    build_balance_graph,
     check_condition_i,
     check_condition_ii,
     check_strong_connectivity,
-    cycle_product,
     label_potentials,
-    propagate_potentials,
     run_checks,
     solve_potentials,
 )

@@ -18,17 +18,15 @@ and on that edge the exact ratio that detailed balance forces between the
 two classes' unnormalized weights.  That ratio factors per label pair:
 
     ratio((i, c), (j, d)) = h((i, c), j) / h((j, d), i),
-    h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j,
+    h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j    (`core.balance_factor`),
 
 so the edges between labels i and j form a complete bipartite block
 S(i, j) x S(j, i) of the sides of `core.class_sides` (a clique when
 i = j) that is consistent exactly when pot / h is constant on it.
 `solve_potentials` walks these blocks with `core.class_forest` and never
 materializes the graph: with N classes and n labels it does O(N * n) exact
-operations plus the sort.  It returns the same potentials, the same
-spanning forest and the same violating cycle as `build_balance_graph` +
-`propagate_potentials`, which materialize every edge in O(N^2) and stay as
-the reference.
+operations plus the sort.  The graph itself, built edge by edge in O(N^2),
+is kept only as the test suite's reference.
 """
 
 from __future__ import annotations
@@ -45,17 +43,17 @@ from .core import (
     PairKey,
     SupportClass,
     Vector,
+    balance_factor,
     bfs_forest,
-    candidate_support,
     class_forest,
     decrement,
     increment,
-    total,
 )
 
 
 class MissingOffspringTermError(GwrevError):
-    """A balance-graph edge needs an offspring probability that is absent.
+    """A candidate class has a zero balance factor: the offspring probability
+    that `core.balance_factor` reads for one of its neighbor labels is absent.
 
     Cannot happen once condition i has been verified."""
 
@@ -121,123 +119,8 @@ def check_condition_i(spec: GWSpec) -> Tuple[bool, Optional[Tuple[int, int, int,
 
 
 # ---------------------------------------------------------------------------
-# Balance graph
+# Potentials on the class graph and on the label graph
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BalanceGraph:
-    """Candidate root classes with exact detailed-balance edge ratios.
-
-    ``ratio[(u, v)]`` is the forced ratio weight(u) / weight(v); both
-    orientations are stored and are exact reciprocals.
-    """
-
-    nodes: List[SupportClass]
-    ratio: Dict[Tuple[SupportClass, SupportClass], Fraction]
-    adjacency: Dict[SupportClass, List[SupportClass]] = field(default=None)
-
-    def __post_init__(self):
-        if self.adjacency is None:
-            adj = {u: [] for u in self.nodes}
-            for (u, v) in self.ratio:
-                adj[u].append(v)
-            for u in adj:
-                adj[u] = sorted(set(adj[u]))
-            self.adjacency = adj
-
-    def edges(self) -> List[Tuple[SupportClass, SupportClass]]:
-        return sorted((u, v) for (u, v) in self.ratio if u < v)
-
-    def components(self) -> List[List[SupportClass]]:
-        out, seen = [], set()
-        for start in self.nodes:
-            if start in seen:
-                continue
-            comp, stack = [], [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in self.adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            out.append(sorted(comp))
-        return out
-
-
-def edge_ratio(spec: GWSpec, u: SupportClass, v: SupportClass) -> Fraction:
-    """Exact weight ratio forced between adjacent classes u = (i, c) and
-    v = (j, d): [p(j,i)(c-j) * d_i * |c|] / [p(i,j)(d-i) * c_j * |d|]."""
-    i, c = u
-    j, d = v
-    num = spec.pair_prob(j, i, decrement(c, j))
-    den = spec.pair_prob(i, j, decrement(d, i))
-    if num == 0 or den == 0:
-        raise MissingOffspringTermError(
-            f"edge {u} -- {v} needs an unstored offspring probability"
-        )
-    return Fraction(num * d[i - 1] * total(c), den * c[j - 1] * total(d))
-
-
-def build_balance_graph(spec: GWSpec) -> BalanceGraph:
-    """Assemble the balance graph over all candidate classes, deterministically.
-
-    Requires condition i to hold (otherwise an edge may reference an unstored
-    offspring probability and MissingOffspringTermError is raised).
-    """
-    nodes = [
-        SupportClass(i, c)
-        for i in range(1, spec.n + 1)
-        for c in sorted(candidate_support(spec, i))
-    ]
-    nodes.sort()
-    ratio: Dict[Tuple[SupportClass, SupportClass], Fraction] = {}
-    for a in range(len(nodes)):
-        u = nodes[a]
-        for b in range(a + 1, len(nodes)):
-            v = nodes[b]
-            if u.vector[v.label - 1] > 0 and v.vector[u.label - 1] > 0:
-                r = edge_ratio(spec, u, v)
-                ratio[(u, v)] = r
-                ratio[(v, u)] = 1 / r
-    return BalanceGraph(nodes=nodes, ratio=ratio)
-
-
-def propagate_potentials(
-    graph: BalanceGraph,
-) -> Tuple[Dict[SupportClass, Fraction], Optional[List[SupportClass]]]:
-    """BFS a spanning forest, set each root's potential to 1, and push
-    potentials along tree edges.  Every non-tree edge is then compared with
-    the potentials; the first inconsistent one yields a violating cycle
-    (closed node walk whose ratio product is not 1).
-
-    Returns (potentials, None) on success or (potentials, cycle) on failure;
-    potentials are still returned in full so callers can replay the cycle.
-    """
-    pot: Dict[SupportClass, Fraction] = {}
-    parent: Dict[SupportClass, Optional[SupportClass]] = {}
-    for start in graph.nodes:
-        if start in pot:
-            continue
-        pot[start] = Fraction(1)
-        parent[start] = None
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in graph.adjacency[u]:
-                if v not in pot:
-                    # ratio(u, v) = pot(u) / pot(v)
-                    pot[v] = pot[u] / graph.ratio[(u, v)]
-                    parent[v] = u
-                    queue.append(v)
-    for (u, v) in graph.edges():
-        if graph.ratio[(u, v)] != pot[u] / pot[v]:
-            return pot, _cycle_through(parent, u, v)
-    return pot, None
-
 
 def _cycle_through(parent, u, v) -> list:
     """Closed walk u -> ... -> v -> u using tree paths plus the edge (v, u)."""
@@ -290,20 +173,6 @@ def label_potentials(
     return pot, None, components
 
 
-def cycle_product(graph: BalanceGraph, cycle: List[SupportClass]) -> Fraction:
-    """Replay a closed node walk, multiplying edge ratios.  Consecutive
-    repeats contribute a factor 1.  Equals 1 exactly iff the cycle is
-    consistent."""
-    if cycle[0] != cycle[-1]:
-        raise ValueError("cycle must start and end at the same class")
-    prod = Fraction(1)
-    for u, v in zip(cycle, cycle[1:]):
-        if u == v:
-            continue
-        prod *= graph.ratio[(u, v)]
-    return prod
-
-
 def solve_potentials(
     spec: GWSpec,
 ) -> Tuple[List[SupportClass], Dict[SupportClass, Fraction], Optional[List[SupportClass]], int]:
@@ -311,8 +180,8 @@ def solve_potentials(
 
     Returns (nodes, potentials, cycle, components): the sorted candidate
     classes, their potentials, a violating cycle or None, and the number of
-    connected components.  Every value equals what `propagate_potentials`
-    gives on `build_balance_graph(spec)`:
+    connected components.  Every value equals what a BFS over the
+    materialized balance graph gives, edge by edge:
 
     * the BFS (`class_forest`) starts from the nodes in sorted order and
       appends each node's undiscovered neighbours in sorted order;
@@ -333,14 +202,12 @@ def solve_potentials(
 
     @cache
     def h(u: SupportClass, j: int) -> Fraction:
-        # h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j
-        i, c = u
-        p = spec.pair_prob(j, i, decrement(c, j))
-        if p == 0:
+        f = balance_factor(spec, u, j)
+        if f == 0:
             raise MissingOffspringTermError(
                 f"class {u} needs an unstored offspring probability for parent {j}"
             )
-        return p * total(c) / c[j - 1]
+        return f
 
     @cache
     def g(u: SupportClass, j: int) -> Fraction:

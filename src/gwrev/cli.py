@@ -40,6 +40,21 @@ def _violations_obj(violations) -> list:
     ]
 
 
+def _save_verified(measure, out, more=dict) -> int:
+    """Verify the measure exactly, write it to `out` and report success with
+    the fields `more()` returns; `more` runs after the write.  A violation
+    (impossible for a checked spec) is emitted as the failed `verify`
+    condition, and nothing is written."""
+    violations = verify_reversibility(measure)
+    if violations:
+        _emit({"ok": False, "failed": ["verify"],
+               "violations": _violations_obj(violations)})
+        return 1
+    ff.save_measure(out, measure, verified=True)
+    _emit({"ok": True, "written": out, "verified": True, **more()})
+    return 0
+
+
 def cmd_check(args) -> int:
     spec = ff.load_spec(args.spec)
     if isinstance(spec, PlainSpec):
@@ -77,14 +92,7 @@ def cmd_construct(args) -> int:
             _emit(ff.plain_report_to_obj(report))
             return 1
         measure = construct_plain_measure(pspec)
-    violations = verify_reversibility(measure)
-    if violations:  # cannot happen for a checked spec; emit and fail loudly
-        _emit({"ok": False, "failed": ["verify"],
-               "violations": _violations_obj(violations)})
-        return 1
-    ff.save_measure(args.out, measure, verified=True)
-    _emit({"ok": True, "written": args.out, "verified": True})
-    return 0
+    return _save_verified(measure, args.out)
 
 
 def cmd_parametrize(args) -> int:
@@ -99,38 +107,23 @@ def cmd_parametrize(args) -> int:
         _emit({"ok": False, "failed": ["inconsistent_ratios"],
                "labels": list(err.labels)})
         return 1
-    violations = verify_reversibility(measure)
-    if violations:
-        _emit({"ok": False, "failed": ["verify"],
-               "violations": _violations_obj(violations)})
-        return 1
-    ff.save_measure(args.out, measure, verified=True)
-    _emit({"ok": True, "written": args.out, "verified": True})
-    return 0
+    return _save_verified(measure, args.out)
 
 
 def cmd_cover(args) -> int:
     graph = load_graph(args.graph)
     labels = label_vertices(graph, max_vertices=args.max_vertices)
     measure = lift_measure(graph, labels)
-    violations = verify_reversibility(measure)
-    if violations:
-        _emit({"ok": False, "failed": ["verify"],
-               "violations": _violations_obj(violations)})
-        return 1
-    ff.save_measure(args.out, measure, verified=True)
-    out = {
-        "ok": True,
-        "written": args.out,
-        "verified": True,
-        "labels": [labels[v] for v in sorted(labels)],
-    }
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(pair_digraph(graph, labels).to_dot())
-        out["dot"] = args.dot
-    _emit(out)
-    return 0
+
+    def more() -> dict:
+        out = {"labels": [labels[v] for v in sorted(labels)]}
+        if args.dot:
+            with open(args.dot, "w") as fh:
+                fh.write(pair_digraph(graph, labels).to_dot())
+            out["dot"] = args.dot
+        return out
+
+    return _save_verified(measure, args.out, more)
 
 
 def _estimate_obj(name, est) -> dict:

@@ -19,9 +19,10 @@ from .core import (
     PAIR,
     RootMeasure,
     SupportClass,
+    balance_factor,
     class_sides,
     decrement,
-    total,
+    exact_flow,
 )
 
 Violation = Tuple[SupportClass, SupportClass, Fraction, Fraction]
@@ -80,40 +81,32 @@ def _assert_support_consistency(measure: RootMeasure) -> None:
 
 
 def _balance_key(measure: RootMeasure, u: SupportClass, j: int) -> Optional[Fraction]:
-    """k(u, j) = w(u) * c_j / (|c| * p(j,i)(c - e_j)) for u = (i, c), or None
-    when the offspring term is zero."""
-    i, c = u
-    p = measure.descendants.offspring_prob(j, i, decrement(c, j))
-    if p == 0:
-        return None
-    return measure.class_prob(u) * c[j - 1] / (total(c) * p)
+    """k(u, j) = w(u) / h(u, j), h the balance factor, or None when h is zero."""
+    f = balance_factor(measure.descendants, u, j)
+    return None if f == 0 else measure.class_prob(u) / f
 
 
 def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     """Exact detailed-balance check over every admissible pair of support
     classes.
 
-    For classes (i, c) and (j, d) with c_j > 0 and d_i > 0 the flow identity
+    Classes u = (i, c) and v = (j, d) with c_j > 0 and d_i > 0 balance when
+    `exact_flow(measure, u, v) == exact_flow(measure, v, u)`, the identity
+    written out in `core` (in plain mode the parent label is ignored).
+    Returns all failing pairs with both flows, ordered by (first, second)
+    with first < second; an empty list means the measure is exactly
+    reversible.
 
-        w(i, c) * p(i,j)(d - i) * c_j / |c|  ==  w(j, d) * p(j,i)(c - j) * d_i / |d|
-
-    must hold exactly, where w is the unconditional class probability and
-    p(x,y) the offspring law of a label-y vertex with label-x parent (in
-    plain mode the parent label is ignored).  Returns all failing pairs with
-    both sides, ordered by (first, second) with first < second; an empty
-    list means the measure is exactly reversible.
-
-    Dividing both sides by the two offspring terms, the pair balances iff
-    k((i, c), j) == k((j, d), i) with k(u, j) = w(u) * c_j / (|c| * p(j,i)(c - e_j)),
-    a zero term being a value of its own (both zero: 0 == 0).  The admissible
-    pairs of labels i and j are all pairs across the two sides S(i, j) and
-    S(j, i) of `class_sides` (label-i classes with c_j > 0, label-j classes
-    with d_i > 0), so the measure is reversible iff k takes one value on each
-    label pair: O(N * n) work for N classes and n labels.  Violations can
-    only lie in a block whose keys disagree, and only those blocks are
-    listed pair by pair.
+    Dividing both flows by the two offspring terms, the pair balances iff
+    k(u, j) == k(v, i) with k(u, j) = w(u) / h(u, j), h the
+    `balance_factor`, a zero term being a value of its own (both zero:
+    0 == 0).  The admissible pairs of labels i and j are all pairs across
+    the two sides S(i, j) and S(j, i) of `class_sides` (label-i classes with
+    c_j > 0, label-j classes with d_i > 0), so the measure is reversible iff
+    k takes one value on each label pair: O(N * n) work for N classes and n
+    labels.  Violations can only lie in a block whose keys disagree, and
+    only those blocks are listed pair by pair.
     """
-    spec = measure.descendants
     side = class_sides(measure.support_classes())
     keys = {
         (i, j): [_balance_key(measure, u, j) for u in members]
@@ -130,17 +123,7 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
             for v in side[(j, i)]:
                 if i == j and not u < v:
                     continue
-                c, d = u.vector, v.vector
-                lhs = (
-                    measure.class_prob(u)
-                    * spec.offspring_prob(i, j, decrement(d, i))
-                    * Fraction(c[j - 1], total(c))
-                )
-                rhs = (
-                    measure.class_prob(v)
-                    * spec.offspring_prob(j, i, decrement(c, j))
-                    * Fraction(d[i - 1], total(d))
-                )
+                lhs, rhs = exact_flow(measure, u, v), exact_flow(measure, v, u)
                 if lhs != rhs:
                     violations.append((u, v, lhs, rhs))
     return sorted(violations)

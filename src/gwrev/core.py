@@ -353,3 +353,30 @@ class RootMeasure:
         """Unconditional probability of the class: root weight times the
         conditional neighbor probability."""
         return self.root_dist[cls.label] * self.neighbor_dist[cls.label].get(cls.vector, ZERO)
+
+
+# ---------------------------------------------------------------------------
+# Detailed balance: the one flow and the one balance factor
+# ---------------------------------------------------------------------------
+
+def exact_flow(measure: RootMeasure, source: SupportClass, target: SupportClass) -> Fraction:
+    """Exact one-step flow from class `source` = (i, c) into `target` = (j, d):
+    weight(i, c) * p(i,j)(d - i) * c_j / |c|.  The measure is reversible iff
+    every pair of adjacent classes (c_j > 0, d_i > 0) has equal flows both
+    ways."""
+    i, c = source
+    j, d = target
+    return (
+        measure.class_prob(source)
+        * measure.descendants.offspring_prob(i, j, decrement(d, i))
+        * Fraction(c[j - 1], total(c))
+    )
+
+
+def balance_factor(spec: GWSpec, u: SupportClass, j: int) -> Fraction:
+    """h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j for c_j > 0; zero exactly
+    when the offspring term is unstored.  Divided by their offspring terms,
+    the two flows between u = (i, c) and v = (j, d) are equal iff
+    weight(u) / h(u, j) == weight(v) / h(v, i)."""
+    i, c = u
+    return spec.offspring_prob(j, i, decrement(c, j)) * total(c) / c[j - 1]

@@ -34,6 +34,7 @@ from .core import (
     RootMeasure,
     Vector,
     bfs_forest,
+    decrement,
 )
 
 
@@ -297,7 +298,7 @@ def pair_digraph(graph: FiniteGraph, labels: Dict[int, int]) -> PairDigraph:
         i = labels[v]
         counts = _neighbor_counts(graph, labels, v, n)
         for j in sorted({labels[w] for w in graph.neighbors(v)}):
-            rest = counts[: j - 1] + (counts[j - 1] - 1,) + counts[j:]
+            rest = decrement(counts, j)
             key = (j, i)
             if key in rest_of and rest_of[key] != rest:
                 raise IllDefinedLabelingError(
@@ -339,12 +340,13 @@ def lift_measure(graph: FiniteGraph, labels: Dict[int, int]) -> RootMeasure:
         class_counts[i] = counts
         degree_mass[i] += graph.degree(v)
 
-    digraph = pair_digraph(graph, labels)
+    # an i vertex entered from a j neighbor has the rest of its class's
+    # neighbors as children: the same counts at every such vertex
     offspring = {}
-    for (j, i) in digraph.nodes:
-        counts = class_counts[i]
-        rest = counts[: j - 1] + (counts[j - 1] - 1,) + counts[j:]
-        offspring[(j, i)] = {rest: Fraction(1)}
+    for i, counts in sorted(class_counts.items()):
+        for j, cj in enumerate(counts, start=1):
+            if cj > 0:
+                offspring[(j, i)] = {decrement(counts, j): Fraction(1)}
 
     grand = sum(degree_mass.values())
     return RootMeasure(

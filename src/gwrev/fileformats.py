@@ -40,6 +40,17 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _unique(pairs, what: str) -> dict:
+    """dict(pairs), except that a repeated key raises SpecError instead of
+    letting the last entry win."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SpecError(f"duplicate {what} {key}")
+        out[key] = value
+    return out
+
+
 def _dist_to_obj(dist: Dist) -> list:
     return [{"c": list(c), "p": format_fraction(p)} for c, p in sorted(dist.items())]
 
@@ -129,12 +140,12 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
         raise SpecError(f"unknown mode {mode!r}")
 
     if mode == PLAIN and "degree_dist" in obj:
-        degree_dist: Dict[int, Dict[int, Fraction]] = {}
-        for entry in obj["degree_dist"]:
-            i = int(entry["type"])
-            degree_dist[i] = {
-                int(e["d"]): parse_fraction(e["p"]) for e in entry["dist"]
-            }
+        degree_dist: Dict[int, Dict[int, Fraction]] = _unique((
+            (int(entry["type"]),
+             _unique(((int(e["d"]), parse_fraction(e["p"])) for e in entry["dist"]),
+                     f"degree in the law of type {entry['type']}:"))
+            for entry in obj["degree_dist"]
+        ), "degree_dist entry for type")
         params_rows = obj["params"]
         if len(params_rows) != n:
             raise SpecError("params matrix must have n rows")
@@ -144,15 +155,14 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
         }
         return PlainSpec(n=n, degree_dist=degree_dist, params=params)
 
-    offspring = {}
-    for entry in obj.get("offspring", []):
+    def key(entry):
         if mode == PAIR:
-            key = (int(entry["parent"]), int(entry["child"]))
-        else:
-            key = int(entry["type"])
-        if key in offspring:
-            raise SpecError(f"duplicate offspring entry for {key}")
-        offspring[key] = _obj_to_dist(entry["dist"], n)
+            return int(entry["parent"]), int(entry["child"])
+        return int(entry["type"])
+
+    offspring = _unique((
+        (key(entry), _obj_to_dist(entry["dist"], n)) for entry in obj.get("offspring", [])
+    ), "offspring entry for")
     return GWSpec(n=n, mode=mode, offspring=offspring)
 
 
@@ -186,12 +196,12 @@ def obj_to_measure(obj) -> RootMeasure:
         raise SpecError("measure descendants must be explicit offspring laws")
     n = descendants.n
     try:
-        root_dist = {
-            int(e["label"]): parse_fraction(e["p"]) for e in obj.get("root", [])
-        }
-        neighbor_dist = {
-            int(e["label"]): _obj_to_dist(e["dist"], n) for e in obj.get("neighbors", [])
-        }
+        root_dist = _unique((
+            (int(e["label"]), parse_fraction(e["p"])) for e in obj.get("root", [])
+        ), "root entry for label")
+        neighbor_dist = _unique((
+            (int(e["label"]), _obj_to_dist(e["dist"], n)) for e in obj.get("neighbors", [])
+        ), "neighbors entry for label")
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad measure document: {err}") from None
     return RootMeasure(
@@ -235,11 +245,11 @@ def weights_to_obj(weights: Weights) -> dict:
 
 def obj_to_weights(obj) -> Weights:
     try:
-        return {
-            SupportClass(int(e["label"]), tuple(int(x) for x in e["c"])):
-                parse_fraction(e["p"])
+        return _unique((
+            (SupportClass(int(e["label"]), tuple(int(x) for x in e["c"])),
+             parse_fraction(e["p"]))
             for e in obj["weights"]
-        }
+        ), "weight for class")
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad weights document: {err}") from None
 

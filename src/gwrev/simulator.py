@@ -27,6 +27,8 @@ per-trial generators in bulk, BLOCK trials at a time, without building one:
   estimate is the float the per-trial loop produces, bit for bit.
 
 `trial_generator`, `sample_tree` and `walk` remain the per-trial API.
+The exact reference of a flow is `core.exact_flow`, the flow that
+`verify_reversibility` balances; it is importable from here as well.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .core import (
     SupportClass,
     Vector,
     decrement,
+    exact_flow,
     total,
 )
 
@@ -329,18 +332,6 @@ def _estimate(values_sum: float, squares_sum: float, trials: int) -> Tuple[float
     else:
         var = 0.0
     return mean, math.sqrt(var / trials)
-
-
-def exact_flow(measure: RootMeasure, source: SupportClass, target: SupportClass) -> Fraction:
-    """Exact one-step flow from class `source` = (i, c) into `target` = (j, d):
-    weight(i, c) * p(i,j)(d - i) * c_j / |c|."""
-    i, c = source
-    j, d = target
-    return (
-        measure.class_prob(source)
-        * measure.descendants.offspring_prob(i, j, decrement(d, i))
-        * Fraction(c[j - 1], total(c))
-    )
 
 
 def _require_class(measure: RootMeasure, cls: SupportClass) -> None:

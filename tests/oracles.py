@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
-from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass, bfs_forest
+from gwrev.checker import MissingOffspringTermError, _cycle_through
+from gwrev.core import (
+    GWSpec,
+    PAIR,
+    RootMeasure,
+    SupportClass,
+    bfs_forest,
+    candidate_support,
+    decrement,
+    total,
+)
 from gwrev.covers import FiniteGraph, GraphTooLargeError
 from gwrev.norelabel import PlainSpec
 from gwrev.parametrizer import SupportTemplate
@@ -120,6 +131,140 @@ def random_closed_walks(nodes, rng, count, max_len=8):
         if len(walk) >= 3 and class_adjacent(walk[-1], walk[0]):
             out.append(walk + [walk[0]])
     return out
+
+
+# ---------------------------------------------------------------------------
+# The balance graph, materialized edge by edge in O(N^2): the reference of
+# `checker.solve_potentials`
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BalanceGraph:
+    """Candidate root classes with exact detailed-balance edge ratios.
+
+    ``ratio[(u, v)]`` is the forced ratio weight(u) / weight(v); both
+    orientations are stored and are exact reciprocals.
+    """
+
+    nodes: List[SupportClass]
+    ratio: Dict[Tuple[SupportClass, SupportClass], Fraction]
+    adjacency: Dict[SupportClass, List[SupportClass]] = field(default=None)
+
+    def __post_init__(self):
+        if self.adjacency is None:
+            adj = {u: [] for u in self.nodes}
+            for (u, v) in self.ratio:
+                adj[u].append(v)
+            for u in adj:
+                adj[u] = sorted(set(adj[u]))
+            self.adjacency = adj
+
+    def edges(self) -> List[Tuple[SupportClass, SupportClass]]:
+        return sorted((u, v) for (u, v) in self.ratio if u < v)
+
+    def components(self) -> List[List[SupportClass]]:
+        out, seen = [], set()
+        for start in self.nodes:
+            if start in seen:
+                continue
+            comp, stack = [], [start]
+            seen.add(start)
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for v in self.adjacency[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            out.append(sorted(comp))
+        return out
+
+
+def edge_ratio(spec: GWSpec, u: SupportClass, v: SupportClass) -> Fraction:
+    """Exact weight ratio forced between adjacent classes u = (i, c) and
+    v = (j, d): [p(j,i)(c-j) * d_i * |c|] / [p(i,j)(d-i) * c_j * |d|]."""
+    i, c = u
+    j, d = v
+    num = spec.pair_prob(j, i, decrement(c, j))
+    den = spec.pair_prob(i, j, decrement(d, i))
+    if num == 0 or den == 0:
+        raise MissingOffspringTermError(
+            f"edge {u} -- {v} needs an unstored offspring probability"
+        )
+    return Fraction(num * d[i - 1] * total(c), den * c[j - 1] * total(d))
+
+
+def build_balance_graph(spec: GWSpec) -> BalanceGraph:
+    """Assemble the balance graph over all candidate classes, deterministically.
+
+    Requires condition i to hold (otherwise an edge may reference an unstored
+    offspring probability and MissingOffspringTermError is raised).
+    """
+    nodes = [
+        SupportClass(i, c)
+        for i in range(1, spec.n + 1)
+        for c in sorted(candidate_support(spec, i))
+    ]
+    nodes.sort()
+    ratio: Dict[Tuple[SupportClass, SupportClass], Fraction] = {}
+    for a in range(len(nodes)):
+        u = nodes[a]
+        for b in range(a + 1, len(nodes)):
+            v = nodes[b]
+            if u.vector[v.label - 1] > 0 and v.vector[u.label - 1] > 0:
+                r = edge_ratio(spec, u, v)
+                ratio[(u, v)] = r
+                ratio[(v, u)] = 1 / r
+    return BalanceGraph(nodes=nodes, ratio=ratio)
+
+
+def propagate_potentials(
+    graph: BalanceGraph,
+) -> Tuple[Dict[SupportClass, Fraction], Optional[List[SupportClass]]]:
+    """BFS a spanning forest, set each root's potential to 1, and push
+    potentials along tree edges.  Every non-tree edge is then compared with
+    the potentials; the first inconsistent one yields a violating cycle
+    (closed node walk whose ratio product is not 1).
+
+    Returns (potentials, None) on success or (potentials, cycle) on failure;
+    potentials are still returned in full so callers can replay the cycle.
+    """
+    pot: Dict[SupportClass, Fraction] = {}
+    parent: Dict[SupportClass, Optional[SupportClass]] = {}
+    for start in graph.nodes:
+        if start in pot:
+            continue
+        pot[start] = Fraction(1)
+        parent[start] = None
+        queue = [start]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for v in graph.adjacency[u]:
+                if v not in pot:
+                    # ratio(u, v) = pot(u) / pot(v)
+                    pot[v] = pot[u] / graph.ratio[(u, v)]
+                    parent[v] = u
+                    queue.append(v)
+    for (u, v) in graph.edges():
+        if graph.ratio[(u, v)] != pot[u] / pot[v]:
+            return pot, _cycle_through(parent, u, v)
+    return pot, None
+
+
+def cycle_product(graph: BalanceGraph, cycle: List[SupportClass]) -> Fraction:
+    """Replay a closed node walk, multiplying edge ratios.  Consecutive
+    repeats contribute a factor 1.  Equals 1 exactly iff the cycle is
+    consistent."""
+    if cycle[0] != cycle[-1]:
+        raise ValueError("cycle must start and end at the same class")
+    prod = Fraction(1)
+    for u, v in zip(cycle, cycle[1:]):
+        if u == v:
+            continue
+        prod *= graph.ratio[(u, v)]
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -416,27 +561,42 @@ def random_circulant(rng: random.Random, max_vertices: int = 12):
                    for v in range(m) for s in jumps})
 
 
-def permute_measure(measure: RootMeasure, tau) -> RootMeasure:
-    """The measure with every label i renamed tau[i]."""
-    def vector(c):
-        out = [0] * measure.n
-        for j, cj in enumerate(c, start=1):
-            out[tau[j] - 1] = cj
-        return tuple(out)
+def _permute_entries(row, tau) -> tuple:
+    """A vector (or parameter row) indexed by labels, label j moved to tau[j]."""
+    out = list(row)
+    for j, x in enumerate(row, start=1):
+        out[tau[j] - 1] = x
+    return tuple(out)
 
-    def law(dist):
-        return {vector(c): p for c, p in dist.items()}
 
-    spec = measure.descendants
+def _permute_law(dist, tau) -> dict:
+    return {_permute_entries(c, tau): p for c, p in dist.items()}
+
+
+def permute_spec(spec, tau):
+    """The spec (a GWSpec in either mode, or a PlainSpec) with every label i
+    renamed tau[i]."""
+    if isinstance(spec, PlainSpec):
+        return PlainSpec(
+            n=spec.n,
+            degree_dist={tau[i]: dict(dd) for i, dd in spec.degree_dist.items()},
+            params={tau[i]: _permute_entries(row, tau) for i, row in spec.params.items()},
+        )
     offspring = {
-        ((tau[key[0]], tau[key[1]]) if spec.mode == PAIR else tau[key]): law(dist)
+        ((tau[key[0]], tau[key[1]]) if spec.mode == PAIR else tau[key]): _permute_law(dist, tau)
         for key, dist in spec.offspring.items()
     }
+    return GWSpec(n=spec.n, mode=spec.mode, offspring=offspring)
+
+
+def permute_measure(measure: RootMeasure, tau) -> RootMeasure:
+    """The measure with every label i renamed tau[i]."""
     return RootMeasure(
         n=measure.n,
         root_dist={tau[i]: p for i, p in measure.root_dist.items()},
-        neighbor_dist={tau[i]: law(dist) for i, dist in measure.neighbor_dist.items()},
-        descendants=GWSpec(n=spec.n, mode=spec.mode, offspring=offspring),
+        neighbor_dist={tau[i]: _permute_law(dist, tau)
+                       for i, dist in measure.neighbor_dist.items()},
+        descendants=permute_spec(measure.descendants, tau),
     )
 
 

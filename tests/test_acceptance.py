@@ -20,7 +20,7 @@ from fractions import Fraction as F
 import pytest
 
 from gwrev import fileformats as ff
-from gwrev.checker import build_balance_graph, cycle_product, run_checks
+from gwrev.checker import run_checks
 from gwrev.constructor import construct_measure, verify_reversibility
 from gwrev.core import ChecksFailedError, GWSpec, PAIR, SupportClass, degrees
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
@@ -46,6 +46,8 @@ from .conftest import (
 )
 from .oracles import (
     balance_violations,
+    build_balance_graph,
+    cycle_product,
     random_admissible_instance,
     random_connected_graph,
     random_fraction,

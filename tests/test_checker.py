@@ -2,13 +2,10 @@ import random
 from fractions import Fraction as F
 
 from gwrev.checker import (
-    build_balance_graph,
     check_condition_i,
     check_condition_ii,
     check_strong_connectivity,
-    cycle_product,
     labels_realized,
-    propagate_potentials,
     run_checks,
 )
 from gwrev.core import GWSpec, PAIR, SupportClass
@@ -16,8 +13,11 @@ from gwrev.parametrizer import assemble_measure
 
 from .conftest import A, B, D, break_condition_i, break_condition_ii
 from .oracles import (
+    build_balance_graph,
     cycle_identity_product,
+    cycle_product,
     enumerate_closed_walks,
+    propagate_potentials,
     random_admissible_instance,
     random_closed_walks,
     strongly_connected_bruteforce,

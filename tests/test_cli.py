@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from gwrev import fileformats as ff
-from gwrev.checker import build_balance_graph, cycle_product
 from gwrev.cli import main
 from gwrev.core import GWSpec, PAIR, SupportClass
 from gwrev.parametrizer import solve_offspring
@@ -18,6 +17,7 @@ from .conftest import (
     two_label_template,
     two_label_weights,
 )
+from .oracles import build_balance_graph, cycle_product
 
 
 def write(path, obj):
@@ -295,6 +295,38 @@ def test_document_of_the_wrong_shape(capsys, tmp_path, command, document, key, v
     assert f"error: bad {document} document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, document, path", [
+    ("verify", "measure", ["root"]),
+    ("verify", "measure", ["neighbors"]),
+    ("check", "plain spec", ["degree_dist"]),
+    ("check", "plain spec", ["degree_dist", 0, "dist"]),
+    ("parametrize", "weights", ["weights"]),
+])
+def test_duplicate_entry_is_malformed(capsys, tmp_path, command, document, path):
+    # an identical repeat of the first entry: letting the last one win would
+    # accept the document and exit 0
+    if document == "measure":
+        obj = _worked_measure_obj()
+    elif document == "plain spec":
+        obj = ff.plain_spec_to_obj(three_label_plain())
+    else:
+        obj = ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
+    entries = obj
+    for key in path:
+        entries = entries[key]
+    entries.append(entries[0])
+    doc = write(tmp_path / "doc.json", obj)
+    if command == "parametrize":
+        tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(two_label_template()))
+        argv = [command, tmpl, doc, str(tmp_path / "out.json")]
+    else:
+        argv = [command, doc]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: duplicate" in captured.err
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_rejects_nonpositive_trials(capsys, tmp_path, spec_path, trials):
     out = tmp_path / "measure.json"
@@ -361,14 +393,14 @@ def test_root_neighbor_without_offspring_law_is_malformed(capsys, tmp_path, comm
 # the exact pipeline never builds the class-by-class balance graph
 # ---------------------------------------------------------------------------
 
-def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path, monkeypatch):
+def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path):
+    # the edge-by-edge graph lives in tests/oracles.py only
+    import gwrev
     import gwrev.checker
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the CLI built the quadratic balance graph")
-
-    monkeypatch.setattr(gwrev.checker, "build_balance_graph", forbidden)
-    monkeypatch.setattr(gwrev.checker, "edge_ratio", forbidden)
+    for name in ("BalanceGraph", "edge_ratio", "build_balance_graph",
+                 "propagate_potentials", "cycle_product"):
+        assert not hasattr(gwrev, name) and not hasattr(gwrev.checker, name), name
 
     template, weights = dense_grid(12)
     tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(template))

@@ -1,5 +1,6 @@
 """Differential tests: every per-label-pair fast path of the exact pipeline
-against the class-by-class path it replaced, on random corpora.
+against the class-by-class path it replaced, on random corpora, and the
+whole pipeline against itself under a renaming of the labels.
 
 Specs come from `solve_offspring` on random template candidates, so the
 forced ratios close on some and not on others: a good share of them fail
@@ -11,15 +12,19 @@ import time
 from fractions import Fraction as F
 
 from gwrev.checker import (
-    build_balance_graph,
     check_condition_i,
     check_strong_connectivity,
-    propagate_potentials,
     run_checks,
     solve_potentials,
 )
 from gwrev.constructor import construct_measure, verify_reversibility
-from gwrev.core import GWSpec, PAIR, RootMeasure
+from gwrev.core import GWSpec, PAIR, RootMeasure, decrement
+from gwrev.norelabel import (
+    PlainSpec,
+    check_plain_spec,
+    construct_plain_measure,
+    plain_cycle_product,
+)
 from gwrev.parametrizer import (
     InconsistentRatiosError,
     solve_offspring,
@@ -30,10 +35,16 @@ from gwrev.parametrizer import (
 from .conftest import break_condition_ii, dense_grid, two_label_spec
 from .oracles import (
     balance_violations,
+    build_balance_graph,
+    cycle_identity_product,
     pairwise_root_weights,
     pairwise_validate_template,
+    permute_measure,
+    permute_spec,
+    propagate_potentials,
     random_template,
     random_template_candidate,
+    random_plain_spec,
     random_template_weights,
     unreachable_pair_bruteforce,
 )
@@ -167,10 +178,6 @@ def test_verify_reversibility_matches_the_oracle():
 
 
 def test_verify_reversibility_matches_on_plain_measures():
-    from gwrev.norelabel import construct_plain_measure
-
-    from .oracles import random_plain_spec
-
     rng = random.Random(5)
     for _ in range(60):
         measure = construct_plain_measure(random_plain_spec(rng, rng.randint(1, 4)))
@@ -242,3 +249,68 @@ def test_condition_i_witness_order_with_huge_n():
     ok_big, big = check_condition_i(broken(5000))
     assert not ok and not ok_big
     assert big[:3] == small[:3] and big[3][:2] == small[3]
+
+
+# ---------------------------------------------------------------------------
+# Label-permutation invariance: the conditions, their witnesses and the
+# measure do not depend on how the labels are named
+# ---------------------------------------------------------------------------
+
+def random_permutation(rng, n):
+    image = list(range(1, n + 1))
+    rng.shuffle(image)
+    return dict(zip(range(1, n + 1), image))
+
+
+def test_pair_pipeline_is_label_permutation_invariant():
+    rng = random.Random(8)
+    failing = cycles = 0
+    for _, _, spec in corpus(8):
+        tau = random_permutation(rng, spec.n)
+        moved = permute_spec(spec, tau)
+        report, moved_report = run_checks(spec), run_checks(moved)
+        assert moved_report.failed_names() == report.failed_names()
+        if moved_report.violating_cycle is not None:
+            cycles += 1
+            walk = [(u.label, u.vector) for u in moved_report.violating_cycle]
+            assert cycle_identity_product(moved, walk) != 1
+        if moved_report.condition_i_counterexample is not None:
+            i, j, k, c = moved_report.condition_i_counterexample
+            assert moved.pair_prob(j, i, decrement(c, j)) > 0
+            assert moved.pair_prob(k, i, decrement(c, k)) == 0
+        if report.ok():
+            assert construct_measure(moved) == permute_measure(construct_measure(spec), tau)
+        failing += not report.ok()
+    assert CORPUS // 5 < failing < CORPUS - CORPUS // 5 and cycles > CORPUS // 5
+
+
+def redrawn_rows(rng, pspec):
+    """A copy of the plain spec with every parameter row redrawn on the same
+    support: the cycle identity then fails wherever the label graph has a
+    cycle."""
+    params = {}
+    for i, row in pspec.params.items():
+        raw = [rng.randint(1, 9) if p > 0 else 0 for p in row]
+        params[i] = tuple(F(r, sum(raw)) for r in raw)
+    return PlainSpec(n=pspec.n, degree_dist=pspec.degree_dist, params=params)
+
+
+def test_plain_pipeline_is_label_permutation_invariant():
+    rng = random.Random(9)
+    failing = cycles = 0
+    for k in range(300):
+        pspec = random_plain_spec(rng, rng.randint(1, 5))
+        if k % 2:
+            pspec = redrawn_rows(rng, pspec)
+        tau = random_permutation(rng, pspec.n)
+        moved = permute_spec(pspec, tau)
+        report, moved_report = check_plain_spec(pspec), check_plain_spec(moved)
+        assert moved_report.failed_names() == report.failed_names()
+        if moved_report.violating_cycle is not None:
+            cycles += 1
+            assert plain_cycle_product(moved, moved_report.violating_cycle) != 1
+        if report.ok():
+            assert construct_plain_measure(moved) == permute_measure(
+                construct_plain_measure(pspec), tau)
+        failing += not report.ok()
+    assert failing > 30 and cycles > 30
