@@ -26,6 +26,7 @@ from .core import (
     candidate_support,
     decrement,
     degrees,
+    exact_flow,
     increment,
     swap,
     total,
@@ -76,19 +77,30 @@ from .covers import (
     pair_digraph,
     rooted_isomorphic,
 )
-from .simulator import (
-    FlowEstimate,
-    LabeledTree,
-    TreeNode,
-    class_at,
-    estimate_flow,
-    exact_flow,
-    exact_transport,
-    inverse_degree_mass,
-    mass_transport_check,
-    root_class,
-    sample_tree,
-    walk,
-)
+
+# The simulator needs numpy; it is imported on first use of one of its
+# names, so the exact pipeline never loads numpy (PEP 562).
+_SIMULATOR_NAMES = frozenset({
+    "FlowEstimate",
+    "LabeledTree",
+    "TreeNode",
+    "class_at",
+    "estimate_flow",
+    "exact_transport",
+    "inverse_degree_mass",
+    "mass_transport_check",
+    "root_class",
+    "sample_tree",
+    "walk",
+})
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

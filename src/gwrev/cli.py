@@ -21,7 +21,6 @@ from .core import GwrevError, PAIR, SpecError
 from .covers import label_vertices, lift_measure, load_graph, pair_digraph
 from .norelabel import PlainSpec, check_plain_spec, construct_plain_measure, run_plain_checks
 from .parametrizer import InconsistentRatiosError, InvalidTemplateError, assemble_measure
-from .simulator import estimate_flow, mass_transport_check
 
 
 def _emit(obj) -> None:
@@ -153,6 +152,8 @@ def _selector(measure, text: str):
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator  # the one subcommand that needs numpy
+
     if args.trials < 1:
         raise SpecError(f"--trials must be at least 1, got {args.trials}")
     measure = ff.load_measure(args.measure)
@@ -160,14 +161,14 @@ def cmd_simulate(args) -> int:
         i, j = (int(x) for x in args.mtp.split(","))
         _check_label(measure, i, "--mtp")
         _check_label(measure, j, "--mtp")
-        fwd, bwd = mass_transport_check(measure, i, j, args.trials, args.seed)
+        fwd, bwd = simulator.mass_transport_check(measure, i, j, args.trials, args.seed)
         names = (f"transport {i}->{j}", f"transport {j}->{i}")
     else:
         if args.source is None or args.target is None:
             raise SpecError("simulate needs --from and --to, or --mtp i,j")
         source = _selector(measure, args.source)
         target = _selector(measure, args.target)
-        fwd, bwd = estimate_flow(measure, source, target, args.trials, args.seed)
+        fwd, bwd = simulator.estimate_flow(measure, source, target, args.trials, args.seed)
         names = (f"flow {source}->{target}", f"flow {target}->{source}")
     records = [_estimate_obj(names[0], fwd), _estimate_obj(names[1], bwd)]
     ok = all(r["within_4se"] for r in records)

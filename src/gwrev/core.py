@@ -17,9 +17,12 @@ values can be shared freely across concurrent work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import (
+    Callable, Collection, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union,
+)
 
 Rat = Fraction
 Vector = Tuple[int, ...]
@@ -108,12 +111,20 @@ def degrees(dist: Mapping[Vector, Fraction]) -> set:
     return {total(c) for c in dist}
 
 
+def sums_to_one(values: Collection[Fraction]) -> bool:
+    """Whether the Fractions sum to exactly 1, decided over their common
+    denominator L: sum of numerator * (L / denominator) == L."""
+    common = math.lcm(*[p.denominator for p in values])
+    return sum([p.numerator * (common // p.denominator) for p in values]) == common
+
+
 def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0) -> None:
     """Check a stored distribution: vectors of length n, positive rational
-    probabilities summing to exactly 1, and every total >= min_total."""
+    probabilities summing to exactly 1, and every total >= min_total.  The
+    range and the sum are checked on numerators and denominators; the Fraction
+    sum is formed only to report a sum that is not 1."""
     if not dist:
         raise InvalidDistributionError("empty distribution")
-    s = ZERO
     for c, p in dist.items():
         if len(c) != n:
             raise InvalidDistributionError(f"vector {c} has length {len(c)}, expected {n}")
@@ -123,11 +134,12 @@ def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0
             raise InvalidDistributionError(f"vector {c} has total < {min_total}")
         if not isinstance(p, Fraction):
             raise InvalidDistributionError(f"probability of {c} is not a Fraction: {p!r}")
-        if p <= 0 or p > 1:
+        # 0 < p <= 1, the denominator being positive
+        if not 0 < p.numerator <= p.denominator:
             raise InvalidDistributionError(f"probability of {c} is {p}, outside (0, 1]")
-        s += p
-    if s != ONE:
-        raise InvalidDistributionError(f"probabilities sum to {s}, expected 1")
+    if not sums_to_one(dist.values()):
+        raise InvalidDistributionError(
+            f"probabilities sum to {sum(dist.values(), ZERO)}, expected 1")
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +333,12 @@ class RootMeasure:
             raise SpecError("measure and descendant spec disagree on n")
         if sorted(self.root_dist) != list(range(1, self.n + 1)):
             raise SpecError("root distribution must cover every label exactly once")
-        s = ZERO
         for i, p in self.root_dist.items():
-            if not isinstance(p, Fraction) or p <= 0:
+            if not isinstance(p, Fraction) or p.numerator <= 0:
                 raise SpecError(f"root weight of label {i} must be a positive Fraction")
-            s += p
-        if s != ONE:
-            raise SpecError(f"root weights sum to {s}, expected 1")
+        if not sums_to_one(self.root_dist.values()):
+            raise SpecError(
+                f"root weights sum to {sum(self.root_dist.values(), ZERO)}, expected 1")
         if sorted(self.neighbor_dist) != list(range(1, self.n + 1)):
             raise SpecError("neighbor distributions must cover every label exactly once")
         for i, dist in self.neighbor_dist.items():

@@ -4,6 +4,18 @@ All rationals travel as strings ("3/8", "1"); all emitted documents are
 canonical: keys sorted, entries in sorted order, reduced fractions, two-space
 indent, trailing newline.  Equal objects therefore serialize to byte-identical
 files.
+
+`canonical_json` is a small recursive writer whose output is byte for byte
+that of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline, which
+with an indent falls back to json's pure-Python encoder.  It writes dicts
+with `str` keys, lists, `str`, `int`, `bool`, `None` and `float` (the last
+three through `json.dumps`, so NaN and Infinity stay as json writes them)
+and raises TypeError on anything else.
+
+Reading is strict about types: labels, counts, `n`, `d`, `parent`, `child`
+and `type` must be JSON integers, and a probability is a rational string
+or a JSON integer.  A float, a bool or a numeric string in their place is a
+malformed document, never truncated to an integer.
 """
 
 from __future__ import annotations
@@ -11,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Union
 
 from .checker import CheckReport
@@ -18,26 +31,84 @@ from .core import Dist, GWSpec, PAIR, PLAIN, RootMeasure, SpecError, SupportClas
 from .norelabel import PlainCheckReport, PlainSpec
 from .parametrizer import SupportTemplate, Weights
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    """A JSON integer, or a string "a" or "a/b" (an optional minus sign on a,
+    surrounding whitespace allowed), as a reduced Fraction.  Any other type,
+    a bool or a float included, raises TypeError: the document has the
+    wrong shape."""
+    if type(text) is int:
         return Fraction(text)
-    if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
+    if not isinstance(text, str):
+        raise TypeError(f"not a rational literal: {text!r}")
+    m = _FRACTION_RE.fullmatch(text.strip())
+    if m is None:
         raise SpecError(f"not a rational literal: {text!r}")
+    num, den = m.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise SpecError(f"zero denominator in {text!r}") from None
 
 
 def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
+
+
+_int_repr = int.__repr__
+
+
+def _write(obj, indent: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, `indent`
+    being the newline and the spaces before a closing bracket.  Containers
+    write their str and int members in line, sparing a call per leaf."""
+    kind = type(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_quote(x) if type(x) is str else _int_repr(x) if type(x) is int
+                 else _write(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            x = obj[key]
+            items.append(_quote(key) + ": " + (
+                _quote(x) if type(x) is str else _int_repr(x) if type(x) is int
+                else _write(x, inner)))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return _int_repr(obj)
+    if obj is None or kind is bool or isinstance(obj, float):
+        return json.dumps(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _write(obj, "\n") + "\n"
+
+
+def _int(value) -> int:
+    """A JSON integer as it is; TypeError for anything else, a bool, a float
+    or a numeric string included."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _ints(values) -> tuple:
+    """A list of JSON integers as a tuple, each checked by `_int`."""
+    return tuple(map(_int, values))
 
 
 def _unique(pairs, what: str) -> dict:
@@ -62,10 +133,7 @@ def _obj_to_dist(entries, n: int) -> Dist:
     for entry in entries:
         if not isinstance(entry, dict) or not isinstance(entry.get("c"), list):
             raise SpecError(f"distribution entry {entry!r} needs a list \"c\"")
-        try:
-            c = tuple(int(x) for x in entry["c"])
-        except TypeError:
-            raise SpecError(f"vector {entry['c']!r} is not a list of counts") from None
+        c = _ints(entry["c"])
         if len(c) != n:
             raise SpecError(f"vector {c} has length {len(c)}, expected {n}")
         if c in dist:
@@ -132,7 +200,7 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
     if not isinstance(obj, dict):
         raise SpecError("spec document must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = _int(obj["n"])
         mode = obj["mode"]
     except KeyError as err:
         raise SpecError(f"spec document lacks key {err}") from None
@@ -141,8 +209,8 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
 
     if mode == PLAIN and "degree_dist" in obj:
         degree_dist: Dict[int, Dict[int, Fraction]] = _unique((
-            (int(entry["type"]),
-             _unique(((int(e["d"]), parse_fraction(e["p"])) for e in entry["dist"]),
+            (_int(entry["type"]),
+             _unique(((_int(e["d"]), parse_fraction(e["p"])) for e in entry["dist"]),
                      f"degree in the law of type {entry['type']}:"))
             for entry in obj["degree_dist"]
         ), "degree_dist entry for type")
@@ -157,8 +225,8 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
 
     def key(entry):
         if mode == PAIR:
-            return int(entry["parent"]), int(entry["child"])
-        return int(entry["type"])
+            return _int(entry["parent"]), _int(entry["child"])
+        return _int(entry["type"])
 
     offspring = _unique((
         (key(entry), _obj_to_dist(entry["dist"], n)) for entry in obj.get("offspring", [])
@@ -197,10 +265,10 @@ def obj_to_measure(obj) -> RootMeasure:
     n = descendants.n
     try:
         root_dist = _unique((
-            (int(e["label"]), parse_fraction(e["p"])) for e in obj.get("root", [])
+            (_int(e["label"]), parse_fraction(e["p"])) for e in obj.get("root", [])
         ), "root entry for label")
         neighbor_dist = _unique((
-            (int(e["label"]), _obj_to_dist(e["dist"], n)) for e in obj.get("neighbors", [])
+            (_int(e["label"]), _obj_to_dist(e["dist"], n)) for e in obj.get("neighbors", [])
         ), "neighbors entry for label")
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad measure document: {err}") from None
@@ -224,9 +292,9 @@ def template_to_obj(template: SupportTemplate) -> dict:
 
 def obj_to_template(obj) -> SupportTemplate:
     try:
-        n = int(obj["n"])
+        n = _int(obj["n"])
         classes = tuple(
-            SupportClass(int(e["label"]), tuple(int(x) for x in e["c"]))
+            SupportClass(_int(e["label"]), _ints(e["c"]))
             for e in obj["classes"]
         )
     except _SHAPE_ERRORS as err:
@@ -246,7 +314,7 @@ def weights_to_obj(weights: Weights) -> dict:
 def obj_to_weights(obj) -> Weights:
     try:
         return _unique((
-            (SupportClass(int(e["label"]), tuple(int(x) for x in e["c"])),
+            (SupportClass(_int(e["label"]), _ints(e["c"])),
              parse_fraction(e["p"]))
             for e in obj["weights"]
         ), "weight for class")

@@ -7,8 +7,10 @@ brute-force search) without reusing the library code paths under test.
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -16,8 +18,10 @@ from typing import Dict, List, Optional, Tuple
 from gwrev.checker import MissingOffspringTermError, _cycle_through
 from gwrev.core import (
     GWSpec,
+    InvalidDistributionError,
     PAIR,
     RootMeasure,
+    SpecError,
     SupportClass,
     bfs_forest,
     candidate_support,
@@ -589,6 +593,11 @@ def permute_spec(spec, tau):
     return GWSpec(n=spec.n, mode=spec.mode, offspring=offspring)
 
 
+def permute_class(cls: SupportClass, tau) -> SupportClass:
+    """The class with every label i renamed tau[i]."""
+    return SupportClass(tau[cls.label], _permute_entries(cls.vector, tau))
+
+
 def permute_measure(measure: RootMeasure, tau) -> RootMeasure:
     """The measure with every label i renamed tau[i]."""
     return RootMeasure(
@@ -892,3 +901,49 @@ def backtracking_label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> D
             reps.append(v)
             labels[v] = len(reps)
     return labels
+
+
+# ---------------------------------------------------------------------------
+# The document path as it was first written: json's own encoder, Fraction's
+# own parser and the Fraction sum
+# ---------------------------------------------------------------------------
+
+def json_canonical(obj) -> str:
+    """Canonical JSON by json.dumps: sorted keys, two-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_RATIONAL_LITERAL = re.compile(r"^-?\d+(/\d+)?$")
+
+
+def fraction_parse(text) -> Fraction:
+    """A rational literal checked by a regex, then parsed by Fraction."""
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str) or not _RATIONAL_LITERAL.match(text.strip()):
+        raise SpecError(f"not a rational literal: {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise SpecError(f"zero denominator in {text!r}") from None
+
+
+def summing_validate_dist(dist, n: int, *, min_total: int = 0) -> None:
+    """`core.validate_dist` by Fraction comparisons and a Fraction sum."""
+    if not dist:
+        raise InvalidDistributionError("empty distribution")
+    s = Fraction(0)
+    for c, p in dist.items():
+        if len(c) != n:
+            raise InvalidDistributionError(f"vector {c} has length {len(c)}, expected {n}")
+        if any(x < 0 for x in c):
+            raise InvalidDistributionError(f"vector {c} has a negative count")
+        if total(c) < min_total:
+            raise InvalidDistributionError(f"vector {c} has total < {min_total}")
+        if not isinstance(p, Fraction):
+            raise InvalidDistributionError(f"probability of {c} is not a Fraction: {p!r}")
+        if p <= 0 or p > 1:
+            raise InvalidDistributionError(f"probability of {c} is {p}, outside (0, 1]")
+        s += p
+    if s != 1:
+        raise InvalidDistributionError(f"probabilities sum to {s}, expected 1")

@@ -1,10 +1,16 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from gwrev import fileformats as ff
 from gwrev.cli import main
+from gwrev.constructor import construct_measure
 from gwrev.core import GWSpec, PAIR, SupportClass
 from gwrev.parametrizer import solve_offspring
 
@@ -271,9 +277,23 @@ def test_dist_entry_zero_denominator(capsys, tmp_path):
 
 
 def _worked_measure_obj():
-    from gwrev.constructor import construct_measure
-
     return ff.measure_to_obj(construct_measure(two_label_spec()))
+
+
+def _replaced(entries, path, value):
+    """A deep copy of `entries` with the node at `path` replaced by `value`."""
+    out = copy.deepcopy(entries)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+_OFFSPRING = _worked_spec_obj()["offspring"]
+_DEGREE_DIST = ff.plain_spec_to_obj(three_label_plain())["degree_dist"]
+_ROOT = _worked_measure_obj()["root"]
+_NEIGHBORS = _worked_measure_obj()["neighbors"]
 
 
 @pytest.mark.parametrize("command, document, key, value", [
@@ -282,6 +302,27 @@ def _worked_measure_obj():
     ("check", "spec", "n", [2]),
     ("check", "spec", "degree_dist", 5),  # the direct plain form
     ("verify", "measure", "root", [5]),
+    # a float, a bool or a numeric string where an integer belongs is not
+    # truncated to one
+    ("check", "spec", "n", 1.9),
+    ("check", "spec", "n", 2.0),
+    ("check", "spec", "n", True),
+    ("check", "spec", "n", "2"),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "dist", 0, "c"], [0.4, 1])),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "dist", 0, "c"], [2.7, 1])),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "dist", 0, "c"], [True, 1])),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "dist", 0, "c"], ["1", 1])),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "parent"], 1.0)),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "child"], True)),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "dist", 0, "p"], True)),
+    ("check", "spec", "offspring", _replaced(_OFFSPRING, [0, "dist", 0, "p"], 0.5)),
+    ("check", "spec", "degree_dist", _replaced(_DEGREE_DIST, [0, "type"], True)),
+    ("check", "spec", "degree_dist", _replaced(_DEGREE_DIST, [0, "dist", 0, "d"], 1.5)),
+    ("check", "spec", "degree_dist", _replaced(_DEGREE_DIST, [0, "dist", 0, "p"], True)),
+    ("verify", "measure", "root", _replaced(_ROOT, [0, "label"], 1.0)),
+    ("verify", "measure", "root", _replaced(_ROOT, [0, "p"], False)),
+    ("verify", "measure", "neighbors", _replaced(_NEIGHBORS, [0, "label"], "1")),
+    ("verify", "measure", "neighbors", _replaced(_NEIGHBORS, [0, "dist", 0, "c"], [2.7, 1])),
 ])
 def test_document_of_the_wrong_shape(capsys, tmp_path, command, document, key, value):
     if document == "measure":
@@ -292,7 +333,9 @@ def test_document_of_the_wrong_shape(capsys, tmp_path, command, document, key, v
         obj = _worked_spec_obj()
     obj[key] = value
     assert main([command, write(tmp_path / "doc.json", obj)]) == 2
-    assert f"error: bad {document} document" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: bad {document} document" in captured.err
 
 
 @pytest.mark.parametrize("command, document, path", [
@@ -422,8 +465,39 @@ def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path):
     assert code == 1 and report["failed"] == ["condition_ii"]
 
 
+def test_exact_commands_never_load_numpy(tmp_path):
+    # only `simulate` needs numpy: importing the package and running every
+    # other command leaves it unloaded, in a fresh interpreter
+    import gwrev
+
+    spec = write(tmp_path / "spec.json", ff.spec_to_obj(two_label_spec()))
+    tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(two_label_template()))
+    params = write(tmp_path / "params.json",
+                   ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
+    (tmp_path / "graph.txt").write_text("0 1\n1 2\n2 0\n")
+    measure = str(tmp_path / "m.json")
+    calls = [["check", spec], ["construct", spec, measure],
+             ["parametrize", tmpl, params, str(tmp_path / "p.json")],
+             ["cover", str(tmp_path / "graph.txt"), str(tmp_path / "c.json")],
+             ["verify", measure]]
+    script = (
+        "import contextlib, io, sys\n"
+        "import gwrev, gwrev.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gwrev.cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "gwrev.estimate_flow\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(gwrev.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+
+
 def test_simulate_builds_no_generator_per_trial(capsys, tmp_path, spec_path, monkeypatch):
-    import gwrev.cli
     import gwrev.simulator
 
     from .oracles import reference_estimate_flow, reference_mass_transport_check
@@ -434,8 +508,9 @@ def test_simulate_builds_no_generator_per_trial(capsys, tmp_path, spec_path, mon
             "--from", "1:(1,1)", "--to", "2:(1,1)"]
     mtp = ["simulate", str(out), "--trials", "4000", "--seed", "7", "--mtp", "1,2"]
     with monkeypatch.context() as patch:
-        patch.setattr(gwrev.cli, "estimate_flow", reference_estimate_flow)
-        patch.setattr(gwrev.cli, "mass_transport_check", reference_mass_transport_check)
+        # `cmd_simulate` looks both names up in `gwrev.simulator`
+        patch.setattr(gwrev.simulator, "estimate_flow", reference_estimate_flow)
+        patch.setattr(gwrev.simulator, "mass_transport_check", reference_mass_transport_check)
         expected = []
         for argv in (flow, mtp):
             assert main(argv) == 0

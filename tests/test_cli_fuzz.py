@@ -58,9 +58,19 @@ ARG_JUNK = st.sampled_from(
 )
 
 
+def retyped(data, value):
+    """A JSON value of another type that int() or Fraction() would still
+    read: a float, a bool or a numeric string in place of an integer, a
+    bool or a float in place of a rational string."""
+    if isinstance(value, int):
+        return data.draw(st.sampled_from(
+            [float(value), value + 0.5, value - 0.1, bool(value % 2), str(value)]))
+    return data.draw(st.sampled_from([True, False, float(F(value))]))
+
+
 def mutate(data, doc):
-    """The document with up to three random nodes replaced, deleted or
-    duplicated."""
+    """The document with up to three random nodes replaced, deleted,
+    duplicated or retyped."""
     doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(0, 3))):
         parent, key, node = None, None, doc
@@ -70,17 +80,45 @@ def mutate(data, doc):
             keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
             parent, key = node, data.draw(st.sampled_from(keys))
             node = node[key]
-        action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        action = data.draw(st.sampled_from(["replace", "delete", "duplicate", "retype"]))
         junk = copy.deepcopy(data.draw(JUNK))  # sampled objects are shared
         if parent is None:
             doc = junk if action == "replace" else doc
         elif action == "replace":
             parent[key] = junk
+        elif action == "retype":
+            if _numeric(node):
+                parent[key] = retyped(data, node)
         elif action == "delete":
             del parent[key]
         elif isinstance(parent, list):
             parent.append(copy.deepcopy(node))
     return doc
+
+
+def _numeric(value) -> bool:
+    """An integer or a rational string of a document."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return True
+    if not isinstance(value, str):
+        return False
+    try:
+        F(value)
+    except ValueError:
+        return False
+    return True
+
+
+def int_and_rational_leaves(node, path=()):
+    """Paths of the integers and the rational strings of a document."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from int_and_rational_leaves(node[key], path + (key,))
+    elif isinstance(node, list):
+        for k, item in enumerate(node):
+            yield from int_and_rational_leaves(item, path + (k,))
+    elif _numeric(node):
+        yield path
 
 
 def command_line(data):
@@ -144,6 +182,44 @@ def test_cli_never_crashes_on_mutated_input(data):
     assert code in (0, 1, 2), (argv, code)
     if code in (0, 1):
         json.loads(out)  # a report, never a partial one
+
+
+# every document with the command that reads it; a measure's "verified"
+# flag is the one leaf no reader looks at, and it is a bool, never retyped
+DOCUMENTS = [("check", obj) for obj in SPECS] + [
+    ("verify", MEASURE), ("parametrize", TEMPLATE), ("parametrize", WEIGHTS)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_retyped_number_is_malformed(data):
+    # one integer or rational string of a valid document replaced by a float,
+    # a bool or a numeric string: exit 2, never a truncated reading
+    command, doc = data.draw(st.sampled_from(DOCUMENTS))
+    path = data.draw(st.sampled_from(list(int_and_rational_leaves(doc))))
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = retyped(data, node[path[-1]])
+    inputs = {"template.json": TEMPLATE, "weights.json": WEIGHTS}
+    if command == "parametrize":
+        name = "template.json" if "classes" in doc else "weights.json"
+        argv = [command, "template.json", "weights.json", "out.json"]
+    else:
+        name, argv = "doc.json", [command, "doc.json"]
+    inputs[name] = doc
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for file, obj in inputs.items():
+                with open(file, "w") as fh:
+                    json.dump(obj, fh)
+            code, out = exit_status(argv)
+        finally:
+            os.chdir(here)
+    assert (code, out) == (2, ""), (argv, path, node[path[-1]])
 
 
 # graph documents for `cover`: a few connected graphs, line by line

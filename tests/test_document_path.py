@@ -1,0 +1,275 @@
+"""Differential tests of the document path: the canonical writer against
+json.dumps, the rational parser against Fraction's own, and the integer sum
+check of `validate_dist` against the Fraction sum (oracles in
+`tests/oracles.py`), on fuzzed inputs, on every document the random corpora
+serialize and on every call of the three benchmark workloads."""
+
+import json
+import math
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gwrev import core
+from gwrev import fileformats as ff
+from gwrev.checker import run_checks
+from gwrev.cli import main
+from gwrev.constructor import construct_measure
+from gwrev.core import InvalidDistributionError, SpecError
+from gwrev.covers import FiniteGraph, label_vertices, lift_measure
+from gwrev.norelabel import check_plain_spec, construct_plain_measure
+from gwrev.parametrizer import assemble_measure, solve_offspring
+
+from .oracles import (
+    fraction_parse,
+    json_canonical,
+    random_admissible_instance,
+    random_connected_graph,
+    random_plain_spec,
+    random_template_candidate,
+    random_template_weights,
+    summing_validate_dist,
+)
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
+
+# ---------------------------------------------------------------------------
+# The writer
+# ---------------------------------------------------------------------------
+
+TRICKY_STRINGS = ["", "\x00", "\x1f", "\x7f", '"', "\\", "/", " ", "é", "\ud800",
+                  "\udfff", "\U0001f600", "a\nb\tc", "1/2"]
+STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.text(st.characters(exclude_categories=()), max_size=4),  # lone surrogates too
+    st.sampled_from(TRICKY_STRINGS),
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10 ** 60), 10 ** 60),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]),
+    STRINGS,
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(STRINGS, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@FUZZ
+@given(TREES)
+def test_writer_matches_json_dumps_on_any_tree(tree):
+    assert ff.canonical_json(tree) == json_canonical(tree)
+
+
+def test_writer_matches_json_dumps_on_nested_empty_containers():
+    for tree in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [{}]}],
+                 {"": [[]], "\x00": {"x": {}}}):
+        assert ff.canonical_json(tree) == json_canonical(tree)
+
+
+@pytest.mark.parametrize("value", [
+    (1, 2), {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, F(1, 2), {1, 2}, b"x", object(), [1, (2,)],
+])
+def test_writer_rejects_what_is_not_a_json_tree(value):
+    with pytest.raises(TypeError):
+        ff.canonical_json(value)
+
+
+# ---------------------------------------------------------------------------
+# The parser
+# ---------------------------------------------------------------------------
+
+LITERALS = st.one_of(
+    st.text(st.sampled_from("0123456789/-+ \t\n._abe٣𝟑"), max_size=8),
+    st.from_regex(r"\s*[-+]?\d{1,4}(/[-+]?\d{1,4})?\s*", fullmatch=True),
+    st.sampled_from(["+3", "3/-4", "1/0", "0/0", "-0", "-0/7", "007/010", "6/8", " 3/4 ",
+                     "3 /4", "3/ 4", "1.5", "1e3", "a/b", "", " ", "١٢/٣", "1_000",
+                     "3\n", "\n-2/5\n", "--1", "1//2", "1/2/3", "9" * 5000]),
+)
+
+
+def parsed(parse, text):
+    try:
+        value = parse(text)
+    except (SpecError, ValueError) as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+@FUZZ
+@given(LITERALS)
+def test_parser_matches_fraction_on_any_string(text):
+    assert parsed(ff.parse_fraction, text) == parsed(fraction_parse, text)
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, 10 ** 40])
+def test_parser_takes_json_integers(value):
+    assert ff.parse_fraction(value) == fraction_parse(value) == F(value)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0, None, [1], {"p": "1"}, F(1, 2)])
+def test_parser_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        ff.parse_fraction(value)
+
+
+# ---------------------------------------------------------------------------
+# The sum check
+# ---------------------------------------------------------------------------
+
+FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+
+
+@st.composite
+def distributions(draw):
+    """Mostly laws that sum to 1, some with one entry bent out of shape."""
+    n = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=0, max_size=6,
+                            unique=True))
+    raw = [draw(st.integers(1, 30)) for _ in vectors]
+    dist = {c: F(r, sum(raw)) for c, r in zip(vectors, raw)}
+    if vectors and draw(st.booleans()):
+        c = draw(st.sampled_from(vectors))
+        dist[c] = draw(st.one_of(FRACTIONS, st.integers(-1, 2), st.floats(0, 1),
+                                 st.sampled_from([F(0), F(-1, 3), F(4, 3)])))
+    if vectors and draw(st.integers(0, 5)) == 0:
+        c = draw(st.sampled_from(vectors))
+        dist[draw(st.sampled_from([c + (0,), c[:-1], (-1,) + c[1:]]))] = dist.pop(c)
+    return dist, n, draw(st.sampled_from([0, 0, 1, 2]))
+
+
+def validated(validate, dist, n, min_total):
+    try:
+        validate(dist, n, min_total=min_total)
+    except InvalidDistributionError as err:
+        return str(err)
+    return None
+
+
+@FUZZ
+@given(distributions())
+def test_validate_dist_matches_the_fraction_sum(case):
+    dist, n, min_total = case
+    assert validated(core.validate_dist, dist, n, min_total) == validated(
+        summing_validate_dist, dist, n, min_total)
+
+
+@FUZZ
+@given(st.lists(FRACTIONS, min_size=1, max_size=8))
+def test_sums_to_one_is_the_fraction_identity(values):
+    assert core.sums_to_one(values) == (sum(values, F(0)) == 1)
+    normalized = [v / sum(values) for v in values] if sum(values) else values
+    assert core.sums_to_one(normalized) == (sum(normalized, F(0)) == 1)
+
+
+# ---------------------------------------------------------------------------
+# Every document of the random corpora
+# ---------------------------------------------------------------------------
+
+def corpus_documents():
+    rng = random.Random(12)
+    for _ in range(150):
+        template = random_template_candidate(rng, rng.randint(1, 4))
+        weights = random_template_weights(rng, template)
+        spec = solve_offspring(template, weights)
+        report = run_checks(spec)
+        yield ff.template_to_obj(template)
+        yield ff.weights_to_obj(weights)
+        yield ff.spec_to_obj(spec)
+        yield ff.report_to_obj(report)
+        if report.ok():
+            yield ff.measure_to_obj(construct_measure(spec, report))
+    for _ in range(60):
+        template, weights = random_admissible_instance(rng, rng.randint(1, 4))
+        yield ff.measure_to_obj(assemble_measure(template, weights), verified=False)
+    for _ in range(60):
+        pspec = random_plain_spec(rng, rng.randint(1, 4))
+        report = check_plain_spec(pspec)
+        yield ff.plain_spec_to_obj(pspec)
+        yield ff.plain_report_to_obj(report)
+        if report.ok():
+            yield ff.measure_to_obj(construct_plain_measure(pspec))
+    for _ in range(40):
+        graph = FiniteGraph.from_edges(random_connected_graph(rng))
+        yield ff.measure_to_obj(lift_measure(graph, label_vertices(graph)))
+
+
+def rationals(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "p" and isinstance(value, str):
+                yield value
+            else:
+                yield from rationals(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from rationals(item)
+
+
+def test_corpus_documents_are_written_and_read_as_before():
+    count = 0
+    for doc in corpus_documents():
+        text = ff.canonical_json(doc)
+        assert text == json_canonical(doc)
+        assert json.loads(text) == doc
+        for literal in rationals(doc):
+            assert parsed(ff.parse_fraction, literal) == parsed(fraction_parse, literal)
+        count += 1
+    assert count > 700
+
+
+# ---------------------------------------------------------------------------
+# Every call of the three benchmark workloads
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["exact_dense", "mixed_corpus", "monte_carlo"])
+def test_benchmark_calls_match_the_old_document_path(name, tmp_path, monkeypatch, capsys):
+    # every emitted document, parsed rational and validated law of a whole
+    # pass is compared with the old path on the spot
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    wl = workloads.build(name, 5, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    seen = {"documents": 0, "literals": 0, "laws": 0}
+    write, parse, validate = ff.canonical_json, ff.parse_fraction, core.validate_dist
+
+    def checked_write(obj):
+        seen["documents"] += 1
+        text = write(obj)
+        assert text == json_canonical(obj)
+        return text
+
+    def checked_parse(text):
+        seen["literals"] += 1
+        assert parsed(parse, text) == parsed(fraction_parse, text)
+        return parse(text)
+
+    def checked_validate(dist, n, *, min_total=0):
+        seen["laws"] += 1
+        expected = validated(summing_validate_dist, dist, n, min_total)
+        assert validated(validate, dist, n, min_total) == expected
+        validate(dist, n, min_total=min_total)
+
+    monkeypatch.setattr(ff, "canonical_json", checked_write)
+    monkeypatch.setattr(ff, "parse_fraction", checked_parse)
+    monkeypatch.setattr(core, "validate_dist", checked_validate)
+    for op in wl.ops:
+        assert main(op.argv) == op.expect, op.argv
+    capsys.readouterr()
+    for path in sorted(tmp_path.glob("*.json")):
+        doc = json.loads(path.read_text())
+        assert ff.canonical_json(doc) == json_canonical(doc)
+    assert min(seen.values()) > 0, seen

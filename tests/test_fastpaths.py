@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from gwrev.checker import (
     check_condition_i,
     check_strong_connectivity,
@@ -18,7 +20,7 @@ from gwrev.checker import (
     solve_potentials,
 )
 from gwrev.constructor import construct_measure, verify_reversibility
-from gwrev.core import GWSpec, PAIR, RootMeasure, decrement
+from gwrev.core import GWSpec, PAIR, RootMeasure, decrement, exact_flow
 from gwrev.norelabel import (
     PlainSpec,
     check_plain_spec,
@@ -27,6 +29,8 @@ from gwrev.norelabel import (
 )
 from gwrev.parametrizer import (
     InconsistentRatiosError,
+    SupportTemplate,
+    assemble_measure,
     solve_offspring,
     solve_root_weights,
     validate_template,
@@ -39,6 +43,7 @@ from .oracles import (
     cycle_identity_product,
     pairwise_root_weights,
     pairwise_validate_template,
+    permute_class,
     permute_measure,
     permute_spec,
     propagate_potentials,
@@ -314,3 +319,50 @@ def test_plain_pipeline_is_label_permutation_invariant():
                 construct_plain_measure(pspec), tau)
         failing += not report.ok()
     assert failing > 30 and cycles > 30
+
+
+def test_assemble_measure_is_label_permutation_invariant():
+    # assemble(tau M, tau w) == tau assemble(M, w), whatever the class order;
+    # a template whose ratios do not close stays inconsistent
+    rng = random.Random(10)
+    inconsistent = 0
+    for template, weights, _ in corpus(10):
+        tau = random_permutation(rng, template.n)
+        classes = [permute_class(u, tau) for u in template.classes]
+        rng.shuffle(classes)
+        moved = SupportTemplate(n=template.n, classes=tuple(classes))
+        moved_weights = {permute_class(u, tau): w for u, w in weights.items()}
+        try:
+            measure = assemble_measure(template, weights)
+        except InconsistentRatiosError:
+            inconsistent += 1
+            with pytest.raises(InconsistentRatiosError):
+                assemble_measure(moved, moved_weights)
+            continue
+        assert assemble_measure(moved, moved_weights) == permute_measure(measure, tau)
+    assert CORPUS // 5 < inconsistent < CORPUS - CORPUS // 5
+
+
+def test_exact_flow_and_transport_are_label_permutation_invariant():
+    from gwrev.simulator import exact_transport
+
+    rng = random.Random(11)
+    measures = 0
+    for template, weights, _ in corpus(11):
+        try:
+            measure = assemble_measure(template, weights)
+        except InconsistentRatiosError:
+            continue
+        measures += 1
+        tau = random_permutation(rng, measure.n)
+        moved = permute_measure(measure, tau)
+        classes = measure.support_classes()
+        for u in classes:
+            for v in classes:
+                if u.vector[v.label - 1] > 0 and v.vector[u.label - 1] > 0:
+                    assert exact_flow(moved, permute_class(u, tau), permute_class(v, tau)) \
+                        == exact_flow(measure, u, v)
+        for i in range(1, measure.n + 1):
+            for j in range(1, measure.n + 1):
+                assert exact_transport(moved, tau[i], tau[j]) == exact_transport(measure, i, j)
+    assert measures > CORPUS // 5
