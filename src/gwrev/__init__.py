@@ -64,7 +64,6 @@ from .norelabel import (
     expand_plain_spec,
     extract_plain_spec,
     multinomial_dist,
-    multinomial_pmf,
     run_plain_checks,
 )
 from .covers import (

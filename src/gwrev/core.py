@@ -221,14 +221,9 @@ class GWSpec:
         children c.  Zero if unstored.  Pair mode only."""
         return self.offspring.get((i, j), {}).get(c, ZERO)
 
-    def plain_prob(self, i: int, c: Vector) -> Fraction:
-        return self.offspring.get(i, {}).get(c, ZERO)
-
     def offspring_prob(self, parent: int, label: int, c: Vector) -> Fraction:
         """Offspring probability for a (parent, label) vertex in either mode."""
-        if self.mode == PAIR:
-            return self.pair_prob(parent, label, c)
-        return self.plain_prob(label, c)
+        return self.offspring_law(parent, label).get(c, ZERO)
 
     def offspring_law(self, parent: int, label: int) -> Dist:
         if self.mode == PAIR:

@@ -7,10 +7,18 @@ prod p(i_s, i_{s+1}) / p(i_{s+1}, i_s) = 1 around the label graph.
 
 The measure itself shifts every degree up by one (the root keeps its parent
 slot) and solves weight(i) / weight(j) = p(j, i) / p(i, j).
+
+The multinomial law is written once.  `_term` is one probability, a single
+Fraction over the row's common denominator; `multinomial_dist` expands a
+degree into those terms, and `_mixture` weights the expansions by a label's
+degree law, at the degree itself for the offspring laws and one above it for
+the root's neighbors.  Extraction checks each listed entry against its term,
+so its cost follows the entries a law lists, not the size of the expansion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +34,8 @@ from .core import (
     RootMeasure,
     SpecError,
     Vector,
+    ZERO,
+    sums_to_one,
     total,
 )
 
@@ -88,22 +98,21 @@ class PlainSpec:
         for i, dd in self.degree_dist.items():
             if not dd:
                 raise SpecError(f"label {i} has an empty degree distribution")
-            s = Fraction(0)
             for d, p in dd.items():
                 if d < 0:
                     raise SpecError(f"label {i} has a negative degree {d}")
-                if not isinstance(p, Fraction) or p <= 0 or p > 1:
+                if not isinstance(p, Fraction) or not 0 < p.numerator <= p.denominator:
                     raise SpecError(f"degree weight of ({i}, {d}) must be in (0, 1]")
-                s += p
-            if s != 1:
-                raise SpecError(f"degree weights of label {i} sum to {s}")
+            if not sums_to_one(dd.values()):
+                raise SpecError(
+                    f"degree weights of label {i} sum to {sum(dd.values(), ZERO)}")
         for i, row in self.params.items():
             if len(row) != self.n:
                 raise SpecError(f"parameter row of label {i} has wrong length")
             for p in row:
-                if not isinstance(p, Fraction) or p < 0 or p > 1:
+                if not isinstance(p, Fraction) or not 0 <= p.numerator <= p.denominator:
                     raise SpecError(f"parameter row of label {i} leaves [0, 1]")
-            if sum(row) != 1:
+            if not sums_to_one(row):
                 raise SpecError(f"parameter row of label {i} sums to {sum(row)}")
         for i in range(1, self.n + 1):
             for j in range(1, self.n + 1):
@@ -118,41 +127,43 @@ class PlainSpec:
 # Multinomial expansion
 # ---------------------------------------------------------------------------
 
-def _compositions(degree: int, slots: int):
-    """All tuples of `slots` non-negative ints summing to `degree`."""
-    if slots == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _compositions(degree - first, slots - 1):
-            yield (first,) + rest
-
-
-def multinomial_pmf(c: Vector, params: Tuple[Fraction, ...]) -> Fraction:
-    """Exact multinomial probability of the count vector c."""
-    out = Fraction(math.factorial(total(c)))
+def _term(c: Vector, params: Tuple[Fraction, ...]) -> Fraction:
+    """Multinomial probability of the count vector c, read over the row's
+    common denominator b with a_k = p_k * b as the one Fraction
+    |c|! * prod a_k^c_k / (prod c_k! * b^|c|)."""
+    b = math.lcm(*[p.denominator for p in params])
+    d = total(c)
+    num, den = math.factorial(d), b ** d
     for ck, p in zip(c, params):
-        out *= Fraction(p) ** ck / math.factorial(ck)
-    return out
+        num *= (p.numerator * (b // p.denominator)) ** ck
+        den *= math.factorial(ck)
+    return Fraction(num, den)
 
 
 def multinomial_dist(degree: int, params: Tuple[Fraction, ...]) -> Dist:
     """Explicit distribution of a degree-`degree` multinomial draw, supported
     exactly on the positive-parameter labels."""
     n = len(params)
-    if degree == 0:
-        return {(0,) * n: Fraction(1)}
-    active = [j for j in range(n) if params[j] > 0]
-    if not active:
+    active = [k for k in range(n) if params[k] > 0]
+    if degree and not active:
         raise SpecError("positive degree with an all-zero parameter row")
     out: Dist = {}
-    for comp in _compositions(degree, len(active)):
+    for draw in itertools.combinations_with_replacement(active, degree):
         c = [0] * n
-        for slot, cnt in zip(active, comp):
-            c[slot] = cnt
-        vec = tuple(c)
-        out[vec] = multinomial_pmf(vec, params)
+        for k in draw:
+            c[k] += 1
+        out[tuple(c)] = _term(tuple(c), params)
     return out
+
+
+def _mixture(pspec: PlainSpec, i: int, shift: int) -> Dist:
+    """Label i's degree mixture: each degree d, with its weight, spread over
+    the multinomial law of degree d + shift on label i's row."""
+    dist: Dist = {}
+    for d, pd in sorted(pspec.degree_dist[i].items()):
+        for c, q in multinomial_dist(d + shift, pspec.params[i]).items():
+            dist[c] = pd * q
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +204,7 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
                 for j in range(spec.n)
             )
             for c in sorted(sub):
-                if sub[c] != mass * multinomial_pmf(c, row):
+                if sub[c] != mass * _term(c, row):
                     raise NotMultinomialError(i, d, c)
             row_of_degree[d] = row
         rows = [row_of_degree[d] for d in sorted(row_of_degree)]
@@ -211,13 +222,7 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
 
 def expand_plain_spec(pspec: PlainSpec) -> GWSpec:
     """Explicit per-label offspring distributions for a PlainSpec."""
-    offspring = {}
-    for i in range(1, pspec.n + 1):
-        dist: Dist = {}
-        for d, pd in sorted(pspec.degree_dist[i].items()):
-            for c, q in multinomial_dist(d, pspec.params[i]).items():
-                dist[c] = pd * q
-        offspring[i] = dist
+    offspring = {i: _mixture(pspec, i, 0) for i in range(1, pspec.n + 1)}
     return GWSpec(n=pspec.n, mode=PLAIN, offspring=offspring)
 
 
@@ -225,21 +230,15 @@ def expand_plain_spec(pspec: PlainSpec) -> GWSpec:
 # Cycle check and construction
 # ---------------------------------------------------------------------------
 
-def plain_label_edges(pspec: PlainSpec) -> List[Tuple[int, int]]:
-    """Undirected label adjacency (i < j) where p(i, j) > 0."""
-    return [
-        (i, j)
+def _plain_potentials(pspec: PlainSpec):
+    """`label_potentials` on the label graph, the pairs i < j with
+    p(i, j) > 0, with the ratio weight(i) / weight(j) = p(j, i) / p(i, j) on
+    every edge."""
+    ratio = {
+        (i, j): pspec.prob(j, i) / pspec.prob(i, j)
         for i in range(1, pspec.n + 1)
         for j in range(i + 1, pspec.n + 1)
         if pspec.prob(i, j) > 0
-    ]
-
-
-def _plain_potentials(pspec: PlainSpec):
-    """`label_potentials` on the label graph, with the ratio
-    weight(i) / weight(j) = p(j, i) / p(i, j) on every edge."""
-    ratio = {
-        (i, j): pspec.prob(j, i) / pspec.prob(i, j) for i, j in plain_label_edges(pspec)
     }
     return label_potentials(pspec.n, ratio)
 
@@ -321,17 +320,9 @@ def construct_plain_measure(pspec: PlainSpec) -> RootMeasure:
     grand = sum(pot.values())
     root_dist = {i: pot[i] / grand for i in range(1, pspec.n + 1)}
 
-    neighbor_dist: Dict[int, Dist] = {}
-    for i in range(1, pspec.n + 1):
-        dist: Dist = {}
-        for d, pd in sorted(pspec.degree_dist[i].items()):
-            for c, q in multinomial_dist(d + 1, pspec.params[i]).items():
-                dist[c] = pd * q
-        neighbor_dist[i] = dist
-
     return RootMeasure(
         n=pspec.n,
         root_dist=root_dist,
-        neighbor_dist=neighbor_dist,
+        neighbor_dist={i: _mixture(pspec, i, 1) for i in range(1, pspec.n + 1)},
         descendants=expand_plain_spec(pspec),
     )

@@ -35,8 +35,10 @@ from .core import (
     RootMeasure,
     SpecError,
     SupportClass,
+    ZERO,
     class_forest,
     decrement,
+    sums_to_one,
     total,
 )
 
@@ -141,14 +143,14 @@ def validate_weights(template: SupportTemplate, weights: Weights) -> None:
     """Weights must be positive exactly on M and sum to 1 within each label."""
     if set(weights) != set(template.classes):
         raise SpecError("weights must be given for exactly the template classes")
-    sums = {i: Fraction(0) for i in range(1, template.n + 1)}
+    by_label: Dict[int, List[Fraction]] = {i: [] for i in range(1, template.n + 1)}
     for cls, w in weights.items():
-        if not isinstance(w, Fraction) or w <= 0 or w > 1:
+        if not isinstance(w, Fraction) or not 0 < w.numerator <= w.denominator:
             raise SpecError(f"weight of {cls} must be a Fraction in (0, 1]")
-        sums[cls.label] += w
-    for i, s in sums.items():
-        if s != 1:
-            raise SpecError(f"weights of label {i} sum to {s}, expected 1")
+        by_label[cls.label].append(w)
+    for i, ws in by_label.items():
+        if not sums_to_one(ws):
+            raise SpecError(f"weights of label {i} sum to {sum(ws, ZERO)}, expected 1")
 
 
 def _forced_laws(template: SupportTemplate, weights: Weights):

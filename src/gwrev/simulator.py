@@ -375,12 +375,6 @@ def estimate_flow(
         )
     roots = _RootDraws(measure)
     law = measure.descendants.offspring_law
-    # a class whose neighbor label has no offspring law cannot be sampled;
-    # the per-trial path raises on the first trial that draws it
-    sampleable = np.array([
-        all(law(u.label, k) for k, ck in enumerate(u.vector, start=1) if ck)
-        for u in roots.classes
-    ])
     degree = np.array([total(u.vector) for u in roots.classes], dtype=np.int64)
     ends = (roots.classes.index(source), roots.classes.index(target))
 
@@ -401,16 +395,12 @@ def estimate_flow(
     bwd = 0
     for trial in _blocks(trials):
         cls = roots(seed, trial)
-        if not sampleable[cls].all():
-            replay = trial
-        else:
-            at = np.isin(cls, ends)
-            trial, cls = trial[at], cls[at]
-            k, again = lemire_step(trial_words(seed, trial, 2 + degree[cls]), degree[cls])
-            replay = trial[again]
-            fwd += crossings(source, target, trial[~again], cls[~again], k[~again])
-            bwd += crossings(target, source, trial[~again], cls[~again], k[~again])
-        for t in replay.tolist():
+        at = np.isin(cls, ends)
+        trial, cls = trial[at], cls[at]
+        k, again = lemire_step(trial_words(seed, trial, 2 + degree[cls]), degree[cls])
+        fwd += crossings(source, target, trial[~again], cls[~again], k[~again])
+        bwd += crossings(target, source, trial[~again], cls[~again], k[~again])
+        for t in trial[again].tolist():
             f, b = _flow_trial(measure, source, target, seed, t)
             fwd += f
             bwd += b

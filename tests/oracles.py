@@ -20,6 +20,7 @@ from gwrev.core import (
     GWSpec,
     InvalidDistributionError,
     PAIR,
+    PLAIN,
     RootMeasure,
     SpecError,
     SupportClass,
@@ -29,7 +30,11 @@ from gwrev.core import (
     total,
 )
 from gwrev.covers import FiniteGraph, GraphTooLargeError
-from gwrev.norelabel import PlainSpec
+from gwrev.norelabel import (
+    DegreeDependentParametersError,
+    NotMultinomialError,
+    PlainSpec,
+)
 from gwrev.parametrizer import SupportTemplate
 
 
@@ -388,6 +393,51 @@ def multinomial_pmf_oracle(c, params) -> Fraction:
     for ck, p in zip(c, params):
         out *= Fraction(p) ** ck / math.factorial(ck)
     return out
+
+
+def pmf_extract_plain_spec(spec: GWSpec) -> PlainSpec:
+    """`norelabel.extract_plain_spec` as first written: every entry checked
+    against its own multinomial probability, built term by term."""
+    if spec.mode != PLAIN:
+        raise SpecError("extract_plain_spec requires a plain-mode spec")
+    for i in range(1, spec.n + 1):
+        if i not in spec.offspring:
+            raise SpecError(f"label {i} has no offspring law")
+
+    degree_dist: Dict[int, Dict[int, Fraction]] = {}
+    params: Dict[int, Tuple[Fraction, ...]] = {}
+    for i in range(1, spec.n + 1):
+        dist = spec.offspring[i]
+        by_degree: Dict[int, dict] = {}
+        for c in sorted(dist):
+            by_degree.setdefault(total(c), {})[c] = dist[c]
+        degree_dist[i] = {d: sum(sub.values()) for d, sub in sorted(by_degree.items())}
+
+        row_of_degree: Dict[int, Tuple[Fraction, ...]] = {}
+        for d in sorted(by_degree):
+            if d == 0:
+                continue  # a single empty vector; multinomial for any row
+            sub = by_degree[d]
+            mass = degree_dist[i][d]
+            row = tuple(
+                sum(p * c[j] for c, p in sub.items()) / (mass * d)
+                for j in range(spec.n)
+            )
+            for c in sorted(sub):
+                if sub[c] != mass * multinomial_pmf_oracle(c, row):
+                    raise NotMultinomialError(i, d, c)
+            row_of_degree[d] = row
+        rows = [row_of_degree[d] for d in sorted(row_of_degree)]
+        if not rows:
+            raise SpecError(
+                f"label {i} only ever has zero children; its parameter row "
+                "is undefined"
+            )
+        for d, other in sorted(row_of_degree.items())[1:]:
+            if other != rows[0]:
+                raise DegreeDependentParametersError(i, sorted(row_of_degree)[0], d)
+        params[i] = rows[0]
+    return PlainSpec(n=spec.n, degree_dist=degree_dist, params=params)
 
 
 # ---------------------------------------------------------------------------

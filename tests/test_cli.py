@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -23,7 +24,7 @@ from .conftest import (
     two_label_template,
     two_label_weights,
 )
-from .oracles import build_balance_graph, cycle_product
+from .oracles import build_balance_graph, cycle_product, random_plain_spec
 
 
 def write(path, obj):
@@ -142,6 +143,27 @@ def test_construct_plain_explicit_form(capsys, tmp_path):
     code, _ = run(capsys, "construct", path, str(out))
     assert code == 0
     assert ff.load_measure(out).root_dist == {1: F(3, 7), 2: F(2, 7), 3: F(2, 7)}
+
+
+def test_plain_direct_and_explicit_forms_agree(capsys, tmp_path):
+    """The factored plain document and its expansion: `construct` writes the
+    same measure file, byte for byte, and `check` prints the same report."""
+    from gwrev.norelabel import expand_plain_spec
+
+    rng = random.Random(61)
+    for _ in range(100):
+        pspec = random_plain_spec(rng, rng.randint(1, 5))
+        forms = (ff.plain_spec_to_obj(pspec), ff.spec_to_obj(expand_plain_spec(pspec)))
+        checks, measures = [], []
+        for name, obj in zip(("direct", "explicit"), forms):
+            path = write(tmp_path / f"{name}.json", obj)
+            checks.append((main(["check", path]), capsys.readouterr().out))
+            out = tmp_path / f"{name}_measure.json"
+            assert main(["construct", path, str(out)]) == 0
+            capsys.readouterr()
+            measures.append(out.read_bytes())
+        assert checks[0] == checks[1] and checks[0][0] == 0
+        assert measures[0] == measures[1]
 
 
 def test_construct_single_type_augmented_law(capsys, tmp_path):

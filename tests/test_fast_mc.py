@@ -16,7 +16,7 @@ import pytest
 
 import gwrev.simulator as simulator
 from gwrev.constructor import construct_measure
-from gwrev.core import SupportClass
+from gwrev.core import GWSpec, PAIR, RootMeasure, SpecError, SupportClass
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
 from gwrev.simulator import (
     _cdf,
@@ -271,16 +271,18 @@ def test_any_split_into_blocks_gives_the_same_estimates(pair_spec, monkeypatch, 
     assert_same_transport(measure, 2, 1, trials, SEED)
 
 
-def test_unsampleable_root_raises_as_the_per_trial_loop_does(pair_spec):
-    """A root class whose neighbor label has no offspring law: the per-trial
-    path fails on the first trial that draws it, and so does this one."""
-    measure = construct_measure(pair_spec)
-    del measure.descendants.offspring[(2, 1)]
-    source, target = SupportClass(1, A), SupportClass(2, A)
-    with pytest.raises(IndexError):
-        oracles.reference_estimate_flow(measure, source, target, 50, SEED)
-    with pytest.raises(IndexError):
-        estimate_flow(measure, source, target, 50, SEED)
+def test_unsampleable_root_is_refused_when_the_measure_is_built():
+    """A root class whose neighbor label has no offspring law could not be
+    sampled; `RootMeasure` refuses it, so no estimate ever meets one."""
+    # laws (1, 1) and (2, 2) only: no law grows a label-2 neighbor of a
+    # label-1 root, or the converse
+    descendants = GWSpec(n=2, mode=PAIR, offspring={
+        (1, 1): {(0, 0): F(1)}, (2, 2): {(0, 0): F(1)},
+    })
+    with pytest.raises(SpecError, match="label-1 roots have label-2 neighbors"):
+        RootMeasure(n=2, root_dist={1: F(1, 2), 2: F(1, 2)},
+                    neighbor_dist={1: {(1, 1): F(1)}, 2: {(1, 1): F(1)}},
+                    descendants=descendants)
 
 
 # ---------------------------------------------------------------------------

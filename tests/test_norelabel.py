@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gwrev.norelabel as norelabel
 from gwrev.checker import label_potentials
 from gwrev.constructor import verify_reversibility
 from gwrev.core import ChecksFailedError, GWSpec, PLAIN, SpecError, degrees
@@ -17,9 +18,7 @@ from gwrev.norelabel import (
     expand_plain_spec,
     extract_plain_spec,
     multinomial_dist,
-    multinomial_pmf,
     plain_cycle_product,
-    plain_label_edges,
     run_plain_checks,
 )
 
@@ -29,6 +28,8 @@ from .oracles import (
     conditional_by_degree,
     is_degree_multinomial,
     multinomial_pmf_oracle,
+    pmf_extract_plain_spec,
+    random_fraction,
     random_plain_spec,
 )
 
@@ -51,6 +52,30 @@ def test_multinomial_dist_respects_zero_parameters():
     dist = multinomial_dist(3, (F(1, 2), F(0), F(1, 2)))
     assert all(c[1] == 0 for c in dist)
     assert sum(dist.values()) == 1
+
+
+def random_row(rng, n):
+    """A parameter row of length n with some zeros, at least one entry
+    positive."""
+    raw = [rng.choice([0, random_fraction(rng)]) for _ in range(n)]
+    raw[rng.randrange(n)] = random_fraction(rng)
+    return tuple(x / sum(raw) for x in raw)
+
+
+def test_multinomial_dist_matches_the_termwise_oracle_on_random_rows():
+    # every term equals the oracle's, the keys are distinct degree-d vectors
+    # on the positive labels, and they sum to 1: so the support is complete
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        row = random_row(rng, n)
+        for degree in range(7):
+            dist = multinomial_dist(degree, row)
+            assert sum(dist.values()) == 1
+            for c, p in dist.items():
+                assert len(c) == n and sum(c) == degree
+                assert all(ck == 0 for ck, q in zip(c, row) if q == 0)
+                assert p == multinomial_pmf_oracle(c, row)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +148,81 @@ def test_extraction_agrees_with_swap_oracle_per_degree():
         assert extract_plain_spec(spec) == pspec
 
 
+def perturbed_law(rng, dist):
+    """The law with one perturbation: mass moved between two entries of a
+    degree (possibly onto a new vector), mass moved between two degrees,
+    one degree redrawn on another row with the same zeros, or nothing."""
+    dist = dict(dist)
+    by_degree = conditional_by_degree(dist)
+    kind = rng.randrange(4)
+    d = rng.choice([e for e in sorted(by_degree) if e > 0])
+    n = len(next(iter(dist)))
+    if kind == 0 and n > 1:
+        donor = rng.choice(sorted(by_degree[d]))
+        c = list(donor)
+        out = rng.choice([k for k, ck in enumerate(c) if ck > 0])
+        c[out] -= 1
+        c[rng.choice([k for k in range(n) if k != out])] += 1
+        receiver = tuple(c)
+        moved = dist[donor] * F(rng.randint(1, 3), 4)
+        dist[donor] -= moved
+        dist[receiver] = dist.get(receiver, 0) + moved
+    elif kind == 1 and len(by_degree) > 1:
+        d2 = rng.choice([e for e in by_degree if e != d])
+        scale = F(rng.randint(1, 3), 4)
+        for c in by_degree[d]:
+            dist[c] *= 1 - scale
+        mass = sum(dist[c] for c in by_degree[d]) * scale / (1 - scale)
+        for c, q in by_degree[d2].items():
+            dist[c] += mass * q
+    elif kind == 2:
+        mass = sum(dist[c] for c in by_degree[d])
+        row = tuple(sum(c[k] for c in by_degree[d]) for k in range(n))
+        row = tuple(F(rng.randint(1, 9)) if x else F(0) for x in row)
+        row = tuple(x / sum(row) for x in row)
+        for c in by_degree[d]:
+            dist[c] = mass * multinomial_pmf_oracle(c, row)
+    return {c: p for c, p in dist.items() if p}
+
+
+def outcome(extract, spec):
+    try:
+        return extract(spec)
+    except (NotMultinomialError, DegreeDependentParametersError,
+            AsymmetricAdjacencyError, SpecError) as err:
+        return type(err), getattr(err, "witness", None), str(err)
+
+
+def test_extraction_matches_the_termwise_oracle_on_perturbed_laws():
+    rng = random.Random(57)
+    seen = {}
+    for _ in range(400):
+        pspec = random_plain_spec(rng, rng.randint(1, 5))
+        offspring = expand_plain_spec(pspec).offspring
+        i = rng.randint(1, pspec.n)
+        spec = GWSpec(n=pspec.n, mode=PLAIN,
+                      offspring={**offspring, i: perturbed_law(rng, offspring[i])})
+        got = outcome(extract_plain_spec, spec)
+        assert got == outcome(pmf_extract_plain_spec, spec)
+        kind = got[0].__name__ if isinstance(got, tuple) else "PlainSpec"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen["PlainSpec"] > 40
+    assert seen["NotMultinomialError"] > 40
+    assert seen["DegreeDependentParametersError"] > 20
+
+
+def test_extraction_checks_the_listed_entries_only(monkeypatch):
+    # five entries of degree 40 on five labels cost five terms, never the
+    # 135,751 of a degree-40 expansion
+    monkeypatch.setattr(norelabel, "multinomial_dist", None)
+    law = {tuple(40 if k == j else 0 for k in range(5)): F(1, 5) for j in range(5)}
+    spec = GWSpec(n=5, mode=PLAIN,
+                  offspring={1: law, **{i: {(0,) * 5: F(1)} for i in range(2, 6)}})
+    with pytest.raises(NotMultinomialError) as err:
+        extract_plain_spec(spec)
+    assert err.value.witness == (1, 40, (0, 0, 0, 0, 40))
+
+
 def test_swap_oracle_rejects_perturbed_conditionals():
     pspec = three_label_plain()
     spec = expand_plain_spec(pspec)
@@ -166,7 +266,8 @@ def test_label_potentials_count_components():
 def test_label_potentials_cycle_replays_on_a_broken_row():
     broken = three_label_plain(p31=F(1, 4), p32=F(3, 4))
     ratio = {(i, j): broken.prob(j, i) / broken.prob(i, j)
-             for i, j in plain_label_edges(broken)}
+             for i in broken.params for j in broken.params
+             if i < j and broken.prob(i, j) > 0}
     pot, cycle, components = label_potentials(broken.n, ratio)
     assert components == 1
     assert cycle[0] == cycle[-1]
