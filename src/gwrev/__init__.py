@@ -81,16 +81,10 @@ from .covers import (
 # names, so the exact pipeline never loads numpy (PEP 562).
 _SIMULATOR_NAMES = frozenset({
     "FlowEstimate",
-    "LabeledTree",
-    "TreeNode",
-    "class_at",
     "estimate_flow",
     "exact_transport",
     "inverse_degree_mass",
     "mass_transport_check",
-    "root_class",
-    "sample_tree",
-    "walk",
 })
 
 

@@ -156,9 +156,14 @@ def cmd_simulate(args) -> int:
 
     if args.trials < 1:
         raise SpecError(f"--trials must be at least 1, got {args.trials}")
+    if args.mtp is not None and (args.source is not None or args.target is not None):
+        raise SpecError("simulate takes --mtp I,J or --from and --to, not both")
     measure = ff.load_measure(args.measure)
     if args.mtp is not None:
-        i, j = (int(x) for x in args.mtp.split(","))
+        try:
+            i, j = (int(x) for x in args.mtp.split(","))
+        except ValueError:
+            raise SpecError(f"--mtp I,J takes two labels, got {args.mtp!r}") from None
         _check_label(measure, i, "--mtp")
         _check_label(measure, j, "--mtp")
         fwd, bwd = simulator.mass_transport_check(measure, i, j, args.trials, args.seed)

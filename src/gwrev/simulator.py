@@ -1,33 +1,37 @@
 """Seeded Monte Carlo validation of constructed measures.
 
-Sampling is reproducible and worker-independent: trial t draws from a fresh
-Philox4x64-10 generator keyed by (seed << 64) | t, so any partition of the
-trial range produces bit-identical results.  Probabilities are exact
-rationals; the sampler compares cumulative sums against one uniform double
-per draw, and all reference values reported next to the estimates are exact.
+Sampling is reproducible and worker-independent: trial t draws from the
+stream of Philox4x64-10 keyed by (seed << 64) | t (see GENERATOR), so any
+partition of the trial range produces bit-identical results.  Probabilities
+are exact rationals, and all reference values reported next to the
+estimates are exact.
 
-`estimate_flow` and `mass_transport_check` compute the very draws of those
-per-trial generators in bulk, BLOCK trials at a time, without building one:
+`estimate_flow` and `mass_transport_check` compute the draws that
+`numpy.random.Generator(Philox(key))` would make for each trial, BLOCK
+trials at a time, without building a generator:
 
 * Words.  Philox is counter-based: word k of trial t is word k % 4 of the
   block at counter k // 4 + 1 under the key words (t, seed).
   `philox_block` evaluates a block for an array of trials in numpy uint64
   arithmetic, the 64 x 64 -> 128-bit products built from 32-bit halves.
-* Draws.  `_draw` takes u = (word >> 11) * 2**-53 and returns the first
-  outcome whose cumulative probability acc exceeds u.  For the integer
-  k = word >> 11, u < acc exactly when k < ceil(acc * 2**53), so a
-  `searchsorted(..., side="right")` over those integer thresholds picks the
-  same outcome, and no float or Fraction is compared.
-* Walk step.  `rng.integers(deg)` is Lemire's method on the low 32 bits of
-  the next word, word 2 + deg of a depth-2 trial (deg == 1 reads no word).
-  A step that Lemire's method rejects draws again from the high half; such
-  a trial, about one in 2**32 / deg, is replayed through `trial_generator`.
+* Draws.  A law is drawn by inverse CDF over its sorted outcomes against
+  the double u = (word >> 11) * 2**-53: the first outcome whose cumulative
+  probability acc exceeds u.  For the integer k = word >> 11, u < acc
+  exactly when k < ceil(acc * 2**53), so a `searchsorted(..., side="right")`
+  over those integer thresholds picks the outcome, and no float or
+  Fraction is compared.
+* Walk step.  `Generator.integers(deg)` is Lemire's method on 32-bit
+  draws: the low half of the next word, word 2 + deg of a depth-2 trial,
+  then its high half, then the halves of the words after it.  Only a step
+  that Lemire's method rejects, about one in 2**32 / deg, reads past the
+  first half.
 * Sums.  Floating-point sums run in trial order (`np.add.accumulate` is
   sequential; the pairwise `ndarray.sum` rounds differently), so every
-  estimate is the float the per-trial loop produces, bit for bit.
+  estimate is the float a trial-by-trial loop produces, bit for bit.
 
-`trial_generator`, `sample_tree` and `walk` remain the per-trial API.
-The exact reference of a flow is `core.exact_flow`, the flow that
+`tests/oracles.py` keeps that loop, one generator per trial with tree
+sampling and walks, as the reference of both estimators.  The exact
+reference of a flow is `core.exact_flow`, the flow that
 `verify_reversibility` balances; it is importable from here as well.
 """
 
@@ -44,49 +48,24 @@ from .core import (
     GwrevError,
     RootMeasure,
     SupportClass,
-    Vector,
     decrement,
     exact_flow,
     total,
 )
 
 GENERATOR = "philox4x64-10 key=(seed<<64)|trial"
+"""Each trial's stream: `numpy.random.Generator(numpy.random.Philox(key))`
+with this key, drawn first by `random()` and then by `integers(deg)`."""
 
 _TWO64 = 1 << 64
-
-
-class TruncationExceededError(GwrevError):
-    """A walk longer than the sampled depth could leave the truncation."""
 
 
 class ClassNotInSupportError(GwrevError):
     """A requested root class carries no mass under the measure."""
 
 
-def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """Fresh generator for one trial; see GENERATOR for the derivation."""
-    if not (0 <= seed < _TWO64):
-        raise ValueError("seed must fit in 64 bits")
-    if not (0 <= trial < _TWO64):
-        raise ValueError("trial index must fit in 64 bits")
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
-
-
-def _draw(rng: np.random.Generator, dist: Dict):
-    """Inverse-CDF draw over sorted outcomes (labels or vectors);
-    Fraction-vs-float comparisons are exact in Python."""
-    u = rng.random()
-    acc = Fraction(0)
-    items = sorted(dist.items())
-    for outcome, p in items:
-        acc += p
-        if u < acc:
-            return outcome
-    return items[-1][0]
-
-
 # ---------------------------------------------------------------------------
-# The same draws in bulk
+# The draws in bulk
 # ---------------------------------------------------------------------------
 
 BLOCK = 4096
@@ -113,7 +92,7 @@ def _mulhilo(m: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def philox_block(seed: int, trials: np.ndarray, counter) -> List[np.ndarray]:
     """The four words of Philox4x64-10 at `counter` (one for all trials or
     one per trial) under the key words (trial, seed) of each trial: words
-    4 * (counter - 1) to 4 * counter - 1 of `trial_generator(seed, trial)`,
+    4 * (counter - 1) to 4 * counter - 1 of the trial's GENERATOR stream,
     whose first block sits at counter 1."""
     if not (0 <= seed < _TWO64):
         raise ValueError("seed must fit in 64 bits")
@@ -137,8 +116,9 @@ def trial_words(seed: int, trials: np.ndarray, index) -> np.ndarray:
 
 
 def _cdf(dist: Dict) -> Tuple[list, np.ndarray]:
-    """`_draw`'s outcomes in order and its integer thresholds
-    ceil(acc * 2**53) of the cumulative sums acc."""
+    """The law's outcomes in sorted order, the order of the inverse-CDF
+    draw, and the integer thresholds ceil(acc * 2**53) of their cumulative
+    sums acc."""
     items = sorted(dist.items())
     acc = Fraction(0)
     thresholds = []
@@ -149,21 +129,30 @@ def _cdf(dist: Dict) -> Tuple[list, np.ndarray]:
 
 
 def _pick(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Index of the outcome `_draw` returns for each word, clamped to the
-    last outcome as `_draw` is."""
+    """Index of the outcome drawn by each word, clamped to the last outcome
+    as the per-trial inverse-CDF draw of `tests/oracles.py` is."""
     k = (words >> _11).astype(np.int64)
     return np.minimum(np.searchsorted(thresholds, k, side="right"), len(thresholds) - 1)
 
 
-def lemire_step(words: np.ndarray, deg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """`Generator.integers(deg)` for 1 <= deg < 2**32 from the low 32 bits
-    of each word: returns (k, again), where `again` marks the words
-    Lemire's method rejects.  A rejected word draws again from its high
-    half, so only the per-trial generator can finish those steps."""
+def lemire_step(seed: int, trials: np.ndarray, index: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """`Generator.integers(deg)` for 1 <= deg < 2**32, drawn by each trial
+    (with its own `index` and `deg`) when its stream is at word `index`:
+    Lemire's method on the low half of that word and, while it rejects,
+    on the high half, then on the halves of the words after it.  Earlier
+    `random()` calls take whole words, so no buffered half precedes them."""
     deg = np.asarray(deg, dtype=np.uint64)
-    m = (words & _MASK32) * deg
-    again = (m & _MASK32) < (np.uint64(1 << 32) - deg) % deg
-    return (m >> _32).astype(np.int64), again
+    index = np.asarray(index, dtype=np.int64)
+    threshold = (np.uint64(1 << 32) - deg) % deg
+    m = (trial_words(seed, trials, index) & _MASK32) * deg
+    again = np.flatnonzero((m & _MASK32) < threshold)
+    draw = 1
+    while len(again):
+        words = trial_words(seed, trials[again], index[again] + draw // 2)
+        m[again] = (words >> _32 if draw % 2 else words & _MASK32) * deg[again]
+        again = again[(m[again] & _MASK32) < threshold[again]]
+        draw += 1
+    return (m >> _32).astype(np.int64)
 
 
 class _RootDraws:
@@ -203,109 +192,6 @@ def _add_in_order(acc: float, values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Trees
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeNode:
-    label: int
-    children: Tuple["TreeNode", ...]
-
-
-@dataclass(frozen=True)
-class LabeledTree:
-    """A rooted labeled tree truncated at `depth` levels below the root."""
-
-    root: TreeNode
-    depth: int
-    n: int
-
-    def node_at(self, path: Tuple[int, ...]) -> TreeNode:
-        node = self.root
-        for k in path:
-            node = node.children[k]
-        return node
-
-
-def _label_counts(children: Tuple[TreeNode, ...], n: int) -> Vector:
-    counts = [0] * n
-    for child in children:
-        counts[child.label - 1] += 1
-    return tuple(counts)
-
-
-def root_class(tree: LabeledTree) -> SupportClass:
-    return SupportClass(tree.root.label, _label_counts(tree.root.children, tree.n))
-
-
-def class_at(tree: LabeledTree, path: Tuple[int, ...]) -> SupportClass:
-    """Root class of the tree re-rooted at `path` (its label together with
-    all its neighbor labels, parent included)."""
-    if len(path) >= tree.depth and path:
-        raise TruncationExceededError(
-            f"children of a depth-{len(path)} vertex were never sampled"
-        )
-    if not path:
-        return root_class(tree)
-    node = tree.node_at(path)
-    parent = tree.node_at(path[:-1])
-    counts = list(_label_counts(node.children, tree.n))
-    counts[parent.label - 1] += 1
-    return SupportClass(node.label, tuple(counts))
-
-
-def _sample_subtree(measure, parent_label, label, remaining, rng) -> TreeNode:
-    if remaining == 0:
-        return TreeNode(label=label, children=())
-    law = measure.descendants.offspring_law(parent_label, label)
-    vec = _draw(rng, law)
-    children = tuple(
-        _sample_subtree(measure, label, j, remaining - 1, rng)
-        for j, cj in enumerate(vec, start=1)
-        for _ in range(cj)
-    )
-    return TreeNode(label=label, children=children)
-
-
-def _sample(measure: RootMeasure, depth: int, rng) -> LabeledTree:
-    label = _draw(rng, measure.root_dist)
-    vec = _draw(rng, measure.neighbor_dist[label])
-    children = tuple(
-        _sample_subtree(measure, label, j, depth - 1, rng)
-        for j, cj in enumerate(vec, start=1)
-        for _ in range(cj)
-    )
-    return LabeledTree(root=TreeNode(label=label, children=children), depth=depth, n=measure.n)
-
-
-def sample_tree(measure: RootMeasure, depth: int, seed: int, trial: int = 0) -> LabeledTree:
-    """Draw one rooted tree: root label, neighbor vector, then independent
-    descendant subtrees down to `depth` levels."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return _sample(measure, depth, trial_generator(seed, trial))
-
-
-def walk(tree: LabeledTree, steps: int, seed: int, trial: int = 0) -> List[Tuple[int, ...]]:
-    """Simple random walk started at the root; returns the visited vertices
-    as child-index paths, root first."""
-    if steps > tree.depth:
-        raise TruncationExceededError(
-            f"{steps} steps may exit a depth-{tree.depth} truncation"
-        )
-    rng = trial_generator(seed, trial)
-    path: Tuple[int, ...] = ()
-    out = [path]
-    for _ in range(steps):
-        node = tree.node_at(path)
-        options = [path[:-1]] if path else []
-        options += [path + (k,) for k in range(len(node.children))]
-        path = options[int(rng.integers(len(options)))]
-        out.append(path)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Estimates
 # ---------------------------------------------------------------------------
 
@@ -334,21 +220,15 @@ def _estimate(values_sum: float, squares_sum: float, trials: int) -> Tuple[float
     return mean, math.sqrt(var / trials)
 
 
+def _require_trials(trials: int) -> None:
+    if not 1 <= trials <= _TWO64:
+        raise ValueError(f"trials must be in [1, 2**64], so that trial indices "
+                         f"fit in 64 bits; got {trials}")
+
+
 def _require_class(measure: RootMeasure, cls: SupportClass) -> None:
     if measure.neighbor_dist.get(cls.label, {}).get(cls.vector) is None:
         raise ClassNotInSupportError(f"class {cls} carries no mass")
-
-
-def _flow_trial(measure, source, target, seed: int, trial: int) -> Tuple[int, int]:
-    """One trial of `estimate_flow` through its own generator: does its step
-    cross source -> target, and target -> source?"""
-    rng = trial_generator(seed, trial)
-    tree = _sample(measure, 2, rng)
-    start = root_class(tree)
-    if start != source and start != target:
-        return 0, 0
-    end = class_at(tree, (int(rng.integers(total(start.vector))),))
-    return int(start == source and end == target), int(start == target and end == source)
 
 
 def estimate_flow(
@@ -365,6 +245,7 @@ def estimate_flow(
     and records whether the walk crossed source -> target (and target ->
     source).
     """
+    _require_trials(trials)
     _require_class(measure, source)
     _require_class(measure, target)
     i, c = source
@@ -397,13 +278,9 @@ def estimate_flow(
         cls = roots(seed, trial)
         at = np.isin(cls, ends)
         trial, cls = trial[at], cls[at]
-        k, again = lemire_step(trial_words(seed, trial, 2 + degree[cls]), degree[cls])
-        fwd += crossings(source, target, trial[~again], cls[~again], k[~again])
-        bwd += crossings(target, source, trial[~again], cls[~again], k[~again])
-        for t in trial[again].tolist():
-            f, b = _flow_trial(measure, source, target, seed, t)
-            fwd += f
-            bwd += b
+        k = lemire_step(seed, trial, 2 + degree[cls], degree[cls])
+        fwd += crossings(source, target, trial, cls, k)
+        bwd += crossings(target, source, trial, cls, k)
     mean_f, se_f = _estimate(float(fwd), float(fwd), trials)
     mean_b, se_b = _estimate(float(bwd), float(bwd), trials)
     return (
@@ -442,6 +319,7 @@ def mass_transport_check(
     1/deg; the exact normalizer makes the references exact.  For a
     reversible measure the two references coincide.
     """
+    _require_trials(trials)
     z = inverse_degree_mass(measure)
     z_f = float(z)
     roots = _RootDraws(measure)

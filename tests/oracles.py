@@ -15,15 +15,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from gwrev.checker import MissingOffspringTermError, _cycle_through
 from gwrev.core import (
     GWSpec,
+    GwrevError,
     InvalidDistributionError,
     PAIR,
     PLAIN,
     RootMeasure,
     SpecError,
     SupportClass,
+    Vector,
     bfs_forest,
     candidate_support,
     decrement,
@@ -760,23 +764,151 @@ def random_template(rng: random.Random, n: int, max_classes: int = 6) -> Support
 
 
 # ---------------------------------------------------------------------------
+# The per-trial sampler: one generator per trial, trees and walks
+# ---------------------------------------------------------------------------
+
+_TWO64 = 1 << 64
+
+
+class TruncationExceededError(GwrevError):
+    """A walk longer than the sampled depth could leave the truncation."""
+
+
+def trial_generator(seed: int, trial: int) -> np.random.Generator:
+    """Fresh generator for one trial; see `simulator.GENERATOR` for the
+    derivation."""
+    if not (0 <= seed < _TWO64):
+        raise ValueError("seed must fit in 64 bits")
+    if not (0 <= trial < _TWO64):
+        raise ValueError("trial index must fit in 64 bits")
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
+
+
+def _draw(rng: np.random.Generator, dist: Dict):
+    """Inverse-CDF draw over sorted outcomes (labels or vectors);
+    Fraction-vs-float comparisons are exact in Python."""
+    u = rng.random()
+    acc = Fraction(0)
+    items = sorted(dist.items())
+    for outcome, p in items:
+        acc += p
+        if u < acc:
+            return outcome
+    return items[-1][0]
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    label: int
+    children: Tuple["TreeNode", ...]
+
+
+@dataclass(frozen=True)
+class LabeledTree:
+    """A rooted labeled tree truncated at `depth` levels below the root."""
+
+    root: TreeNode
+    depth: int
+    n: int
+
+    def node_at(self, path: Tuple[int, ...]) -> TreeNode:
+        node = self.root
+        for k in path:
+            node = node.children[k]
+        return node
+
+
+def _label_counts(children: Tuple[TreeNode, ...], n: int) -> Vector:
+    counts = [0] * n
+    for child in children:
+        counts[child.label - 1] += 1
+    return tuple(counts)
+
+
+def root_class(tree: LabeledTree) -> SupportClass:
+    return SupportClass(tree.root.label, _label_counts(tree.root.children, tree.n))
+
+
+def class_at(tree: LabeledTree, path: Tuple[int, ...]) -> SupportClass:
+    """Root class of the tree re-rooted at `path` (its label together with
+    all its neighbor labels, parent included)."""
+    if len(path) >= tree.depth and path:
+        raise TruncationExceededError(
+            f"children of a depth-{len(path)} vertex were never sampled"
+        )
+    if not path:
+        return root_class(tree)
+    node = tree.node_at(path)
+    parent = tree.node_at(path[:-1])
+    counts = list(_label_counts(node.children, tree.n))
+    counts[parent.label - 1] += 1
+    return SupportClass(node.label, tuple(counts))
+
+
+def _sample_subtree(measure, parent_label, label, remaining, rng) -> TreeNode:
+    if remaining == 0:
+        return TreeNode(label=label, children=())
+    law = measure.descendants.offspring_law(parent_label, label)
+    vec = _draw(rng, law)
+    children = tuple(
+        _sample_subtree(measure, label, j, remaining - 1, rng)
+        for j, cj in enumerate(vec, start=1)
+        for _ in range(cj)
+    )
+    return TreeNode(label=label, children=children)
+
+
+def _sample(measure: RootMeasure, depth: int, rng) -> LabeledTree:
+    label = _draw(rng, measure.root_dist)
+    vec = _draw(rng, measure.neighbor_dist[label])
+    children = tuple(
+        _sample_subtree(measure, label, j, depth - 1, rng)
+        for j, cj in enumerate(vec, start=1)
+        for _ in range(cj)
+    )
+    return LabeledTree(root=TreeNode(label=label, children=children), depth=depth, n=measure.n)
+
+
+def sample_tree(measure: RootMeasure, depth: int, seed: int, trial: int = 0) -> LabeledTree:
+    """Draw one rooted tree: root label, neighbor vector, then independent
+    descendant subtrees down to `depth` levels."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return _sample(measure, depth, trial_generator(seed, trial))
+
+
+def walk(tree: LabeledTree, steps: int, seed: int, trial: int = 0) -> List[Tuple[int, ...]]:
+    """Simple random walk started at the root; returns the visited vertices
+    as child-index paths, root first."""
+    if steps > tree.depth:
+        raise TruncationExceededError(
+            f"{steps} steps may exit a depth-{tree.depth} truncation"
+        )
+    rng = trial_generator(seed, trial)
+    path: Tuple[int, ...] = ()
+    out = [path]
+    for _ in range(steps):
+        node = tree.node_at(path)
+        options = [path[:-1]] if path else []
+        options += [path + (k,) for k in range(len(node.children))]
+        path = options[int(rng.integers(len(options)))]
+        out.append(path)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo through one generator per trial
 # ---------------------------------------------------------------------------
 
 def reference_estimate_flow(measure: RootMeasure, source, target, trials: int, seed: int):
     """`simulator.estimate_flow` as a loop over per-trial generators: the
     body it had before the counter-based bulk path."""
-    from gwrev.core import total
     from gwrev.simulator import (
         ClassNotInSupportError,
         FlowEstimate,
         _estimate,
         _require_class,
-        _sample,
-        class_at,
         exact_flow,
-        root_class,
-        trial_generator,
     )
 
     _require_class(measure, source)
@@ -812,14 +944,11 @@ def reference_estimate_flow(measure: RootMeasure, source, target, trials: int, s
 def reference_mass_transport_check(measure: RootMeasure, i: int, j: int, trials: int, seed: int):
     """`simulator.mass_transport_check` as a loop over per-trial generators:
     the body it had before the counter-based bulk path."""
-    from gwrev.core import total
     from gwrev.simulator import (
         FlowEstimate,
-        _draw,
         _estimate,
         exact_transport,
         inverse_degree_mass,
-        trial_generator,
     )
 
     z = inverse_degree_mass(measure)

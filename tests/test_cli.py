@@ -264,6 +264,46 @@ def test_simulate_requires_flags(capsys, tmp_path, spec_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("pair", [["--from", "1:(1,1)", "--to", "2:(1,1)"],
+                                  ["--from", "1:(1,1)"], ["--to", "2:(1,1)"]])
+def test_simulate_mtp_and_class_pair_exclude_each_other(capsys, tmp_path, spec_path, pair):
+    out = tmp_path / "measure.json"
+    run(capsys, "construct", spec_path, str(out))
+    code = main(["simulate", str(out), "--trials", "10", "--seed", "1", "--mtp", "1,2", *pair])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--mtp I,J or --from and --to, not both" in captured.err
+
+
+@pytest.mark.parametrize("mtp", ["1", "1,2,3", "1,b", ""])
+def test_simulate_mtp_needs_two_labels(capsys, tmp_path, spec_path, mtp):
+    out = tmp_path / "measure.json"
+    run(capsys, "construct", spec_path, str(out))
+    code = main(["simulate", str(out), "--trials", "10", "--seed", "1", "--mtp", mtp])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--mtp I,J takes two labels, got {mtp!r}" in captured.err
+
+
+@pytest.mark.parametrize("selector", [["--mtp", "1,2"],
+                                      ["--from", "1:(1,1)", "--to", "2:(1,1)"]])
+@pytest.mark.parametrize("trials", [2**64 + 1, 2**70])
+def test_simulate_trial_indices_must_fit_in_64_bits(capsys, tmp_path, spec_path, monkeypatch,
+                                                    selector, trials):
+    import gwrev.simulator
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a trial")
+
+    out = tmp_path / "measure.json"
+    run(capsys, "construct", spec_path, str(out))
+    monkeypatch.setattr(gwrev.simulator, "_RootDraws", no_draws)
+    code = main(["simulate", str(out), "--trials", str(trials), "--seed", "1", *selector])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "trials must be in [1, 2**64]" in captured.err
+
+
 def test_verify_detects_tampering(capsys, tmp_path, spec_path):
     out = tmp_path / "measure.json"
     run(capsys, "construct", spec_path, str(out))
@@ -520,6 +560,8 @@ def test_exact_commands_never_load_numpy(tmp_path):
 
 
 def test_simulate_builds_no_generator_per_trial(capsys, tmp_path, spec_path, monkeypatch):
+    import numpy as np
+
     import gwrev.simulator
 
     from .oracles import reference_estimate_flow, reference_mass_transport_check
@@ -541,7 +583,7 @@ def test_simulate_builds_no_generator_per_trial(capsys, tmp_path, spec_path, mon
     def forbidden(*args, **kwargs):
         raise AssertionError("simulate built a generator for a trial")
 
-    monkeypatch.setattr(gwrev.simulator, "trial_generator", forbidden)
+    monkeypatch.setattr(np.random, "Philox", forbidden)
     for argv, stdout in zip((flow, mtp), expected):
         assert main(argv) == 0
         assert capsys.readouterr().out == stdout

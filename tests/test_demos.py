@@ -1,8 +1,4 @@
-"""Run the desk-scale demos end to end; they import the public API by name.
-
-`05_monte_carlo.py` is left out: it takes seconds, and `test_simulator`
-covers its API.
-"""
+"""Run the desk-scale demos end to end; they import the public API by name."""
 
 import contextlib
 import io
@@ -19,6 +15,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "02_parametrized_family.py",
     "03_plain_regime.py",
     "04_graph_lifts.py",
+    "05_monte_carlo.py",
 ])
 def test_demo_runs(name):
     out = io.StringIO()

@@ -3,8 +3,9 @@
 `estimate_flow` and `mass_transport_check` compute every trial's draws in
 bulk; the per-trial generator loops they replaced live on in
 `tests/oracles.py` (`reference_estimate_flow`,
-`reference_mass_transport_check`) and must give the same `FlowEstimate`s,
-float for float, on the random corpora the oracles generate.
+`reference_mass_transport_check`, which build one `trial_generator` per
+trial) and must give the same `FlowEstimate`s, float for float, on the
+random corpora the oracles generate.
 """
 
 import random
@@ -20,17 +21,16 @@ from gwrev.core import GWSpec, PAIR, RootMeasure, SpecError, SupportClass
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
 from gwrev.simulator import (
     _cdf,
-    _draw,
     _pick,
     estimate_flow,
     lemire_step,
     mass_transport_check,
-    trial_generator,
     trial_words,
 )
 
 from . import oracles
 from .conftest import A, B, two_label_spec
+from .oracles import _draw, trial_generator
 
 SEED = 90210
 TOP = 2**64 - 1
@@ -84,6 +84,25 @@ def test_seed_outside_64_bits_is_rejected_as_before(pair_spec):
             estimate_flow(measure, SupportClass(1, A), SupportClass(2, A), 3, seed)
 
 
+@pytest.mark.parametrize("trials", [0, 2**64 + 1, 2**70])
+def test_trials_outside_the_64_bit_index_range_are_rejected_first(pair_spec, trials):
+    measure = construct_measure(pair_spec)
+    off_support = SupportClass(1, (9, 9))  # checked only after the trial count
+    with pytest.raises(ValueError, match=r"trials must be in \[1, 2\*\*64\]"):
+        estimate_flow(measure, off_support, SupportClass(2, A), trials, SEED)
+    with pytest.raises(ValueError, match=r"trials must be in \[1, 2\*\*64\]"):
+        mass_transport_check(measure, 1, 2, trials, SEED)
+
+
+def test_the_package_has_one_sampler():
+    """The per-trial sampler lives in tests/oracles.py only."""
+    import gwrev
+
+    for name in ("trial_generator", "sample_tree", "walk", "class_at", "root_class",
+                 "TreeNode", "LabeledTree", "TruncationExceededError", "_draw", "_sample"):
+        assert not hasattr(gwrev, name) and not hasattr(simulator, name), name
+
+
 class FixedDouble:
     """Stands in for a generator whose next `random()` is k * 2**-53."""
 
@@ -115,77 +134,87 @@ def test_threshold_draw_matches_the_cumulative_walk_at_every_boundary(dist):
 
 
 # ---------------------------------------------------------------------------
-# Walk step: Lemire's method and its rejection branch
+# Walk step: Lemire's method and its rejections
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_lemire_transcription_matches_generator_integers(m):
+    trials = np.arange(300, dtype=np.uint64)
+    got = lemire_step(SEED, trials, np.zeros(300, dtype=np.int64), np.full(300, m))
     for t in range(300):
         expected = int(trial_generator(SEED, t).integers(m))
         words = np.random.Philox(key=(SEED << 64) | t).random_raw(4).tolist()
         assert oracles.bounded_integer(iter(words), m) == expected
-        k, again = lemire_step(np.array(words[:1], dtype=np.uint64), np.array([m]))
-        assert not again[0] and k[0] == expected
+        assert got[t] == expected
 
 
-def rejects(low32: int, m: int) -> bool:
-    """Does the oracle draw a second 32-bit value after `low32`?"""
-    draws = iter([low32, 0x12345679])  # the second one is always accepted
-    used = []
+def oracle_step(words, m: int):
+    """`Generator.integers(m)` on the 64-bit `words` by the oracle, and the
+    number of 32-bit values it drew."""
+    halves = oracles.uint32_halves(words)
+    drawn = []
 
     def next_uint32():
-        used.append(None)
-        return next(draws)
+        drawn.append(next(halves))
+        return drawn[-1]
 
-    oracles.buffered_bounded_lemire_uint32(next_uint32, m - 1)
-    return len(used) > 1
+    k = 0 if m == 1 else oracles.buffered_bounded_lemire_uint32(next_uint32, m - 1)
+    return k, len(drawn)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
-def test_crafted_rejections_go_to_the_replay(m):
+def test_crafted_rejections_go_to_the_replay(m, monkeypatch):
+    """Low halves at the rejection boundary, which a real stream almost
+    never shows for a small bound: a rejected step draws again from the
+    word's high half, then from the halves of the next word."""
     rng = random.Random(m)
-    # x_k = ceil(k 2**32 / m) are the low halves whose product leaves a
-    # remainder below m, the only candidates for rejection
-    low = [-(-k * 2**32 // m) % 2**32 for k in range(m)]
-    low += [rng.randrange(2**32) for _ in range(50)]
-    words = np.array([x | rng.randrange(2**32) << 32 for x in low], dtype=np.uint64)
-    k, again = lemire_step(words, np.full(len(words), m))
-    expected = [rejects(x, m) for x in low]
-    assert again.tolist() == expected
+    # x_k = ceil(k 2**32 / m) are the 32-bit values whose product leaves a
+    # remainder below m, the only candidates for rejection; the first three
+    # draws of a stream run over every triple of them
+    edge = [-(-k * 2**32 // m) % 2**32 for k in range(m)]
+    streams = [[x | y << 32, z | rng.randrange(2**32) << 32, rng.randrange(2**64)]
+               for x in edge for y in edge for z in edge]
+    streams += [[rng.randrange(2**64) for _ in range(3)] for _ in range(50)]
+    monkeypatch.setattr(simulator, "trial_words", lambda seed, trials, index: np.array(
+        [streams[t][k] for t, k in zip(trials.tolist(), np.broadcast_to(index, trials.shape))],
+        dtype=np.uint64))
+    trials = np.arange(len(streams), dtype=np.uint64)
+    got = lemire_step(SEED, trials, np.zeros(len(streams), dtype=np.int64),
+                      np.full(len(streams), m)).tolist()
+    expected = [oracle_step(words, m) for words in streams]
+    assert got == [k for k, _ in expected]
+    drawn = {d for _, d in expected}
     if m in (3, 5, 6, 7, 9):
-        assert any(expected)  # (2**32 - m) % m > 0: x = 0 rejects
-    for x, got, flagged in zip(low, k.tolist(), again.tolist()):
-        if not flagged:
-            assert got == (x * m) >> 32
+        # (2**32 - m) % m > 0: x = 0 rejects, once, twice or three times
+        assert {1, 2, 3, 4} <= drawn
+    else:
+        assert drawn == {0} if m == 1 else drawn == {1}
 
 
-def test_rejected_steps_are_replayed_per_trial(pair_spec, monkeypatch):
-    """Force the rejection flag on every step word with bit 0 set: those
-    trials, and only those, go through `trial_generator`, and the estimate
-    still matches the per-trial loop."""
-    measure = construct_measure(pair_spec)
-    source, target = SupportClass(1, A), SupportClass(2, A)
-    expected = oracles.reference_estimate_flow(measure, source, target, 3000, SEED)
+BIG = [2**31 + 1, 2**31 + 12345, 3 * 2**30 + 7]
 
-    forced = []
 
-    def flaky(words, deg):
-        k, again = lemire_step(words, deg)
-        odd = (words & np.uint64(1)) == 1
-        forced.append(int(np.count_nonzero(odd & ~again)))
-        return k, again | odd
-
-    replayed = []
-
-    def counting(seed, trial):
-        replayed.append(trial)
-        return trial_generator(seed, trial)
-
-    monkeypatch.setattr(simulator, "lemire_step", flaky)
-    monkeypatch.setattr(simulator, "trial_generator", counting)
-    assert estimate_flow(measure, source, target, 3000, SEED) == expected
-    assert sum(forced) > 100 and len(replayed) == sum(forced)
-    assert replayed == sorted(set(replayed))
+def test_step_matches_generator_integers_through_real_rejections():
+    """After `w` calls to `random()`, a fresh generator's `integers(deg)`
+    reads the halves of word w onwards; bounds just above 2**31 reject
+    about half the draws, so real streams reject once, twice and more."""
+    keys = 2000
+    trials = np.arange(keys, dtype=np.uint64)
+    rejections = {}
+    for w in (0, 3):
+        for deg in [*range(1, 10), *BIG]:
+            got = lemire_step(SEED, trials, np.full(keys, w), np.full(keys, deg)).tolist()
+            for t in range(keys):
+                rng = trial_generator(SEED, t)
+                for _ in range(w):
+                    rng.random()
+                assert got[t] == int(rng.integers(deg)), (w, deg, t)
+                if deg > 1:
+                    words = np.random.Philox(key=(SEED << 64) | t).random_raw(w + 32)
+                    k, drawn = oracle_step(words[w:].tolist(), deg)
+                    assert k == got[t]
+                    rejections[min(drawn - 1, 3)] = rejections.get(min(drawn - 1, 3), 0) + 1
+    assert all(rejections.get(r, 0) > 0 for r in (1, 2, 3)), rejections
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,23 @@ from gwrev.core import RootMeasure, SupportClass
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
 from gwrev.simulator import (
     ClassNotInSupportError,
-    TruncationExceededError,
-    class_at,
     estimate_flow,
     exact_flow,
     exact_transport,
     inverse_degree_mass,
     mass_transport_check,
+)
+
+from .conftest import A, D
+from .oracles import (
+    TruncationExceededError,
+    _sample,
+    class_at,
     root_class,
     sample_tree,
     trial_generator,
     walk,
 )
-
-from .conftest import A, D
 
 SEED = 90210
 
@@ -38,7 +41,7 @@ def triangle_measure():
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Sampling, by the per-trial oracle of tests/oracles.py
 # ---------------------------------------------------------------------------
 
 def test_sampling_is_deterministic(measure):
@@ -100,7 +103,7 @@ def test_sampled_vectors_live_in_declared_support(measure):
 
 
 # ---------------------------------------------------------------------------
-# Walks
+# Walks, by the per-trial oracle
 # ---------------------------------------------------------------------------
 
 def test_walk_zero_steps(measure):
@@ -170,8 +173,6 @@ def test_flow_estimates_are_deterministic(measure):
 def test_flow_estimate_matches_trialwise_replay(measure):
     # recompute the forward indicator trial by trial, in reverse order,
     # using only the per-trial generator contract
-    from gwrev.simulator import _sample
-
     source, target = SupportClass(1, A), SupportClass(2, A)
     trials = 2000
     fwd, _ = estimate_flow(measure, source, target, trials, SEED)
