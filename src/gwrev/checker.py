@@ -18,15 +18,18 @@ and on that edge the exact ratio that detailed balance forces between the
 two classes' unnormalized weights.  That ratio factors per label pair:
 
     ratio((i, c), (j, d)) = h((i, c), j) / h((j, d), i),
-    h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j    (`core.balance_factor`),
+    h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j,
 
 so the edges between labels i and j form a complete bipartite block
 S(i, j) x S(j, i) of the sides of `core.class_sides` (a clique when
-i = j) that is consistent exactly when pot / h is constant on it.
-`solve_potentials` walks these blocks with `core.class_forest` and never
-materializes the graph: with N classes and n labels it does O(N * n) exact
-operations plus the sort.  The graph itself, built edge by edge in O(N^2),
-is kept only as the test suite's reference.
+i = j) that is consistent exactly when the balance key pot / h
+(`core.balance_key`) is constant on it.  `solve_potentials` walks these
+blocks with `core.class_forest` and never materializes the graph: with N
+classes and n labels it does O(N * n) exact operations plus the sort.  The
+keys are unreduced integer pairs compared by cross-multiplication
+(`core.same_key`), with no gcd; only the potentials, which `construct`
+writes, are Fractions.  The graph itself, built edge by edge in O(N^2), and
+the same walk in Fractions are kept only as the test suite's references.
 """
 
 from __future__ import annotations
@@ -43,17 +46,18 @@ from .core import (
     PairKey,
     SupportClass,
     Vector,
-    balance_factor,
+    balance_key,
     bfs_forest,
     class_forest,
     decrement,
     increment,
+    same_key,
 )
 
 
 class MissingOffspringTermError(GwrevError):
-    """A candidate class has a zero balance factor: the offspring probability
-    that `core.balance_factor` reads for one of its neighbor labels is absent.
+    """A candidate class has no balance key: the offspring probability that
+    `core.balance_key` reads for one of its neighbor labels is absent.
 
     Cannot happen once condition i has been verified."""
 
@@ -188,7 +192,8 @@ def solve_potentials(
     * the violating cycle runs through the first inconsistent edge (u, v) in
       sorted order.  With g = pot / h on each side, the edge (u, v) between
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
-      of each label pair is read off the two sides in linear time.
+      of each label pair is read off the two sides in linear time.  g is the
+      integer pair of `core.balance_key`, compared by cross-multiplication.
 
     Requires condition i (MissingOffspringTermError otherwise).
     """
@@ -200,20 +205,19 @@ def solve_potentials(
     })
     side, order, parent = class_forest(nodes)
 
-    @cache
-    def h(u: SupportClass, j: int) -> Fraction:
-        f = balance_factor(spec, u, j)
-        if f == 0:
+    def key(u: SupportClass, j: int, weight: Fraction) -> Tuple[int, int]:
+        k = balance_key(spec, u, j, weight)
+        if k is None:
             raise MissingOffspringTermError(
                 f"class {u} needs an unstored offspring probability for parent {j}"
             )
-        return f
+        return k
 
     @cache
-    def g(u: SupportClass, j: int) -> Fraction:
-        # (u, v) across sides S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i);
-        # called only once pot[u] is set
-        return pot[u] / h(u, j)
+    def g(u: SupportClass, j: int) -> Tuple[int, int]:
+        # g(u, j) = pot(u) / h(u, j); (u, v) across sides S(i, j), S(j, i) is
+        # consistent iff g(u, j) == g(v, i); called only once pot[u] is set
+        return key(u, j, pot[u])
 
     pot: Dict[SupportClass, Fraction] = {}
     components = 0
@@ -223,8 +227,11 @@ def solve_potentials(
             components += 1
             pot[v] = ONE
         else:
-            # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i), u = (i, c), v = (j, d)
-            pot[v] = g(u, v.label) * h(v, u.label)
+            # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i), u = (i, c), v = (j, d),
+            # so pot(v) = g(u, j) * h(v, i), with 1 / h(v, i) the key of weight 1
+            num, den = g(u, v.label)
+            inv_num, inv_den = key(v, u.label, ONE)
+            pot[v] = Fraction(num * inv_den, den * inv_num)
 
     first = None
     for (i, j), a_side in side.items():
@@ -234,17 +241,19 @@ def solve_potentials(
             if len(a_side) < 2:
                 continue
             g0 = g(a_side[0], i)
-            edge = next(((a_side[0], q) for q in a_side[1:] if g(q, i) != g0), None)
+            edge = next(((a_side[0], q) for q in a_side[1:] if not same_key(g(q, i), g0)),
+                        None)
         else:
             b_side = side.get((j, i))
             if not b_side:
                 continue
             gb = [g(v, i) for v in b_side]
-            if any(x != gb[0] for x in gb):
+            if not all(same_key(x, gb[0]) for x in gb):
                 g0 = g(a_side[0], j)
-                edge = next((a_side[0], v) for v, x in zip(b_side, gb) if x != g0)
+                edge = next((a_side[0], v) for v, x in zip(b_side, gb) if not same_key(x, g0))
             else:
-                edge = next(((u, b_side[0]) for u in a_side if g(u, j) != gb[0]), None)
+                edge = next(((u, b_side[0]) for u in a_side if not same_key(g(u, j), gb[0])),
+                            None)
         if edge is not None and (first is None or edge < first):
             first = edge
     cycle = None if first is None else _cycle_through(parent, *first)

@@ -19,10 +19,11 @@ from .core import (
     PAIR,
     RootMeasure,
     SupportClass,
-    balance_factor,
+    balance_key,
     class_sides,
     decrement,
     exact_flow,
+    same_key,
 )
 
 Violation = Tuple[SupportClass, SupportClass, Fraction, Fraction]
@@ -80,10 +81,27 @@ def _assert_support_consistency(measure: RootMeasure) -> None:
                 )
 
 
-def _balance_key(measure: RootMeasure, u: SupportClass, j: int) -> Optional[Fraction]:
-    """k(u, j) = w(u) / h(u, j), h the balance factor, or None when h is zero."""
-    f = balance_factor(measure.descendants, u, j)
-    return None if f == 0 else measure.class_prob(u) / f
+# the value of a side whose members' balance keys differ
+_MIXED = object()
+
+
+def _side_key(measure: RootMeasure, members: List[SupportClass], j: int):
+    """The one balance key of side S(i, j) as a Fraction, None when every
+    member's offspring term is zero, or _MIXED when the members' keys differ.
+
+    The members' keys, of their neighbor weights, are compared with the
+    first one by cross-multiplication; only the side's value, times the root
+    weight of label i, is formed as a Fraction."""
+    spec = measure.descendants
+    dist = measure.neighbor_dist[members[0].label]
+    k0 = balance_key(spec, members[0], j, dist[members[0].vector])
+    for u in members[1:]:
+        if not same_key(balance_key(spec, u, j, dist[u.vector]), k0):
+            return _MIXED
+    if k0 is None:
+        return None
+    root = measure.root_dist[members[0].label]
+    return Fraction(root.numerator * k0[0], root.denominator * k0[1])
 
 
 def verify_reversibility(measure: RootMeasure) -> List[Violation]:
@@ -98,26 +116,25 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     reversible.
 
     Dividing both flows by the two offspring terms, the pair balances iff
-    k(u, j) == k(v, i) with k(u, j) = w(u) / h(u, j), h the
-    `balance_factor`, a zero term being a value of its own (both zero:
+    k(u, j) == k(v, i) for the `core.balance_key` k(u, j) = w(u) / h(u, j),
+    h the balance factor, a zero term being a value of its own (both zero:
     0 == 0).  The admissible pairs of labels i and j are all pairs across
     the two sides S(i, j) and S(j, i) of `class_sides` (label-i classes with
     c_j > 0, label-j classes with d_i > 0), so the measure is reversible iff
     k takes one value on each label pair: O(N * n) work for N classes and n
-    labels.  Violations can only lie in a block whose keys disagree, and
-    only those blocks are listed pair by pair.
+    labels.  Within a side the keys are integer pairs compared by
+    cross-multiplication, with no gcd; one Fraction per side compares
+    S(i, j) with S(j, i).  Violations can only lie in a block whose keys
+    disagree, and only those blocks are listed pair by pair, with their
+    flows as Fractions.
     """
     side = class_sides(measure.support_classes())
-    keys = {
-        (i, j): [_balance_key(measure, u, j) for u in members]
-        for (i, j), members in side.items()
-    }
     violations: List[Violation] = []
     for (i, j), members in side.items():
         if i > j or (j, i) not in side:
             continue
-        values = keys[(i, j)] if i == j else keys[(i, j)] + keys[(j, i)]
-        if all(k == values[0] for k in values):
+        key = _side_key(measure, members, j)
+        if key is not _MIXED and (i == j or key == _side_key(measure, side[(j, i)], i)):
             continue
         for u in members:
             for v in side[(j, i)]:

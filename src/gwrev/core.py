@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
-    Callable, Collection, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union,
+    Callable, Collection, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 Rat = Fraction
@@ -362,8 +363,11 @@ class RootMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Detailed balance: the one flow and the one balance factor
+# Detailed balance: the one flow and the one balance key
 # ---------------------------------------------------------------------------
+
+BalanceKey = Optional[Tuple[int, int]]
+
 
 def exact_flow(measure: RootMeasure, source: SupportClass, target: SupportClass) -> Fraction:
     """Exact one-step flow from class `source` = (i, c) into `target` = (j, d):
@@ -379,10 +383,27 @@ def exact_flow(measure: RootMeasure, source: SupportClass, target: SupportClass)
     )
 
 
-def balance_factor(spec: GWSpec, u: SupportClass, j: int) -> Fraction:
-    """h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j for c_j > 0; zero exactly
-    when the offspring term is unstored.  Divided by their offspring terms,
-    the two flows between u = (i, c) and v = (j, d) are equal iff
-    weight(u) / h(u, j) == weight(v) / h(v, i)."""
+def balance_key(spec: GWSpec, u: SupportClass, j: int, weight: Fraction) -> BalanceKey:
+    """k(u, j) = weight / h(u, j) for u = (i, c) with c_j > 0, where
+    h(u, j) = p(j,i)(c - e_j) * |c| / c_j is the balance factor, as the
+    unreduced integer pair (a * q * c_j, b * p * |c|) for weight = a / b and
+    p(j,i)(c - e_j) = p / q; None when that offspring term is unstored.
+
+    Divided by their offspring terms, the two flows between u = (i, c) and
+    v = (j, d) are equal iff k(u, j) == k(v, i) with weight(u) and weight(v),
+    a zero term being a value of its own.  Keys are compared by `same_key`,
+    without a gcd."""
     i, c = u
-    return spec.offspring_prob(j, i, decrement(c, j)) * total(c) / c[j - 1]
+    p = spec.offspring_prob(j, i, decrement(c, j))
+    if not p:
+        return None
+    return (weight.numerator * p.denominator * c[j - 1],
+            weight.denominator * p.numerator * total(c))
+
+
+def same_key(a: BalanceKey, b: BalanceKey) -> bool:
+    """Whether two balance keys are equal: both None, or equal ratios by
+    cross-multiplication."""
+    if a is None or b is None:
+        return a is b
+    return a[0] * b[1] == b[0] * a[1]

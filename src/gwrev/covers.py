@@ -91,6 +91,16 @@ class FiniteGraph:
     def connected(self) -> bool:
         return len(bfs_forest([0], self.neighbors)[0]) == self.vertex_count
 
+    def isolated_note(self) -> str:
+        """Names the smallest vertex with no edge, found from the ids that
+        occur in edges, or "" when every vertex has one: an edge list
+        numbered from 1 leaves vertex 0 without an edge."""
+        ids = sorted(self._adj)
+        v = next((k for k, x in enumerate(ids) if k != x), len(ids))
+        if v == self.vertex_count:
+            return ""
+        return f": vertex {v} has no edge (vertices are numbered 0..{self.vertex_count - 1})"
+
 
 def load_graph(path) -> FiniteGraph:
     """Read an undirected edge list: one `u v` pair per line, `#` comments."""
@@ -217,9 +227,10 @@ def label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> Dict[int, int]
     if graph.vertex_count > max_vertices:
         raise GraphTooLargeError(
             f"{graph.vertex_count} vertices exceeds the bound {max_vertices}"
+            + graph.isolated_note()
         )
     if not graph.connected():
-        raise ValueError("graph must be connected")
+        raise ValueError("graph must be connected" + graph.isolated_note())
     adj, pairs, colour = _stable_colouring(graph)
     # refined once per vertex, on its first comparison
     individualized = functools.cache(lambda v: _individualize(adj, colour, v))
@@ -324,7 +335,7 @@ def lift_measure(graph: FiniteGraph, labels: Dict[int, int]) -> RootMeasure:
     mass on the remaining-neighbor counts of its pair type.
     """
     if not graph.connected():
-        raise ValueError("graph must be connected")
+        raise ValueError("graph must be connected" + graph.isolated_note())
     n = max(labels.values())
 
     class_counts: Dict[int, Vector] = {}

@@ -86,10 +86,11 @@ def break_condition_ii(spec: GWSpec) -> GWSpec:
     return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
 
 
-def dense_grid(k: int, seed: int = 0):
+def dense_grid(k: int, seed: int = 0, bits: int = 0):
     """The dense two-label template, every class (i, (a, b)) with
-    1 <= a, b <= k, and seeded random per-label weights.  Its balance graph
-    is complete bipartite between the labels and complete within them."""
+    1 <= a, b <= k, and seeded random per-label weights, from 1..99 or, with
+    `bits`, from 1..2^bits - 1.  Its balance graph is complete bipartite
+    between the labels and complete within them."""
     import random
 
     rng = random.Random(seed)
@@ -100,7 +101,7 @@ def dense_grid(k: int, seed: int = 0):
     weights = {}
     for i in (1, 2):
         group = [cls for cls in classes if cls.label == i]
-        raw = [rng.randint(1, 99) for _ in group]
+        raw = [rng.randrange(1, 1 << bits) if bits else rng.randint(1, 99) for _ in group]
         weights.update({cls: F(r, sum(raw)) for cls, r in zip(group, raw)})
     return SupportTemplate(n=2, classes=classes), weights
 

@@ -13,12 +13,15 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from gwrev.checker import MissingOffspringTermError, _cycle_through
+from gwrev.constructor import Violation
 from gwrev.core import (
+    ONE,
     GWSpec,
     GwrevError,
     InvalidDistributionError,
@@ -30,7 +33,11 @@ from gwrev.core import (
     Vector,
     bfs_forest,
     candidate_support,
+    class_forest,
+    class_sides,
     decrement,
+    exact_flow,
+    increment,
     total,
 )
 from gwrev.covers import FiniteGraph, GraphTooLargeError
@@ -278,6 +285,148 @@ def cycle_product(graph: BalanceGraph, cycle: List[SupportClass]) -> Fraction:
             continue
         prod *= graph.ratio[(u, v)]
     return prod
+
+
+# ---------------------------------------------------------------------------
+# Detailed balance per label-pair side in Fractions: the reference of the
+# integer balance keys of `checker.solve_potentials` and
+# `constructor.verify_reversibility`
+# ---------------------------------------------------------------------------
+
+def balance_factor(spec: GWSpec, u: SupportClass, j: int) -> Fraction:
+    """h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j for c_j > 0; zero exactly
+    when the offspring term is unstored.  Divided by their offspring terms,
+    the two flows between u = (i, c) and v = (j, d) are equal iff
+    weight(u) / h(u, j) == weight(v) / h(v, i)."""
+    i, c = u
+    return spec.offspring_prob(j, i, decrement(c, j)) * total(c) / c[j - 1]
+
+
+def fraction_solve_potentials(
+    spec: GWSpec,
+) -> Tuple[List[SupportClass], Dict[SupportClass, Fraction], Optional[List[SupportClass]], int]:
+    """Balance-graph potentials, worked per label pair in O(N * n).
+
+    Returns (nodes, potentials, cycle, components): the sorted candidate
+    classes, their potentials, a violating cycle or None, and the number of
+    connected components.  Every value equals what a BFS over the
+    materialized balance graph gives, edge by edge:
+
+    * the BFS (`class_forest`) starts from the nodes in sorted order and
+      appends each node's undiscovered neighbours in sorted order;
+    * the violating cycle runs through the first inconsistent edge (u, v) in
+      sorted order.  With g = pot / h on each side, the edge (u, v) between
+      S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
+      of each label pair is read off the two sides in linear time.
+
+    Requires condition i (MissingOffspringTermError otherwise).
+    """
+    # the candidate classes of every label, read off the stored laws only
+    nodes = sorted({
+        SupportClass(i, increment(e, j))
+        for (j, i), dist in spec.offspring.items()
+        for e in dist
+    })
+    side, order, parent = class_forest(nodes)
+
+    @cache
+    def h(u: SupportClass, j: int) -> Fraction:
+        f = balance_factor(spec, u, j)
+        if f == 0:
+            raise MissingOffspringTermError(
+                f"class {u} needs an unstored offspring probability for parent {j}"
+            )
+        return f
+
+    @cache
+    def g(u: SupportClass, j: int) -> Fraction:
+        # (u, v) across sides S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i);
+        # called only once pot[u] is set
+        return pot[u] / h(u, j)
+
+    pot: Dict[SupportClass, Fraction] = {}
+    components = 0
+    for v in order:
+        u = parent[v]
+        if u is None:
+            components += 1
+            pot[v] = ONE
+        else:
+            # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i), u = (i, c), v = (j, d)
+            pot[v] = g(u, v.label) * h(v, u.label)
+
+    first = None
+    for (i, j), a_side in side.items():
+        if i > j:
+            continue
+        if i == j:
+            if len(a_side) < 2:
+                continue
+            g0 = g(a_side[0], i)
+            edge = next(((a_side[0], q) for q in a_side[1:] if g(q, i) != g0), None)
+        else:
+            b_side = side.get((j, i))
+            if not b_side:
+                continue
+            gb = [g(v, i) for v in b_side]
+            if any(x != gb[0] for x in gb):
+                g0 = g(a_side[0], j)
+                edge = next((a_side[0], v) for v, x in zip(b_side, gb) if x != g0)
+            else:
+                edge = next(((u, b_side[0]) for u in a_side if g(u, j) != gb[0]), None)
+        if edge is not None and (first is None or edge < first):
+            first = edge
+    cycle = None if first is None else _cycle_through(parent, *first)
+    return nodes, pot, cycle, components
+
+
+def _balance_key(measure: RootMeasure, u: SupportClass, j: int) -> Optional[Fraction]:
+    """k(u, j) = w(u) / h(u, j), h the balance factor, or None when h is zero."""
+    f = balance_factor(measure.descendants, u, j)
+    return None if f == 0 else measure.class_prob(u) / f
+
+
+def fraction_verify_reversibility(measure: RootMeasure) -> List[Violation]:
+    """Exact detailed-balance check over every admissible pair of support
+    classes.
+
+    Classes u = (i, c) and v = (j, d) with c_j > 0 and d_i > 0 balance when
+    `exact_flow(measure, u, v) == exact_flow(measure, v, u)`, the identity
+    written out in `core` (in plain mode the parent label is ignored).
+    Returns all failing pairs with both flows, ordered by (first, second)
+    with first < second; an empty list means the measure is exactly
+    reversible.
+
+    Dividing both flows by the two offspring terms, the pair balances iff
+    k(u, j) == k(v, i) with k(u, j) = w(u) / h(u, j), h the
+    `balance_factor`, a zero term being a value of its own (both zero:
+    0 == 0).  The admissible pairs of labels i and j are all pairs across
+    the two sides S(i, j) and S(j, i) of `class_sides` (label-i classes with
+    c_j > 0, label-j classes with d_i > 0), so the measure is reversible iff
+    k takes one value on each label pair: O(N * n) work for N classes and n
+    labels.  Violations can only lie in a block whose keys disagree, and
+    only those blocks are listed pair by pair.
+    """
+    side = class_sides(measure.support_classes())
+    keys = {
+        (i, j): [_balance_key(measure, u, j) for u in members]
+        for (i, j), members in side.items()
+    }
+    violations: List[Violation] = []
+    for (i, j), members in side.items():
+        if i > j or (j, i) not in side:
+            continue
+        values = keys[(i, j)] if i == j else keys[(i, j)] + keys[(j, i)]
+        if all(k == values[0] for k in values):
+            continue
+        for u in members:
+            for v in side[(j, i)]:
+                if i == j and not u < v:
+                    continue
+                lhs, rhs = exact_flow(measure, u, v), exact_flow(measure, v, u)
+                if lhs != rhs:
+                    violations.append((u, v, lhs, rhs))
+    return sorted(violations)
 
 
 # ---------------------------------------------------------------------------

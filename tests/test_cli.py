@@ -232,6 +232,29 @@ def test_cover_star_and_verify(capsys, tmp_path):
     assert measure.root_dist == {1: F(1, 2), 2: F(1, 2)}
 
 
+@pytest.mark.parametrize("edges, head", [
+    # a triangle numbered from 1: four vertices, vertex 0 alone
+    ("1 2\n2 3\n3 1\n", "graph must be connected"),
+    # a 10-cycle numbered from 1 declares 11 vertices
+    ("".join(f"{k} {k % 10 + 1}\n" for k in range(1, 11)), "11 vertices exceeds the bound 10"),
+])
+def test_cover_names_the_vertex_without_an_edge(capsys, tmp_path, edges, head):
+    gpath = tmp_path / "graph.txt"
+    gpath.write_text(edges)
+    code = main(["cover", str(gpath), str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {head}: vertex 0 has no edge (vertices are numbered 0..")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_cover_disconnected_graph_without_isolated_vertex(capsys, tmp_path):
+    gpath = tmp_path / "graph.txt"
+    gpath.write_text("0 1\n2 3\n")
+    assert main(["cover", str(gpath), str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "error: graph must be connected\n"
+
+
 def test_simulate_flow(capsys, tmp_path, spec_path):
     out = tmp_path / "measure.json"
     run(capsys, "construct", spec_path, str(out))

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gwrev.checker import run_checks
+from gwrev.checker import MissingOffspringTermError, run_checks, solve_potentials
 from gwrev.constructor import construct_measure, verify_reversibility
 from gwrev.core import (
     ChecksFailedError,
@@ -14,9 +14,11 @@ from gwrev.core import (
 )
 from gwrev.parametrizer import assemble_measure
 
-from .conftest import A, B, D, break_condition_i, break_condition_ii
+from .conftest import A, B, D, break_condition_i, break_condition_ii, two_label_spec
 from .oracles import (
     balance_violations,
+    fraction_solve_potentials,
+    fraction_verify_reversibility,
     random_admissible_instance,
     random_single_type_law,
 )
@@ -130,6 +132,73 @@ def test_verify_reversibility_vacuous_without_admissible_pairs():
         descendants=spec,
     )
     assert verify_reversibility(mu) == []
+
+
+# A zero offspring term is a balance key of its own: two zero keys are equal
+# (0 == 0), a zero key differs from every other.  Label-1 classes (0, 1) and
+# (0, 2) read p(2,1) at (0, 0) and (0, 1); label-2 classes (1, 0) and (2, 0)
+# read p(1,2) at (0, 0) and (1, 0).
+ZERO_TERMS = {
+    "both sides zero": ({(1, 0): F(1)}, {(0, 1): F(1)}),
+    "one side zero": ({(1, 0): F(1)}, {(0, 0): F(1, 2), (1, 0): F(1, 2)}),
+    "some members zero": ({(0, 0): F(1)}, {(0, 0): F(1, 2), (1, 0): F(1, 2)}),
+}
+
+
+def zero_term_measure(law_21, law_12):
+    spec = GWSpec(n=2, mode=PAIR, offspring={
+        (1, 1): {(0, 0): F(1)},
+        (2, 2): {(0, 0): F(1)},
+        (2, 1): law_21,
+        (1, 2): law_12,
+    })
+    return RootMeasure(
+        n=2,
+        root_dist={1: F(2, 5), 2: F(3, 5)},
+        neighbor_dist={1: {(0, 1): F(1, 3), (0, 2): F(2, 3)},
+                       2: {(1, 0): F(1, 4), (2, 0): F(3, 4)}},
+        descendants=spec,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_TERMS))
+def test_verify_reversibility_zero_terms(case):
+    mu = zero_term_measure(*ZERO_TERMS[case])
+    found = verify_reversibility(mu)
+    assert found == sorted(x for x in balance_violations(mu) if x[0] < x[1])
+    assert found == fraction_verify_reversibility(mu)
+    pairs = [(u, v) for u, v, _, _ in found]
+    if case == "both sides zero":
+        assert found == []
+    elif case == "one side zero":
+        # every cross pair: one flow is zero, the other is not
+        assert pairs == [((1, c), (2, d)) for c in [(0, 1), (0, 2)] for d in [(1, 0), (2, 0)]]
+    else:
+        # the zero member (1, (0, 2)) fails against both label-2 classes
+        assert [((1, (0, 2)), (2, d)) for d in [(1, 0), (2, 0)]] == pairs[-2:]
+        assert all(lhs != 0 and rhs == 0 for _, _, lhs, rhs in found[-2:])
+
+
+def test_verify_reversibility_zero_term_within_one_label():
+    # S(1, 1) = {(1,), (2,)}: (2,) reads p(1,1) at (1,), which is unstored
+    spec = GWSpec(n=1, mode=PAIR, offspring={(1, 1): {(0,): F(1)}})
+    mu = RootMeasure(n=1, root_dist={1: F(1)}, neighbor_dist={1: {(1,): F(1, 2), (2,): F(1, 2)}},
+                     descendants=spec)
+    found = verify_reversibility(mu)
+    assert found == [((1, (1,)), (1, (2,)), F(0), F(1, 2))]
+    assert found == sorted(x for x in balance_violations(mu) if x[0] < x[1])
+    assert found == fraction_verify_reversibility(mu)
+
+
+def test_solve_potentials_missing_offspring_term():
+    # condition i fails: class 1:(1,1) needs p(2,1)(1, 0), which is unstored
+    spec = break_condition_i(two_label_spec())
+    with pytest.raises(MissingOffspringTermError) as fast:
+        solve_potentials(spec)
+    with pytest.raises(MissingOffspringTermError) as reference:
+        fraction_solve_potentials(spec)
+    assert str(fast.value) == str(reference.value)
+    assert "1:(1,1)" in str(fast.value)
 
 
 def test_constructed_measures_satisfy_detailed_balance_randomized():

@@ -41,6 +41,8 @@ from .oracles import (
     balance_violations,
     build_balance_graph,
     cycle_identity_product,
+    fraction_solve_potentials,
+    fraction_verify_reversibility,
     pairwise_root_weights,
     pairwise_validate_template,
     permute_class,
@@ -87,7 +89,7 @@ def test_solve_potentials_matches_the_balance_graph():
     for _, _, spec in corpus(1):
         assert check_condition_i(spec)[0]
         fast = solve_potentials(spec)
-        assert fast == graph_path(spec)
+        assert fast == graph_path(spec) == fraction_solve_potentials(spec)
         inconsistent += fast[2] is not None
     # both verdicts are well represented
     assert CORPUS // 5 < inconsistent < CORPUS - CORPUS // 5
@@ -101,7 +103,7 @@ def test_solve_potentials_matches_on_reweighted_laws():
     for _, _, spec in corpus(6):
         spec = reweighted(rng, spec)
         fast = solve_potentials(spec)
-        assert fast == graph_path(spec)
+        assert fast == graph_path(spec) == fraction_solve_potentials(spec)
         inconsistent += fast[2] is not None
     assert inconsistent > CORPUS // 3
 
@@ -176,7 +178,7 @@ def test_verify_reversibility_matches_the_oracle():
         measure = construct_measure(spec)
         for m in (measure, perturbed(rng, measure), perturbed(rng, measure)):
             found = verify_reversibility(m)
-            assert found == oracle_violations(m)
+            assert found == oracle_violations(m) == fraction_verify_reversibility(m)
             clean += not found
             failing += bool(found)
     assert clean > 50 and failing > 50
@@ -187,7 +189,33 @@ def test_verify_reversibility_matches_on_plain_measures():
     for _ in range(60):
         measure = construct_plain_measure(random_plain_spec(rng, rng.randint(1, 4)))
         for m in (measure, perturbed(rng, measure)):
-            assert verify_reversibility(m) == oracle_violations(m)
+            found = verify_reversibility(m)
+            assert found == oracle_violations(m) == fraction_verify_reversibility(m)
+
+
+@pytest.mark.parametrize("k", [4, 8, 10])
+def test_integer_balance_keys_match_fractions_on_64_bit_grids(k):
+    # the sizes of the benchmark's dense grids, with 64-bit class weights:
+    # the cross products compared are several hundred bits long
+    rng = random.Random(k)
+    template, weights = dense_grid(k, seed=k, bits=64)
+    spec = solve_offspring(template, weights)
+    flat = dict(spec.offspring)
+    for key in [(1, 1), (2, 1)]:
+        flat[key] = {c: F(1, len(flat[key])) for c in flat[key]}
+    broken = GWSpec(n=2, mode=PAIR, offspring=flat)
+    for s in (spec, broken):
+        fast = solve_potentials(s)
+        assert fast == fraction_solve_potentials(s) == graph_path(s)
+        assert (fast[2] is None) == (s is spec)
+    measure = construct_measure(spec)
+    assert max(p.denominator for p in measure.neighbor_dist[1].values()).bit_length() > 64
+    failing = 0
+    for m in (measure, perturbed(rng, measure), perturbed(rng, measure)):
+        found = verify_reversibility(m)
+        assert found == fraction_verify_reversibility(m) == oracle_violations(m)
+        failing += bool(found)
+    assert failing == 2
 
 
 def test_solve_root_weights_matches_the_pairwise_check():
