@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -194,6 +193,8 @@ def solve_potentials(
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
       of each label pair is read off the two sides in linear time.  g is the
       integer pair of `core.balance_key`, compared by cross-multiplication.
+      A tree child v = (j, d) of u = (i, c) has g(v, i) = g(u, j) by
+      construction, so `balance_key` runs once per (class, neighbor label).
 
     Requires condition i (MissingOffspringTermError otherwise).
     """
@@ -213,11 +214,16 @@ def solve_potentials(
             )
         return k
 
-    @cache
+    # g(u, j) = pot(u) / h(u, j); (u, v) across sides S(i, j), S(j, i) is
+    # consistent iff g(u, j) == g(v, i)
+    gs: Dict[Tuple[SupportClass, int], Tuple[int, int]] = {}
+
     def g(u: SupportClass, j: int) -> Tuple[int, int]:
-        # g(u, j) = pot(u) / h(u, j); (u, v) across sides S(i, j), S(j, i) is
-        # consistent iff g(u, j) == g(v, i); called only once pot[u] is set
-        return key(u, j, pot[u])
+        # called only once pot[u] is set
+        k = gs.get((u, j))
+        if k is None:
+            k = gs[(u, j)] = key(u, j, pot[u])
+        return k
 
     pot: Dict[SupportClass, Fraction] = {}
     components = 0
@@ -228,8 +234,9 @@ def solve_potentials(
             pot[v] = ONE
         else:
             # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i), u = (i, c), v = (j, d),
-            # so pot(v) = g(u, j) * h(v, i), with 1 / h(v, i) the key of weight 1
-            num, den = g(u, v.label)
+            # so pot(v) = g(u, j) * h(v, i), with 1 / h(v, i) the key of weight 1;
+            # then g(v, i) = g(u, j), and v's key toward i is read only here
+            num, den = gs[(v, u.label)] = g(u, v.label)
             inv_num, inv_den = key(v, u.label, ONE)
             pot[v] = Fraction(num * inv_den, den * inv_num)
 

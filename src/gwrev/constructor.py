@@ -9,8 +9,9 @@ distribution.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .checker import CheckReport, run_checks
 from .core import (
@@ -19,10 +20,12 @@ from .core import (
     PAIR,
     RootMeasure,
     SupportClass,
+    ZERO,
     balance_key,
     class_sides,
     decrement,
     exact_flow,
+    increment,
     same_key,
 )
 
@@ -35,7 +38,10 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
     Runs the full admissibility checks first (unless a passing report is
     supplied) and raises ChecksFailedError carrying the report otherwise.
     A supplied report must be `run_checks(spec)`: the class weights are the
-    balance-graph potentials it holds.
+    balance-graph potentials it holds.  Each label's potentials, normalized,
+    give its neighbor distribution, and the labels' potential sums,
+    normalized, give the root distribution; both are summed in integers over
+    a common denominator (`_normalize`), one Fraction per stored value.
     """
     if spec.mode != PAIR:
         raise ChecksFailedError("construct_measure requires a pair-mode spec")
@@ -46,18 +52,7 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
             f"spec fails admissibility checks: {', '.join(report.failed_names())}",
             report=report,
         )
-    potentials = report.potentials
-    nodes = sorted(potentials)
-
-    label_sum = {i: Fraction(0) for i in range(1, spec.n + 1)}
-    for node in nodes:
-        label_sum[node.label] += potentials[node]
-    grand = sum(label_sum.values())
-
-    neighbor_dist = {i: {} for i in range(1, spec.n + 1)}
-    for node in nodes:
-        neighbor_dist[node.label][node.vector] = potentials[node] / label_sum[node.label]
-    root_dist = {i: label_sum[i] / grand for i in range(1, spec.n + 1)}
+    neighbor_dist, root_dist = _normalize(spec.n, report.potentials)
     measure = RootMeasure(
         n=spec.n,
         root_dist=root_dist,
@@ -66,6 +61,36 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
     )
     _assert_support_consistency(measure)
     return measure
+
+
+def _normalize(n: int, potentials: Dict[SupportClass, Fraction]):
+    """The neighbor and root distributions of the class potentials, as
+    (neighbor_dist, root_dist), in integers over common denominators.
+
+    Over L_i, the lcm of the denominators of label i's potentials, each
+    potential is num(u) / L_i with integer num(u).  With S_i the sum of
+    label i's num(u), the neighbor weight of u is Fraction(num(u), S_i) and
+    label i's potential sum is S_i / L_i.  Over L, the lcm of the L_i, the
+    root weight of label i is Fraction(S_i * L / L_i, sum over k of
+    S_k * L / L_k).  One Fraction per stored value, and no Fraction
+    arithmetic."""
+    by_label: Dict[int, List[SupportClass]] = {i: [] for i in range(1, n + 1)}
+    for node in sorted(potentials):
+        by_label[node.label].append(node)
+    neighbor_dist = {}
+    label_sum = {}  # label i: (S_i, L_i)
+    for i, nodes in by_label.items():
+        pots = [potentials[node] for node in nodes]
+        common = math.lcm(*[p.denominator for p in pots])
+        nums = [p.numerator * (common // p.denominator) for p in pots]
+        norm = sum(nums)
+        neighbor_dist[i] = {node.vector: Fraction(x, norm) for node, x in zip(nodes, nums)}
+        label_sum[i] = (norm, common)
+    common = math.lcm(*[den for _, den in label_sum.values()])
+    scaled = {i: norm * (common // den) for i, (norm, den) in label_sum.items()}
+    grand = sum(scaled.values())
+    root_dist = {i: Fraction(x, grand) for i, x in scaled.items()}
+    return neighbor_dist, root_dist
 
 
 def _assert_support_consistency(measure: RootMeasure) -> None:
@@ -86,34 +111,39 @@ _MIXED = object()
 
 
 def _side_key(measure: RootMeasure, members: List[SupportClass], j: int):
-    """The one balance key of side S(i, j) as a Fraction, None when every
-    member's offspring term is zero, or _MIXED when the members' keys differ.
+    """(value, covered) for side S(i, j): its one balance key as a Fraction,
+    None when every member's offspring term is zero, or _MIXED when the
+    members' keys differ; and the number of members whose term is nonzero.
 
     The members' keys, of their neighbor weights, are compared with the
     first one by cross-multiplication; only the side's value, times the root
     weight of label i, is formed as a Fraction."""
     spec = measure.descendants
     dist = measure.neighbor_dist[members[0].label]
-    k0 = balance_key(spec, members[0], j, dist[members[0].vector])
-    for u in members[1:]:
-        if not same_key(balance_key(spec, u, j, dist[u.vector]), k0):
-            return _MIXED
+    keys = [balance_key(spec, u, j, dist[u.vector]) for u in members]
+    covered = len(keys) - keys.count(None)
+    k0 = keys[0]
+    if not all(same_key(k, k0) for k in keys):
+        return _MIXED, covered
     if k0 is None:
-        return None
+        return None, covered
     root = measure.root_dist[members[0].label]
-    return Fraction(root.numerator * k0[0], root.denominator * k0[1])
+    return Fraction(root.numerator * k0[0], root.denominator * k0[1]), covered
 
 
 def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     """Exact detailed-balance check over every admissible pair of support
-    classes.
+    classes, and over every step of the walk out of the support.
 
     Classes u = (i, c) and v = (j, d) with c_j > 0 and d_i > 0 balance when
     `exact_flow(measure, u, v) == exact_flow(measure, v, u)`, the identity
     written out in `core` (in plain mode the parent label is ignored).
-    Returns all failing pairs with both flows, ordered by (first, second)
-    with first < second; an empty list means the measure is exactly
-    reversible.
+    The walk from u steps to a label-j neighbor of class (j, e + e_i), e
+    drawn from the law p(i, j); a target that is not a support class has
+    mass 0, so its flow back is 0 and the pair (u, v) fails with flows
+    lhs > 0 and rhs = 0.  Returns all failing pairs with both flows, sorted;
+    a pair of support classes is listed once, first < second.  An empty
+    list means the measure is exactly reversible.
 
     Dividing both flows by the two offspring terms, the pair balances iff
     k(u, j) == k(v, i) for the `core.balance_key` k(u, j) = w(u) / h(u, j),
@@ -121,20 +151,33 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     0 == 0).  The admissible pairs of labels i and j are all pairs across
     the two sides S(i, j) and S(j, i) of `class_sides` (label-i classes with
     c_j > 0, label-j classes with d_i > 0), so the measure is reversible iff
-    k takes one value on each label pair: O(N * n) work for N classes and n
-    labels.  Within a side the keys are integer pairs compared by
-    cross-multiplication, with no gcd; one Fraction per side compares
-    S(i, j) with S(j, i).  Violations can only lie in a block whose keys
-    disagree, and only those blocks are listed pair by pair, with their
-    flows as Fractions.
+    k takes one value on each label pair and the support is closed under
+    the walk: O(N * n) work for N classes and n labels.  Within a side the
+    keys are integer pairs compared by cross-multiplication, with no gcd;
+    one Fraction per side compares S(i, j) with S(j, i).  Violations can
+    only lie in a block whose keys disagree, and only those blocks are
+    listed pair by pair, with their flows as Fractions.  As e -> e + e_i is
+    injective, the targets of p(i, j) all lie in the support exactly when
+    the members of S(j, i) with a nonzero term in p(i, j) number
+    len(p(i, j)); the law is enumerated only when the counts differ.
     """
+    spec = measure.descendants
     side = class_sides(measure.support_classes())
+    keys = {(i, j): _side_key(measure, members, j)
+            for (i, j), members in side.items() if (j, i) in side}
     violations: List[Violation] = []
     for (i, j), members in side.items():
+        # S(j, i) counts the supported targets of p(i, j); none without it
+        law = spec.offspring_law(i, j)
+        if keys.get((j, i), (None, 0))[1] != len(law):
+            for e in law:
+                v = SupportClass(j, increment(e, i))
+                if v.vector not in measure.neighbor_dist[j]:
+                    violations += [(u, v, exact_flow(measure, u, v), ZERO) for u in members]
         if i > j or (j, i) not in side:
             continue
-        key = _side_key(measure, members, j)
-        if key is not _MIXED and (i == j or key == _side_key(measure, side[(j, i)], i)):
+        key = keys[(i, j)][0]
+        if key is not _MIXED and (i == j or key == keys[(j, i)][0]):
             continue
         for u in members:
             for v in side[(j, i)]:

@@ -129,9 +129,10 @@ def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0
     for c, p in dist.items():
         if len(c) != n:
             raise InvalidDistributionError(f"vector {c} has length {len(c)}, expected {n}")
-        if any(x < 0 for x in c):
+        if min(c, default=0) < 0:
             raise InvalidDistributionError(f"vector {c} has a negative count")
-        if total(c) < min_total:
+        # with no negative count, a total below min_total <= 0 cannot occur
+        if min_total > 0 and sum(c) < min_total:
             raise InvalidDistributionError(f"vector {c} has total < {min_total}")
         if not isinstance(p, Fraction):
             raise InvalidDistributionError(f"probability of {c} is not a Fraction: {p!r}")
@@ -394,8 +395,8 @@ def balance_key(spec: GWSpec, u: SupportClass, j: int, weight: Fraction) -> Bala
     a zero term being a value of its own.  Keys are compared by `same_key`,
     without a gcd."""
     i, c = u
-    p = spec.offspring_prob(j, i, decrement(c, j))
-    if not p:
+    p = spec.offspring_law(j, i).get(decrement(c, j))
+    if p is None:
         return None
     return (weight.numerator * p.denominator * c[j - 1],
             weight.denominator * p.numerator * total(c))

@@ -22,6 +22,7 @@ InconsistentRatiosError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -155,19 +156,29 @@ def validate_weights(template: SupportTemplate, weights: Weights) -> None:
 
 def _forced_laws(template: SupportTemplate, weights: Weights):
     """The offspring laws forced by the class weights, keyed (i, j), and
-    their normalizers, the label flows flow(i, j)."""
+    their normalizers, the label flows flow(i, j).
+
+    The law (i, j) gives each class (j, d) of the side S(j, i) the mass
+    x(d) = w(d) * d_i / |d|, normalized.  Over the common denominator L, the
+    lcm of den(w(d)) * |d| over the side, every x(d) * L is the integer
+    num(w(d)) * d_i * L / (den(w(d)) * |d|).  With N their sum, the law
+    entry is Fraction(x(d) * L, N) and flow(i, j) is Fraction(N, L): one
+    Fraction per stored value, and no Fraction arithmetic."""
     side = template.forest[0]
     laws: Dict[Tuple[int, int], Dict] = {}
     flow: Dict[Tuple[int, int], Fraction] = {}
     # the sides S(j, i) in (i, j) order
     for (j, i) in sorted(side, key=lambda key: (key[1], key[0])):
-        raw = {
-            decrement(cls.vector, i): weights[cls]
-            * Fraction(cls.vector[i - 1], total(cls.vector))
-            for cls in side[(j, i)]
-        }
-        flow[(i, j)] = norm = sum(raw.values())
-        laws[(i, j)] = {c: w / norm for c, w in raw.items()}
+        members = side[(j, i)]
+        ws = [weights[cls] for cls in members]
+        scales = [w.denominator * total(cls.vector) for w, cls in zip(ws, members)]
+        common = math.lcm(*scales)
+        terms = [w.numerator * cls.vector[i - 1] * (common // s)
+                 for w, cls, s in zip(ws, members, scales)]
+        norm = sum(terms)
+        laws[(i, j)] = {decrement(cls.vector, i): Fraction(x, norm)
+                        for cls, x in zip(members, terms)}
+        flow[(i, j)] = Fraction(norm, common)
     return laws, flow
 
 

@@ -84,7 +84,28 @@ def balance_violations(measure: RootMeasure):
             )
             if lhs != rhs:
                 out.append(((i, c), (j, d), lhs, rhs))
+    # every step of the walk out of the support: the neighbor of an (i, c)
+    # root with children e has class (j, e + e_i), of mass 0 when unlisted
+    for (i, c) in classes:
+        for j in range(1, measure.n + 1):
+            if c[j - 1] == 0:
+                continue
+            key_ij = (i, j) if spec.mode == PAIR else j
+            for e, p in spec.offspring.get(key_ij, {}).items():
+                d = e[: i - 1] + (e[i - 1] + 1,) + e[i:]
+                if d not in measure.neighbor_dist[j]:
+                    lhs = (measure.root_dist[i] * measure.neighbor_dist[i][c] * p
+                           * Fraction(c[j - 1], sum(c)))
+                    out.append(((i, c), (j, d), lhs, Fraction(0)))
     return out
+
+
+def listed_violations(measure: RootMeasure):
+    """`balance_violations` as `verify_reversibility` lists them, sorted:
+    each failing pair of support classes once, first < second, and every
+    step out of the support as (source, target)."""
+    support = set(measure.support_classes())
+    return sorted(x for x in balance_violations(measure) if x[0] < x[1] or x[1] not in support)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +418,10 @@ def fraction_verify_reversibility(measure: RootMeasure) -> List[Violation]:
     with first < second; an empty list means the measure is exactly
     reversible.
 
+    Every step of the walk out of the support fails too: for u in S(i, j)
+    and e in the law p(i, j) whose target (j, e + e_i) is not a support
+    class, (u, target) is listed with flows lhs > 0 and rhs = 0.
+
     Dividing both flows by the two offspring terms, the pair balances iff
     k(u, j) == k(v, i) with k(u, j) = w(u) / h(u, j), h the
     `balance_factor`, a zero term being a value of its own (both zero:
@@ -414,6 +439,10 @@ def fraction_verify_reversibility(measure: RootMeasure) -> List[Violation]:
     }
     violations: List[Violation] = []
     for (i, j), members in side.items():
+        for e in measure.descendants.offspring_law(i, j):
+            v = SupportClass(j, increment(e, i))
+            if v.vector not in measure.neighbor_dist[j]:
+                violations += [(u, v, exact_flow(measure, u, v), Fraction(0)) for u in members]
         if i > j or (j, i) not in side:
             continue
         values = keys[(i, j)] if i == j else keys[(i, j)] + keys[(j, i)]
@@ -427,6 +456,46 @@ def fraction_verify_reversibility(measure: RootMeasure) -> List[Violation]:
                 if lhs != rhs:
                     violations.append((u, v, lhs, rhs))
     return sorted(violations)
+
+
+# ---------------------------------------------------------------------------
+# Normalizations in Fractions: the references of `parametrizer._forced_laws`
+# and `constructor._normalize`, which sum in integers over one common
+# denominator
+# ---------------------------------------------------------------------------
+
+def fraction_forced_laws(template: SupportTemplate, weights):
+    """The offspring laws forced by the class weights, keyed (i, j), and
+    their normalizers, the label flows flow(i, j), one Fraction operator at
+    a time."""
+    side = template.forest[0]
+    laws: Dict[Tuple[int, int], Dict] = {}
+    flow: Dict[Tuple[int, int], Fraction] = {}
+    # the sides S(j, i) in (i, j) order
+    for (j, i) in sorted(side, key=lambda key: (key[1], key[0])):
+        raw = {
+            decrement(cls.vector, i): weights[cls]
+            * Fraction(cls.vector[i - 1], total(cls.vector))
+            for cls in side[(j, i)]
+        }
+        flow[(i, j)] = norm = sum(raw.values())
+        laws[(i, j)] = {c: w / norm for c, w in raw.items()}
+    return laws, flow
+
+
+def fraction_normalize(n: int, potentials: Dict[SupportClass, Fraction]):
+    """(neighbor_dist, root_dist) of the class potentials: each label's
+    potentials over their sum, and the label sums over their total."""
+    nodes = sorted(potentials)
+    label_sum = {i: Fraction(0) for i in range(1, n + 1)}
+    for node in nodes:
+        label_sum[node.label] += potentials[node]
+    grand = sum(label_sum.values())
+    neighbor_dist = {i: {} for i in range(1, n + 1)}
+    for node in nodes:
+        neighbor_dist[node.label][node.vector] = potentials[node] / label_sum[node.label]
+    root_dist = {i: label_sum[i] / grand for i in range(1, n + 1)}
+    return neighbor_dist, root_dist
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from gwrev import checker
 from gwrev.checker import (
     check_condition_i,
     check_condition_ii,
@@ -8,10 +11,10 @@ from gwrev.checker import (
     labels_realized,
     run_checks,
 )
-from gwrev.core import GWSpec, PAIR, SupportClass
-from gwrev.parametrizer import assemble_measure
+from gwrev.core import GWSpec, PAIR, SupportClass, balance_key
+from gwrev.parametrizer import assemble_measure, solve_offspring
 
-from .conftest import A, B, D, break_condition_i, break_condition_ii
+from .conftest import A, B, D, break_condition_i, break_condition_ii, dense_grid
 from .oracles import (
     build_balance_graph,
     cycle_identity_product,
@@ -229,3 +232,19 @@ def test_potentials_match_worked_instance(pair_spec):
     # relative weights within each label are equal
     assert potentials[SupportClass(1, A)] == potentials[SupportClass(1, B)]
     assert potentials[SupportClass(2, D)] == potentials[SupportClass(2, A)]
+
+
+@pytest.mark.parametrize("k, expected", [(4, 64), (8, 256), (10, 400)])
+def test_solve_potentials_reads_each_balance_key_once(monkeypatch, k, expected):
+    # a BFS tree child v of u has g(v, i) = g(u, j) by construction, so each
+    # (class, neighbor label) key is read once: 2 labels x 2 K^2 classes
+    spec = solve_offspring(*dense_grid(k, seed=1, bits=64))
+    reads = []
+
+    def counted(spec, u, j, weight):
+        reads.append((u, j))
+        return balance_key(spec, u, j, weight)
+
+    monkeypatch.setattr(checker, "balance_key", counted)
+    assert checker.solve_potentials(spec)[2] is None
+    assert len(reads) == len(set(reads)) == expected

@@ -12,7 +12,7 @@ import pytest
 from gwrev import fileformats as ff
 from gwrev.cli import main
 from gwrev.constructor import construct_measure
-from gwrev.core import GWSpec, PAIR, SupportClass
+from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass
 from gwrev.parametrizer import solve_offspring
 
 from .conftest import (
@@ -337,6 +337,25 @@ def test_verify_detects_tampering(capsys, tmp_path, spec_path):
     code, result = run(capsys, "verify", str(out))
     assert code == 1
     assert result["violations"]
+
+
+def test_verify_names_a_walk_step_out_of_the_support(capsys, tmp_path):
+    # every flow between support classes balances (1/3 both ways), but the
+    # walk from 1:(0,1) meets a label-2 neighbor with one label-1 child, of
+    # class 2:(2,0), with probability 1/2; that class has mass 0
+    spec = GWSpec(n=2, mode=PAIR, offspring={
+        (1, 2): {(0, 0): F(1, 2), (1, 0): F(1, 2)},
+        (2, 1): {(0, 0): F(1)},
+    })
+    measure = RootMeasure(n=2, root_dist={1: F(2, 3), 2: F(1, 3)},
+                          neighbor_dist={1: {(0, 1): F(1)}, 2: {(1, 0): F(1)}},
+                          descendants=spec)
+    path = write(tmp_path / "leaky.json", ff.measure_to_obj(measure, verified=False))
+    code, result = run(capsys, "verify", path)
+    assert code == 1
+    assert result == {"ok": False, "violations": [
+        {"first": {"label": 1, "c": [0, 1]}, "second": {"label": 2, "c": [2, 0]},
+         "lhs": "1/3", "rhs": "0"}]}
 
 
 # ---------------------------------------------------------------------------
