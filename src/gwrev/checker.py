@@ -105,14 +105,20 @@ def check_condition_i(spec: GWSpec) -> Tuple[bool, Optional[Tuple[int, int, int,
     other positive coordinate k of c must carry positive mass as well.
 
     Returns (True, None) or (False, (i, j, k, c)) for the first violation in
-    sorted iteration order.
+    sorted iteration order.  The verdict on (i, c) does not depend on j, so
+    a class forced through several labels is checked at its first visit
+    only.
     """
+    seen = set()
     # stored keys (j, i) in (i, j) order: the order of a loop over all
     # label pairs, without touching the pairs that hold no law
     for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
         dist = spec.offspring[(j, i)]
         for e in sorted(dist):
             c = increment(e, j)
+            if (i, c) in seen:
+                continue
+            seen.add((i, c))
             for k, ck in enumerate(c, start=1):
                 if ck == 0:
                     continue

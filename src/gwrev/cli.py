@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import fileformats as ff
@@ -39,18 +40,34 @@ def _violations_obj(violations) -> list:
     ]
 
 
-def _save_verified(measure, out, more=dict) -> int:
-    """Verify the measure exactly, write it to `out` and report success with
-    the fields `more()` returns; `more` runs after the write.  A violation
-    (impossible for a checked spec) is emitted as the failed `verify`
-    condition, and nothing is written."""
+def _save_verified(measure, out, fields=None, extra=None) -> int:
+    """Verify the measure exactly, write it to `out`, and with it the text
+    `extra[1]` to the path `extra[0]` when given, and report success with
+    `fields`.  A violation (impossible for a checked spec) is emitted as the
+    failed `verify` condition.  A call that fails writes nothing: the extra
+    file is opened, without being changed, before the measure is written,
+    and is removed again if the call created it and the measure's write
+    fails."""
     violations = verify_reversibility(measure)
     if violations:
         _emit({"ok": False, "failed": ["verify"],
                "violations": _violations_obj(violations)})
         return 1
-    ff.save_measure(out, measure, verified=True)
-    _emit({"ok": True, "written": out, "verified": True, **more()})
+    if extra is None:
+        ff.save_measure(out, measure, verified=True)
+    else:
+        path, text = extra
+        existed = os.path.exists(path)
+        with open(path, "a") as fh:
+            try:
+                ff.save_measure(out, measure, verified=True)
+            except OSError:
+                if not existed:
+                    os.remove(path)
+                raise
+            fh.truncate(0)
+            fh.write(text)
+    _emit({"ok": True, "written": out, "verified": True, **(fields or {})})
     return 0
 
 
@@ -113,16 +130,11 @@ def cmd_cover(args) -> int:
     graph = load_graph(args.graph)
     labels = label_vertices(graph, max_vertices=args.max_vertices)
     measure = lift_measure(graph, labels)
-
-    def more() -> dict:
-        out = {"labels": [labels[v] for v in sorted(labels)]}
-        if args.dot:
-            with open(args.dot, "w") as fh:
-                fh.write(pair_digraph(graph, labels).to_dot())
-            out["dot"] = args.dot
-        return out
-
-    return _save_verified(measure, args.out, more)
+    fields = {"labels": [labels[v] for v in sorted(labels)]}
+    if not args.dot:
+        return _save_verified(measure, args.out, fields)
+    dot = pair_digraph(graph, labels).to_dot()
+    return _save_verified(measure, args.out, {**fields, "dot": args.dot}, (args.dot, dot))
 
 
 def _estimate_obj(name, est) -> dict:

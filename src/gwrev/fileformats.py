@@ -10,7 +10,11 @@ that of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline, which
 with an indent falls back to json's pure-Python encoder.  It writes dicts
 with `str` keys, lists, `str`, `int`, `bool`, `None` and `float` (the last
 three through `json.dumps`, so NaN and Infinity stay as json writes them)
-and raises TypeError on anything else.
+and raises TypeError on anything else.  It writes reports and the other
+documents.  A measure document, the largest and the most often written,
+has its own writer: `measure_json` forms the same text in one pass from the
+`RootMeasure`, with no object tree in between, since the schema fixes
+every key order and indent.
 
 Reading is strict about types: labels, counts, `n`, `d`, `parent`, `child`
 and `type` must be JSON integers, and a probability is a rational string
@@ -238,19 +242,61 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
 # Measures
 # ---------------------------------------------------------------------------
 
-def measure_to_obj(measure: RootMeasure, verified: bool = True) -> dict:
-    return {
-        "root": [
-            {"label": i, "p": format_fraction(measure.root_dist[i])}
-            for i in sorted(measure.root_dist)
-        ],
-        "neighbors": [
-            {"label": i, "dist": _dist_to_obj(measure.neighbor_dist[i])}
-            for i in sorted(measure.neighbor_dist)
-        ],
-        "descendants": spec_to_obj(measure.descendants),
-        "verified": bool(verified),
-    }
+def _pad(depth: int) -> str:
+    return "\n" + " " * depth
+
+
+def _law_json(dist: Dist, depth: int) -> str:
+    """A law as the list of {"c", "p"} objects that json.dumps(sort_keys=True,
+    indent=2) writes when the list's items stand at indent `depth`."""
+    item, key, inner = _pad(depth), _pad(depth + 2), _pad(depth + 4)
+    head = "{" + key + '"c": [' + inner
+    mid = key + "]," + key + '"p": "'
+    tail = '"' + item + "}"
+    sep = "," + inner
+    return "[" + item + ("," + item).join([
+        head + sep.join(map(str, c)) + mid + str(p) + tail
+        for c, p in sorted(dist.items())
+    ]) + _pad(depth - 2) + "]"
+
+
+def measure_json(measure: RootMeasure, verified: bool = True) -> str:
+    """The canonical text of a measure document, written in one pass.
+
+    The schema fixes every key order and indent, and a RootMeasure has no
+    empty list (n >= 1, every law non-empty), so the text is that of
+    `canonical_json` on the document's object tree without the tree."""
+    spec = measure.descendants
+    if spec.mode == PAIR:
+        laws = [
+            '{\n        "child": ' + str(child) + ',\n        "dist": '
+            + _law_json(spec.offspring[(parent, child)], 10)
+            + ',\n        "parent": ' + str(parent) + "\n      }"
+            for parent, child in sorted(spec.offspring)
+        ]
+    else:
+        laws = [
+            '{\n        "dist": ' + _law_json(spec.offspring[i], 10)
+            + ',\n        "type": ' + str(i) + "\n      }"
+            for i in sorted(spec.offspring)
+        ]
+    neighbors = [
+        '{\n      "dist": ' + _law_json(measure.neighbor_dist[i], 8)
+        + ',\n      "label": ' + str(i) + "\n    }"
+        for i in sorted(measure.neighbor_dist)
+    ]
+    root = [
+        '{\n      "label": ' + str(i) + ',\n      "p": "' + str(p) + '"\n    }'
+        for i, p in sorted(measure.root_dist.items())
+    ]
+    return (
+        '{\n  "descendants": {\n    "mode": ' + _quote(spec.mode)
+        + ',\n    "n": ' + str(spec.n)
+        + ',\n    "offspring": [\n      ' + ",\n      ".join(laws)
+        + '\n    ]\n  },\n  "neighbors": [\n    ' + ",\n    ".join(neighbors)
+        + '\n  ],\n  "root": [\n    ' + ",\n    ".join(root)
+        + '\n  ],\n  "verified": ' + ("true" if verified else "false") + "\n}\n"
+    )
 
 
 def obj_to_measure(obj) -> RootMeasure:
@@ -400,9 +446,9 @@ def load_json(path):
         return json.load(fh)
 
 
-def save_json(path, obj) -> None:
+def save_json(path, text: str) -> None:
     with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
 
 
 def load_spec(path) -> Union[GWSpec, PlainSpec]:
@@ -414,4 +460,4 @@ def load_measure(path) -> RootMeasure:
 
 
 def save_measure(path, measure: RootMeasure, verified: bool = True) -> None:
-    save_json(path, measure_to_obj(measure, verified=verified))
+    save_json(path, measure_json(measure, verified))

@@ -544,6 +544,19 @@ def unreachable_pair_bruteforce(spec: GWSpec):
     return True, None
 
 
+def every_visit_condition_i(spec: GWSpec):
+    """`checker.check_condition_i` as a loop that re-checks a class (i, c)
+    at every neighbor label j that forces it, each time over all of c's
+    positive coordinates."""
+    for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
+        for e in sorted(spec.offspring[(j, i)]):
+            c = increment(e, j)
+            for k, ck in enumerate(c, start=1):
+                if ck > 0 and spec.pair_prob(k, i, decrement(c, k)) == 0:
+                    return False, (i, j, k, c)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # Per-degree multinomial oracle (support completeness + swap identity)
 # ---------------------------------------------------------------------------
@@ -1308,6 +1321,28 @@ def backtracking_label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> D
 def json_canonical(obj) -> str:
     """Canonical JSON by json.dumps: sorted keys, two-space indent."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def measure_obj(measure: RootMeasure, verified: bool = True) -> dict:
+    """A measure document as an object tree, for `json_canonical`; the
+    reference for `fileformats.measure_json`."""
+    def law(dist):
+        return [{"c": list(c), "p": str(p)} for c, p in sorted(dist.items())]
+
+    spec = measure.descendants
+    if spec.mode == PAIR:
+        offspring = [{"parent": i, "child": j, "dist": law(spec.offspring[(i, j)])}
+                     for i, j in sorted(spec.offspring)]
+    else:
+        offspring = [{"type": i, "dist": law(spec.offspring[i])}
+                     for i in sorted(spec.offspring)]
+    return {
+        "root": [{"label": i, "p": str(p)} for i, p in sorted(measure.root_dist.items())],
+        "neighbors": [{"label": i, "dist": law(measure.neighbor_dist[i])}
+                      for i in sorted(measure.neighbor_dist)],
+        "descendants": {"n": spec.n, "mode": spec.mode, "offspring": offspring},
+        "verified": bool(verified),
+    }
 
 
 _RATIONAL_LITERAL = re.compile(r"^-?\d+(/\d+)?$")

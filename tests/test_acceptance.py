@@ -90,8 +90,8 @@ def test_criterion_2a_midpoint_byte_identical():
     assembled = assemble_measure(
         two_label_template(), two_label_weights(F(1, 2), F(1, 2))
     )
-    bytes_a = ff.canonical_json(ff.measure_to_obj(constructed)).encode()
-    bytes_b = ff.canonical_json(ff.measure_to_obj(assembled)).encode()
+    bytes_a = ff.measure_json(constructed).encode()
+    bytes_b = ff.measure_json(assembled).encode()
     ok = bytes_a == bytes_b
     report("2a", ok, f"midpoint parametrization emits {len(bytes_a)} identical bytes")
     assert ok

@@ -248,3 +248,22 @@ def test_solve_potentials_reads_each_balance_key_once(monkeypatch, k, expected):
     monkeypatch.setattr(checker, "balance_key", counted)
     assert checker.solve_potentials(spec)[2] is None
     assert len(reads) == len(set(reads)) == expected
+
+
+@pytest.mark.parametrize("k", [4, 8, 10])
+def test_condition_i_reads_each_class_term_once(monkeypatch, k):
+    # every grid class (i, (a, b)) is forced through both labels; its two
+    # terms p(k, i)(c - e_k) are each looked up once
+    template, weights = dense_grid(k, seed=1, bits=64)
+    spec = solve_offspring(template, weights)
+    lookups = []
+    pair_prob = GWSpec.pair_prob
+
+    def counted(self, i, j, c):
+        lookups.append((i, j, c))
+        return pair_prob(self, i, j, c)
+
+    monkeypatch.setattr(GWSpec, "pair_prob", counted)
+    assert check_condition_i(spec) == (True, None)
+    terms = sum(x > 0 for cls in template.classes for x in cls.vector)
+    assert len(lookups) == len(set(lookups)) == terms == 4 * k * k

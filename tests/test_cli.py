@@ -24,7 +24,7 @@ from .conftest import (
     two_label_template,
     two_label_weights,
 )
-from .oracles import build_balance_graph, cycle_product, random_plain_spec
+from .oracles import build_balance_graph, cycle_product, measure_obj, random_plain_spec
 
 
 def write(path, obj):
@@ -232,6 +232,23 @@ def test_cover_star_and_verify(capsys, tmp_path):
     assert measure.root_dist == {1: F(1, 2), 2: F(1, 2)}
 
 
+def test_cover_with_an_unwritable_destination_writes_nothing(capsys, tmp_path):
+    gpath = tmp_path / "tri.txt"
+    gpath.write_text("0 1\n1 2\n2 0\n")
+    out, dot = tmp_path / "out.json", tmp_path / "pairs.dot"
+    missing = tmp_path / "missing"
+    assert main(["cover", str(gpath), str(out), "--dot", str(missing / "x.dot")]) == 2
+    assert main(["cover", str(gpath), str(missing / "out.json"), "--dot", str(dot)]) == 2
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.txt"]
+    # a DOT file that was there already is left as it was
+    dot.write_text("old")
+    assert main(["cover", str(gpath), str(missing / "out.json"), "--dot", str(dot)]) == 2
+    assert dot.read_text() == "old"
+    code, _ = run(capsys, "cover", str(gpath), str(out), "--dot", str(dot))
+    assert code == 0 and dot.read_text().startswith("digraph")
+
+
 @pytest.mark.parametrize("edges, head", [
     # a triangle numbered from 1: four vertices, vertex 0 alone
     ("1 2\n2 3\n3 1\n", "graph must be connected"),
@@ -350,7 +367,7 @@ def test_verify_names_a_walk_step_out_of_the_support(capsys, tmp_path):
     measure = RootMeasure(n=2, root_dist={1: F(2, 3), 2: F(1, 3)},
                           neighbor_dist={1: {(0, 1): F(1)}, 2: {(1, 0): F(1)}},
                           descendants=spec)
-    path = write(tmp_path / "leaky.json", ff.measure_to_obj(measure, verified=False))
+    path = write(tmp_path / "leaky.json", measure_obj(measure, verified=False))
     code, result = run(capsys, "verify", path)
     assert code == 1
     assert result == {"ok": False, "violations": [
@@ -381,7 +398,7 @@ def test_dist_entry_zero_denominator(capsys, tmp_path):
 
 
 def _worked_measure_obj():
-    return ff.measure_to_obj(construct_measure(two_label_spec()))
+    return measure_obj(construct_measure(two_label_spec()))
 
 
 def _replaced(entries, path, value):

@@ -29,6 +29,7 @@ from .conftest import (
     two_label_template,
     two_label_weights,
 )
+from .oracles import measure_obj
 
 # passing documents and ones that fail a named condition
 SPECS = [
@@ -39,7 +40,7 @@ SPECS = [
     ff.plain_spec_to_obj(three_label_plain(p31=F(1, 4), p32=F(3, 4))),
     ff.spec_to_obj(expand_plain_spec(three_label_plain())),
 ]
-MEASURE = ff.measure_to_obj(construct_measure(two_label_spec()))
+MEASURE = measure_obj(construct_measure(two_label_spec()))
 TEMPLATE = ff.template_to_obj(two_label_template())
 WEIGHTS = ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
 

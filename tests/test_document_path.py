@@ -1,6 +1,7 @@
 """Differential tests of the document path: the canonical writer against
-json.dumps, the rational parser against Fraction's own, and the integer sum
-check of `validate_dist` against the Fraction sum (oracles in
+json.dumps, the one-pass measure writer against json.dumps of the measure's
+object tree, the rational parser against Fraction's own, and the integer
+sum check of `validate_dist` against the Fraction sum (oracles in
 `tests/oracles.py`), on fuzzed inputs, on every document the random corpora
 serialize and on every call of the three benchmark workloads."""
 
@@ -19,14 +20,16 @@ from gwrev import fileformats as ff
 from gwrev.checker import run_checks
 from gwrev.cli import main
 from gwrev.constructor import construct_measure
-from gwrev.core import InvalidDistributionError, SpecError
+from gwrev.core import GWSpec, InvalidDistributionError, PAIR, RootMeasure, SpecError
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
 from gwrev.norelabel import check_plain_spec, construct_plain_measure
 from gwrev.parametrizer import assemble_measure, solve_offspring
 
+from .conftest import dense_grid, three_label_plain
 from .oracles import (
     fraction_parse,
     json_canonical,
+    measure_obj,
     random_admissible_instance,
     random_connected_graph,
     random_plain_spec,
@@ -175,7 +178,10 @@ def test_sums_to_one_is_the_fraction_identity(values):
 # Every document of the random corpora
 # ---------------------------------------------------------------------------
 
-def corpus_documents():
+def corpus():
+    """The documents of the random corpora, as object trees for
+    `canonical_json` or as (measure, verified) pairs for `measure_json`:
+    constructed, assembled (unverified), plain and lifted measures."""
     rng = random.Random(12)
     for _ in range(150):
         template = random_template_candidate(rng, rng.randint(1, 4))
@@ -187,20 +193,29 @@ def corpus_documents():
         yield ff.spec_to_obj(spec)
         yield ff.report_to_obj(report)
         if report.ok():
-            yield ff.measure_to_obj(construct_measure(spec, report))
+            yield construct_measure(spec, report), True
     for _ in range(60):
         template, weights = random_admissible_instance(rng, rng.randint(1, 4))
-        yield ff.measure_to_obj(assemble_measure(template, weights), verified=False)
+        yield assemble_measure(template, weights), False
     for _ in range(60):
         pspec = random_plain_spec(rng, rng.randint(1, 4))
         report = check_plain_spec(pspec)
         yield ff.plain_spec_to_obj(pspec)
         yield ff.plain_report_to_obj(report)
         if report.ok():
-            yield ff.measure_to_obj(construct_plain_measure(pspec))
+            yield construct_plain_measure(pspec), True
     for _ in range(40):
         graph = FiniteGraph.from_edges(random_connected_graph(rng))
-        yield ff.measure_to_obj(lift_measure(graph, label_vertices(graph)))
+        yield lift_measure(graph, label_vertices(graph)), True
+
+
+def corpus_measures():
+    return [doc for doc in corpus() if isinstance(doc, tuple)]
+
+
+def corpus_documents():
+    for doc in corpus():
+        yield measure_obj(*doc) if isinstance(doc, tuple) else doc
 
 
 def rationals(node):
@@ -228,6 +243,47 @@ def test_corpus_documents_are_written_and_read_as_before():
 
 
 # ---------------------------------------------------------------------------
+# The measure writer
+# ---------------------------------------------------------------------------
+
+def one_label_measure():
+    """n = 1: one root weight, one neighbor law, one offspring law."""
+    spec = GWSpec(n=1, mode=PAIR, offspring={(1, 1): {(0,): F(1, 3), (2,): F(2, 3)}})
+    return RootMeasure(n=1, root_dist={1: F(1)},
+                       neighbor_dist={1: {(1,): F(1, 5), (3,): F(4, 5)}}, descendants=spec)
+
+
+def test_measure_writer_matches_the_oracle_on_the_corpora():
+    measures = corpus_measures()
+    kinds = {(m.descendants.mode, verified) for m, verified in measures}
+    assert kinds == {("pair", True), ("pair", False), ("plain", True)}
+    for measure, verified in measures:
+        for flag in (verified, not verified):
+            assert ff.measure_json(measure, flag) == json_canonical(measure_obj(measure, flag))
+    assert len(measures) > 150
+
+
+def test_measure_writer_matches_the_oracle_on_small_measures():
+    for measure in (one_label_measure(), construct_plain_measure(three_label_plain())):
+        for verified in (True, False):
+            assert ff.measure_json(measure, verified) == json_canonical(
+                measure_obj(measure, verified))
+
+
+@pytest.mark.parametrize("k", [4, 8, 10])
+def test_measure_writer_matches_the_oracle_on_64_bit_grids(k):
+    measure = assemble_measure(*dense_grid(k, seed=1, bits=64))
+    assert max(p.denominator for p in measure.root_dist.values()).bit_length() > 64
+    assert ff.measure_json(measure) == json_canonical(measure_obj(measure))
+
+
+def test_save_measure_writes_the_oracle_text(tmp_path):
+    measure = one_label_measure()
+    ff.save_measure(tmp_path / "m.json", measure, verified=False)
+    assert (tmp_path / "m.json").read_text() == json_canonical(measure_obj(measure, False))
+
+
+# ---------------------------------------------------------------------------
 # Every call of the three benchmark workloads
 # ---------------------------------------------------------------------------
 
@@ -236,20 +292,32 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 @pytest.mark.parametrize("name", ["exact_dense", "mixed_corpus", "monte_carlo"])
 def test_benchmark_calls_match_the_old_document_path(name, tmp_path, monkeypatch, capsys):
-    # every emitted document, parsed rational and validated law of a whole
-    # pass is compared with the old path on the spot
+    # every emitted document, written measure, parsed rational and
+    # validated law of a whole pass is compared with the old path on the
+    # spot, and every measure file with the text its call was checked for
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     wl = workloads.build(name, 5, tmp_path)
     monkeypatch.chdir(tmp_path)
     seen = {"documents": 0, "literals": 0, "laws": 0}
-    write, parse, validate = ff.canonical_json, ff.parse_fraction, core.validate_dist
+    if name != "monte_carlo":
+        seen["measures"] = 0
+    write, write_measure = ff.canonical_json, ff.measure_json
+    parse, validate = ff.parse_fraction, core.validate_dist
+    written = []
 
     def checked_write(obj):
         seen["documents"] += 1
         text = write(obj)
         assert text == json_canonical(obj)
+        return text
+
+    def checked_write_measure(measure, verified=True):
+        seen["measures"] += 1
+        text = write_measure(measure, verified)
+        assert text == json_canonical(measure_obj(measure, verified))
+        written.append(text)
         return text
 
     def checked_parse(text):
@@ -264,10 +332,15 @@ def test_benchmark_calls_match_the_old_document_path(name, tmp_path, monkeypatch
         validate(dist, n, min_total=min_total)
 
     monkeypatch.setattr(ff, "canonical_json", checked_write)
+    monkeypatch.setattr(ff, "measure_json", checked_write_measure)
     monkeypatch.setattr(ff, "parse_fraction", checked_parse)
     monkeypatch.setattr(core, "validate_dist", checked_validate)
     for op in wl.ops:
         assert main(op.argv) == op.expect, op.argv
+        if written:
+            out = next(path for path in op.outputs if path.endswith(".json"))
+            assert (tmp_path / out).read_bytes() == written.pop().encode(), op.argv
+        assert not written, op.argv
     capsys.readouterr()
     for path in sorted(tmp_path.glob("*.json")):
         doc = json.loads(path.read_text())

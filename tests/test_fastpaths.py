@@ -36,10 +36,11 @@ from gwrev.parametrizer import (
     validate_template,
 )
 
-from .conftest import break_condition_ii, dense_grid, two_label_spec
+from .conftest import break_condition_i, break_condition_ii, dense_grid, two_label_spec
 from .oracles import (
     build_balance_graph,
     cycle_identity_product,
+    every_visit_condition_i,
     fraction_solve_potentials,
     fraction_verify_reversibility,
     listed_violations,
@@ -76,6 +77,42 @@ def reweighted(rng, spec):
         raw = {c: rng.randint(1, 9) for c in sorted(offspring[key])}
         offspring[key] = {c: F(r, sum(raw.values())) for c, r in raw.items()}
     return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
+
+
+def dropped_entry(rng, spec):
+    """Copy of the spec with one entry of a law of two or more entries
+    dropped and the rest reweighted at random: a class that entry forced
+    loses its mass, so condition i may fail; None when no law has two."""
+    keys = [key for key in sorted(spec.offspring) if len(spec.offspring[key]) > 1]
+    if not keys:
+        return None
+    offspring = dict(spec.offspring)
+    key = rng.choice(keys)
+    kept = sorted(offspring[key])
+    kept.remove(rng.choice(kept))
+    raw = {c: rng.randint(1, 9) for c in kept}
+    offspring[key] = {c: F(r, sum(raw.values())) for c, r in raw.items()}
+    return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
+
+
+def test_condition_i_matches_the_every_visit_loop():
+    # the verdict and the witness (first failing class, at its first label)
+    rng = random.Random(9)
+    checked = failing = 0
+    for _, _, spec in corpus(9):
+        for s in (spec, dropped_entry(rng, spec), dropped_entry(rng, spec)):
+            if s is None:
+                continue
+            result = check_condition_i(s)
+            assert result == every_visit_condition_i(s)
+            checked += 1
+            failing += not result[0]
+    template, weights = dense_grid(4, seed=3)
+    grid = solve_offspring(template, weights)
+    for s in (grid, dropped_entry(rng, grid), two_label_spec(),
+              break_condition_i(two_label_spec())):
+        assert check_condition_i(s) == every_visit_condition_i(s)
+    assert checked > 1200 and checked // 5 < failing < checked - checked // 5
 
 
 def graph_path(spec):

@@ -10,7 +10,7 @@ from gwrev.core import SpecError, SupportClass
 from gwrev.norelabel import PlainSpec
 from gwrev.parametrizer import assemble_measure
 
-from .oracles import random_admissible_instance
+from .oracles import json_canonical, measure_obj, random_admissible_instance
 
 
 def test_fraction_round_trip():
@@ -34,10 +34,11 @@ def test_spec_round_trip(pair_spec):
 
 def test_measure_round_trip(pair_spec):
     measure = construct_measure(pair_spec)
-    obj = ff.measure_to_obj(measure)
-    again = ff.obj_to_measure(json.loads(ff.canonical_json(obj)))
+    text = ff.measure_json(measure)
+    assert text == json_canonical(measure_obj(measure))
+    again = ff.obj_to_measure(json.loads(text))
     assert again == measure
-    assert ff.canonical_json(ff.measure_to_obj(again)) == ff.canonical_json(obj)
+    assert ff.measure_json(again) == text
 
 
 def test_equal_measures_serialize_byte_identically(pair_spec, template):
@@ -45,9 +46,7 @@ def test_equal_measures_serialize_byte_identically(pair_spec, template):
 
     constructed = construct_measure(pair_spec)
     assembled = assemble_measure(template, two_label_weights(F(1, 2), F(1, 2)))
-    assert ff.canonical_json(ff.measure_to_obj(constructed)) == ff.canonical_json(
-        ff.measure_to_obj(assembled)
-    )
+    assert ff.measure_json(constructed) == ff.measure_json(assembled)
 
 
 def test_round_trip_over_random_measures():
@@ -55,10 +54,10 @@ def test_round_trip_over_random_measures():
     for _ in range(10):
         template, weights = random_admissible_instance(rng, rng.randint(1, 4))
         measure = assemble_measure(template, weights)
-        text = ff.canonical_json(ff.measure_to_obj(measure))
+        text = ff.measure_json(measure)
         again = ff.obj_to_measure(json.loads(text))
         assert again == measure
-        assert ff.canonical_json(ff.measure_to_obj(again)) == text
+        assert ff.measure_json(again) == text
 
 
 def test_plain_spec_round_trip(plain_spec):

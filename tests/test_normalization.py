@@ -67,7 +67,7 @@ def coprime_template():
 
 
 def measure_doc(measure):
-    return ff.canonical_json(ff.measure_to_obj(measure))
+    return ff.measure_json(measure)
 
 
 def reference_assembled(template, weights):
