@@ -23,7 +23,6 @@ from .core import (
     ZERO,
     balance_key,
     class_sides,
-    decrement,
     exact_flow,
     increment,
     same_key,
@@ -59,7 +58,6 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
         neighbor_dist=neighbor_dist,
         descendants=spec,
     )
-    _assert_support_consistency(measure)
     return measure
 
 
@@ -91,19 +89,6 @@ def _normalize(n: int, potentials: Dict[SupportClass, Fraction]):
     grand = sum(scaled.values())
     root_dist = {i: Fraction(x, grand) for i, x in scaled.items()}
     return neighbor_dist, root_dist
-
-
-def _assert_support_consistency(measure: RootMeasure) -> None:
-    # Stationarity forces: every positive coordinate j of a supported class
-    # (i, c) corresponds to a stored offspring probability for (j, i).
-    spec = measure.descendants
-    for cls in measure.support_classes():
-        i, c = cls
-        for j, cj in enumerate(c, start=1):
-            if cj > 0 and spec.pair_prob(j, i, decrement(c, j)) == 0:
-                raise AssertionError(
-                    f"constructed class {cls} lacks the offspring term for parent {j}"
-                )
 
 
 # the value of a side whose members' balance keys differ

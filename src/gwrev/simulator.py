@@ -13,7 +13,14 @@ trials at a time, without building a generator:
 * Words.  Philox is counter-based: word k of trial t is word k % 4 of the
   block at counter k // 4 + 1 under the key words (t, seed).
   `philox_block` evaluates a block for an array of trials in numpy uint64
-  arithmetic, the 64 x 64 -> 128-bit products built from 32-bit halves.
+  arithmetic, both multiplications of a round as one (2, N) array, the
+  high words of the 64 x 64 -> 128-bit products built from 32-bit halves
+  by three multiplications.  `estimate_flow` evaluates a trial's block at
+  counter 1 once, for the root draw and the first two children's words,
+  and the block holding the step's first word once, for that word and
+  the other children's; only the child words of a root of degree 6 or
+  more that lie between the two, and the words a step that Lemire's
+  method rejects reads again, come from `trial_words`.
 * Draws.  A law is drawn by inverse CDF over its sorted outcomes against
   the double u = (word >> 11) * 2**-53: the first outcome whose cumulative
   probability acc exceeds u.  For the integer k = word >> 11, u < acc
@@ -76,36 +83,36 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 _11 = np.uint64(11)
 _TWO53 = 1 << 53
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64's round multipliers and key increments, one row per lane
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> _32
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> _32
-    lo_lo, lo_hi, hi_lo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    carry = ((lo_lo >> _32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)) >> _32
-    return x_hi * m_hi + (lo_hi >> _32) + (hi_lo >> _32) + carry, x * np.uint64(m)
-
-
-def philox_block(seed: int, trials: np.ndarray, counter) -> List[np.ndarray]:
+def philox_block(seed: int, trials: np.ndarray, counter) -> np.ndarray:
     """The four words of Philox4x64-10 at `counter` (one for all trials or
-    one per trial) under the key words (trial, seed) of each trial: words
-    4 * (counter - 1) to 4 * counter - 1 of the trial's GENERATOR stream,
-    whose first block sits at counter 1."""
+    one per trial) under the key words (trial, seed) of each trial, as rows
+    of a (4, len(trials)) array: words 4 * (counter - 1) to 4 * counter - 1
+    of the trial's GENERATOR stream, whose first block sits at counter 1."""
     if not (0 <= seed < _TWO64):
         raise ValueError("seed must fit in 64 bits")
     trials = np.asarray(trials, dtype=np.uint64)
-    zero = np.zeros_like(trials)
-    x = [zero + np.asarray(counter, dtype=np.uint64), zero, zero, zero]
-    for r in range(10):
-        k0 = trials + np.uint64(r * _PHILOX_W[0] % _TWO64)
-        k1 = np.uint64((seed + r * _PHILOX_W[1]) % _TWO64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
-        x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
-    return x
+    key = np.empty((2, len(trials)), dtype=np.uint64)
+    key[0], key[1] = trials, seed
+    x02 = np.zeros_like(key)
+    x02[0] = counter
+    x13 = np.zeros_like(key)
+    for _ in range(10):
+        # the high words of the products (x0, x2) * (M0, M1), from halves
+        x_lo, x_hi = x02 & _MASK32, x02 >> _32
+        t = x_lo * _PHILOX_M_HI + (x_lo * _PHILOX_M_LO >> _32)
+        u = x_hi * _PHILOX_M_LO + (t & _MASK32)
+        hi = x_hi * _PHILOX_M_HI + (t >> _32) + (u >> _32)
+        # x0, x2 <- hi(x2 * M1) ^ x1 ^ k0, hi(x0 * M0) ^ x3 ^ k1;
+        # x1, x3 <- lo(x2 * M1), lo(x0 * M0)
+        x02, x13 = hi[::-1] ^ x13 ^ key, (x02 * _PHILOX_M)[::-1]
+        key += _PHILOX_W
+    return np.stack((x02[0], x13[0], x02[1], x13[1]))
 
 
 def trial_words(seed: int, trials: np.ndarray, index) -> np.ndarray:
@@ -135,16 +142,18 @@ def _pick(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(thresholds, k, side="right"), len(thresholds) - 1)
 
 
-def lemire_step(seed: int, trials: np.ndarray, index: np.ndarray, deg: np.ndarray) -> np.ndarray:
+def lemire_step(seed: int, trials: np.ndarray, index: np.ndarray, deg: np.ndarray,
+                word: np.ndarray) -> np.ndarray:
     """`Generator.integers(deg)` for 1 <= deg < 2**32, drawn by each trial
-    (with its own `index` and `deg`) when its stream is at word `index`:
-    Lemire's method on the low half of that word and, while it rejects,
-    on the high half, then on the halves of the words after it.  Earlier
-    `random()` calls take whole words, so no buffered half precedes them."""
+    (with its own `index` and `deg`) when its stream is at word `index`,
+    which the caller passes in as `word`: Lemire's method on the low half
+    of that word and, while it rejects, on the high half, then on the
+    halves of the words after it.  Earlier `random()` calls take whole
+    words, so no buffered half precedes them."""
     deg = np.asarray(deg, dtype=np.uint64)
     index = np.asarray(index, dtype=np.int64)
     threshold = (np.uint64(1 << 32) - deg) % deg
-    m = (trial_words(seed, trials, index) & _MASK32) * deg
+    m = (word & _MASK32) * deg
     again = np.flatnonzero((m & _MASK32) < threshold)
     draw = 1
     while len(again):
@@ -170,10 +179,11 @@ class _RootDraws:
             self.classes += [SupportClass(label, vec) for vec in vectors]
             self.vector_cdf.append(cdf)
 
-    def __call__(self, seed: int, trials: np.ndarray) -> np.ndarray:
-        words = philox_block(seed, trials, 1)
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        """The class drawn by each trial from `words`, its block at
+        counter 1."""
         at = _pick(self.label_cdf, words[0])
-        out = np.empty(len(trials), dtype=np.int64)
+        out = np.empty(len(at), dtype=np.int64)
         for a in np.unique(at):
             mine = at == a
             out[mine] = self.first[a] + _pick(self.vector_cdf[a], words[1][mine])
@@ -257,30 +267,52 @@ def estimate_flow(
     roots = _RootDraws(measure)
     law = measure.descendants.offspring_law
     degree = np.array([total(u.vector) for u in roots.classes], dtype=np.int64)
-    ends = (roots.classes.index(source), roots.classes.index(target))
 
-    def crossings(frm: SupportClass, to: SupportClass, trial, cls, k) -> int:
-        # child k of a frm root is the end of the step; it is a `to` class
-        # when it carries to's label and draws to's vector less the parent
-        child_label = np.repeat(np.arange(1, measure.n + 1), frm.vector)
-        go = cls == roots.classes.index(frm)
-        go[go] = child_label[k[go]] == to.label
+    def crossing(frm: SupportClass, to: SupportClass):
+        # (root, lands, cdf, want): the step from a frm root, class index
+        # root, crosses to a `to` class when child k carries to's label
+        # (lands[k]) and draws outcome `want` of its law, to's vector less
+        # the parent; lands is all False when the law cannot draw it
         outcomes, cdf = _cdf(law(frm.label, to.label))
         want = decrement(to.vector, frm.label)
-        if not go.any() or want not in outcomes:
-            return 0
-        picked = _pick(cdf, trial_words(seed, trial[go], 2 + k[go]))
-        return int(np.count_nonzero(picked == outcomes.index(want)))
+        lands = np.repeat(np.arange(1, measure.n + 1), frm.vector) == to.label
+        if want not in outcomes:
+            return roots.classes.index(frm), np.zeros_like(lands), cdf, 0
+        return roots.classes.index(frm), lands, cdf, outcomes.index(want)
 
-    fwd = 0
-    bwd = 0
+    directions = (crossing(source, target), crossing(target, source))
+    ends = [root for root, _, _, _ in directions]
+    counts = [0, 0]
     for trial in _blocks(trials):
-        cls = roots(seed, trial)
-        at = np.isin(cls, ends)
-        trial, cls = trial[at], cls[at]
-        k = lemire_step(seed, trial, 2 + degree[cls], degree[cls])
-        fwd += crossings(source, target, trial, cls, k)
-        bwd += crossings(target, source, trial, cls, k)
+        first = philox_block(seed, trial, 1)
+        cls = roots(first)
+        at = np.flatnonzero(np.isin(cls, ends))
+        trial, cls, first = trial[at], cls[at], first[:, at]
+        deg = degree[cls]
+        # the step reads word 2 + deg first; `last` is its block
+        step = 2 + deg
+        last_counter = step // 4 + 1
+        last = first.copy()
+        later = np.flatnonzero(last_counter > 1)
+        if len(later):
+            last[:, later] = philox_block(seed, trial[later], last_counter[later])
+        k = lemire_step(seed, trial, step, deg, last[step % 4, np.arange(len(trial))])
+        # child k drew its offspring vector from word 2 + k
+        go = []
+        for root, lands, _, _ in directions:
+            mine = cls == root
+            mine[mine] = lands[k[mine]]
+            go.append(mine)
+        need = np.flatnonzero(go[0] | go[1])
+        index = 2 + k[need]
+        counter = index // 4 + 1
+        words = np.where(counter == 1, first[index % 4, need], last[index % 4, need])
+        elsewhere = np.flatnonzero((counter > 1) & (counter != last_counter[need]))
+        if len(elsewhere):
+            words[elsewhere] = trial_words(seed, trial[need[elsewhere]], index[elsewhere])
+        for n, (mine, (_, _, cdf, want)) in enumerate(zip(go, directions)):
+            counts[n] += int(np.count_nonzero(_pick(cdf, words[mine[need]]) == want))
+    fwd, bwd = counts
     mean_f, se_f = _estimate(float(fwd), float(fwd), trials)
     mean_b, se_b = _estimate(float(bwd), float(bwd), trials)
     return (
@@ -299,13 +331,18 @@ def inverse_degree_mass(measure: RootMeasure) -> Fraction:
     return out
 
 
-def exact_transport(measure: RootMeasure, i: int, j: int) -> Fraction:
-    """Mean number of j-labeled root neighbors on the i-labeled event, under
-    the measure biased by 1/deg and renormalized."""
+def _transport_mass(measure: RootMeasure, i: int, j: int) -> Fraction:
+    """`exact_transport` before the division by `inverse_degree_mass`."""
     num = Fraction(0)
     for c, p in sorted(measure.neighbor_dist[i].items()):
         num += measure.root_dist[i] * p * Fraction(c[j - 1], total(c))
-    return num / inverse_degree_mass(measure)
+    return num
+
+
+def exact_transport(measure: RootMeasure, i: int, j: int) -> Fraction:
+    """Mean number of j-labeled root neighbors on the i-labeled event, under
+    the measure biased by 1/deg and renormalized."""
+    return _transport_mass(measure, i, j) / inverse_degree_mass(measure)
 
 
 def mass_transport_check(
@@ -332,7 +369,7 @@ def mass_transport_check(
                            for u in roots.classes])
     sum_f = sq_f = sum_b = sq_b = 0.0
     for trial in _blocks(trials):
-        cls = roots(seed, trial)
+        cls = roots(philox_block(seed, trial, 1))
         v = sent_v[cls[sent[cls]]]
         sum_f, sq_f = _add_in_order(sum_f, v), _add_in_order(sq_f, v * v)
         v = received_v[cls[received[cls]]]
@@ -340,6 +377,6 @@ def mass_transport_check(
     mean_f, se_f = _estimate(sum_f, sq_f, trials)
     mean_b, se_b = _estimate(sum_b, sq_b, trials)
     return (
-        FlowEstimate(mean_f, se_f, exact_transport(measure, i, j), trials, seed),
-        FlowEstimate(mean_b, se_b, exact_transport(measure, j, i), trials, seed),
+        FlowEstimate(mean_f, se_f, _transport_mass(measure, i, j) / z, trials, seed),
+        FlowEstimate(mean_b, se_b, _transport_mass(measure, j, i) / z, trials, seed),
     )

@@ -108,6 +108,19 @@ def listed_violations(measure: RootMeasure):
     return sorted(x for x in balance_violations(measure) if x[0] < x[1] or x[1] not in support)
 
 
+def assert_support_consistency(measure: RootMeasure) -> None:
+    # Stationarity forces: every positive coordinate j of a supported class
+    # (i, c) corresponds to a stored offspring probability for (j, i).
+    spec = measure.descendants
+    for cls in measure.support_classes():
+        i, c = cls
+        for j, cj in enumerate(c, start=1):
+            if cj > 0 and spec.pair_prob(j, i, decrement(c, j)) == 0:
+                raise AssertionError(
+                    f"constructed class {cls} lacks the offspring term for parent {j}"
+                )
+
+
 # ---------------------------------------------------------------------------
 # Cycle identity, transcribed in ratio form (no degree totals)
 # ---------------------------------------------------------------------------
@@ -1131,9 +1144,23 @@ def walk(tree: LabeledTree, steps: int, seed: int, trial: int = 0) -> List[Tuple
 # Monte Carlo through one generator per trial
 # ---------------------------------------------------------------------------
 
-def reference_estimate_flow(measure: RootMeasure, source, target, trials: int, seed: int):
-    """`simulator.estimate_flow` as a loop over per-trial generators: the
-    body it had before the counter-based bulk path."""
+def reference_walks(measure: RootMeasure, trials: int, seed: int):
+    """The root class and the class one uniform step away, (start, end),
+    of each trial's depth-2 tree: the per-trial generator loop that
+    `simulator.estimate_flow` replaced."""
+    walks = []
+    for t in range(trials):
+        rng = trial_generator(seed, t)
+        tree = _sample(measure, 2, rng)
+        start = root_class(tree)
+        k = int(rng.integers(total(start.vector)))
+        walks.append((start, class_at(tree, (k,))))
+    return walks
+
+
+def flows_of_walks(measure: RootMeasure, source, target, walks, seed: int):
+    """The two `FlowEstimate`s of `simulator.estimate_flow` counted over
+    `reference_walks`: crossings source -> target and target -> source."""
     from gwrev.simulator import (
         ClassNotInSupportError,
         FlowEstimate,
@@ -1150,26 +1177,22 @@ def reference_estimate_flow(measure: RootMeasure, source, target, trials: int, s
         raise ClassNotInSupportError(
             f"classes {source} and {target} cannot sit next to each other"
         )
-    fwd = 0
-    bwd = 0
-    for t in range(trials):
-        rng = trial_generator(seed, t)
-        tree = _sample(measure, 2, rng)
-        start = root_class(tree)
-        if start != source and start != target:
-            continue
-        k = int(rng.integers(total(start.vector)))
-        end = class_at(tree, (k,))
-        if start == source and end == target:
-            fwd += 1
-        if start == target and end == source:
-            bwd += 1
+    trials = len(walks)
+    fwd = walks.count((source, target))
+    bwd = walks.count((target, source))
     mean_f, se_f = _estimate(float(fwd), float(fwd), trials)
     mean_b, se_b = _estimate(float(bwd), float(bwd), trials)
     return (
         FlowEstimate(mean_f, se_f, exact_flow(measure, source, target), trials, seed),
         FlowEstimate(mean_b, se_b, exact_flow(measure, target, source), trials, seed),
     )
+
+
+def reference_estimate_flow(measure: RootMeasure, source, target, trials: int, seed: int):
+    """`simulator.estimate_flow` as a loop over per-trial generators, one
+    tree and one step per trial, as it ran before the counter-based bulk
+    path."""
+    return flows_of_walks(measure, source, target, reference_walks(measure, trials, seed), seed)
 
 
 def reference_mass_transport_check(measure: RootMeasure, i: int, j: int, trials: int, seed: int):

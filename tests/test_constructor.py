@@ -16,6 +16,7 @@ from gwrev.parametrizer import assemble_measure
 
 from .conftest import A, B, D, break_condition_i, break_condition_ii, two_label_spec
 from .oracles import (
+    assert_support_consistency,
     balance_violations,
     fraction_solve_potentials,
     fraction_verify_reversibility,
@@ -27,10 +28,20 @@ from .oracles import (
 
 def test_worked_instance_measure(pair_spec):
     mu = construct_measure(pair_spec)
+    assert_support_consistency(mu)
     assert mu.root_dist == {1: F(3, 8), 2: F(5, 8)}
     assert mu.neighbor_dist[1] == {A: F(1, 2), B: F(1, 2)}
     assert mu.neighbor_dist[2] == {D: F(1, 2), A: F(1, 2)}
     assert mu.descendants is pair_spec
+
+
+def test_support_consistency_oracle_sees_a_missing_term(pair_spec):
+    # 1:(1,1) needs p(2,1)(1, 0), which break_condition_i drops
+    mu = construct_measure(pair_spec)
+    broken = RootMeasure(n=2, root_dist=mu.root_dist, neighbor_dist=mu.neighbor_dist,
+                         descendants=break_condition_i(pair_spec))
+    with pytest.raises(AssertionError, match="1:\\(1,1\\) lacks the offspring term"):
+        assert_support_consistency(broken)
 
 
 def test_support_is_exactly_the_candidate_set(pair_spec):
@@ -44,6 +55,7 @@ def test_single_type_offspring_shifts_to_root_degrees():
     law = {(0,): F(1, 4), (2,): F(1, 4), (3,): F(1, 2)}
     spec = GWSpec(n=1, mode=PAIR, offspring={(1, 1): law})
     mu = construct_measure(spec)
+    assert_support_consistency(mu)
     assert mu.neighbor_dist[1] == {(1,): F(1, 4), (3,): F(1, 4), (4,): F(1, 2)}
     assert mu.root_dist == {1: F(1)}
 
@@ -51,6 +63,7 @@ def test_single_type_offspring_shifts_to_root_degrees():
 def test_triangle_like_deterministic_point_mass():
     spec = GWSpec(n=1, mode=PAIR, offspring={(1, 1): {(1,): F(1)}})
     mu = construct_measure(spec)
+    assert_support_consistency(mu)
     assert mu.root_dist == {1: F(1)}
     assert mu.neighbor_dist[1] == {(2,): F(1)}
 
@@ -88,6 +101,7 @@ def test_uniqueness_under_entry_reordering(pair_spec):
         },
     )
     mu2 = construct_measure(reordered)
+    assert_support_consistency(mu2)
     assert mu2.root_dist == mu.root_dist
     assert mu2.neighbor_dist == mu.neighbor_dist
 
@@ -214,6 +228,7 @@ def test_constructed_measures_satisfy_detailed_balance_randomized():
         template, weights = random_admissible_instance(rng, rng.randint(1, 4))
         spec = assemble_measure(template, weights).descendants
         mu = construct_measure(spec)
+        assert_support_consistency(mu)
         assert verify_reversibility(mu) == []
         assert balance_violations(mu) == []
 
@@ -227,4 +242,5 @@ def test_agw_structure_random_single_type_laws():
             offspring={(1, 1): {(k,): p for k, p in law.items()}},
         )
         mu = construct_measure(spec)
+        assert_support_consistency(mu)
         assert mu.neighbor_dist[1] == {(k + 1,): p for k, p in law.items()}

@@ -19,6 +19,7 @@ import gwrev.simulator as simulator
 from gwrev.constructor import construct_measure
 from gwrev.core import GWSpec, PAIR, RootMeasure, SpecError, SupportClass
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
+from gwrev.parametrizer import assemble_measure
 from gwrev.simulator import (
     _cdf,
     _pick,
@@ -29,7 +30,7 @@ from gwrev.simulator import (
 )
 
 from . import oracles
-from .conftest import A, B, two_label_spec
+from .conftest import A, B, D, dense_grid, two_label_spec
 from .oracles import _draw, trial_generator
 
 SEED = 90210
@@ -140,7 +141,8 @@ def test_threshold_draw_matches_the_cumulative_walk_at_every_boundary(dist):
 @pytest.mark.parametrize("m", range(1, 10))
 def test_lemire_transcription_matches_generator_integers(m):
     trials = np.arange(300, dtype=np.uint64)
-    got = lemire_step(SEED, trials, np.zeros(300, dtype=np.int64), np.full(300, m))
+    index = np.zeros(300, dtype=np.int64)
+    got = lemire_step(SEED, trials, index, np.full(300, m), trial_words(SEED, trials, index))
     for t in range(300):
         expected = int(trial_generator(SEED, t).integers(m))
         words = np.random.Philox(key=(SEED << 64) | t).random_raw(4).tolist()
@@ -179,8 +181,9 @@ def test_crafted_rejections_go_to_the_replay(m, monkeypatch):
         [streams[t][k] for t, k in zip(trials.tolist(), np.broadcast_to(index, trials.shape))],
         dtype=np.uint64))
     trials = np.arange(len(streams), dtype=np.uint64)
-    got = lemire_step(SEED, trials, np.zeros(len(streams), dtype=np.int64),
-                      np.full(len(streams), m)).tolist()
+    index = np.zeros(len(streams), dtype=np.int64)
+    got = lemire_step(SEED, trials, index, np.full(len(streams), m),
+                      simulator.trial_words(SEED, trials, index)).tolist()
     expected = [oracle_step(words, m) for words in streams]
     assert got == [k for k, _ in expected]
     drawn = {d for _, d in expected}
@@ -203,7 +206,9 @@ def test_step_matches_generator_integers_through_real_rejections():
     rejections = {}
     for w in (0, 3):
         for deg in [*range(1, 10), *BIG]:
-            got = lemire_step(SEED, trials, np.full(keys, w), np.full(keys, deg)).tolist()
+            index = np.full(keys, w)
+            got = lemire_step(SEED, trials, index, np.full(keys, deg),
+                              trial_words(SEED, trials, index)).tolist()
             for t in range(keys):
                 rng = trial_generator(SEED, t)
                 for _ in range(w):
@@ -300,6 +305,83 @@ def test_any_split_into_blocks_gives_the_same_estimates(pair_spec, monkeypatch, 
     assert_same_transport(measure, 2, 1, trials, SEED)
 
 
+def counting_blocks(monkeypatch):
+    """Wraps `simulator.philox_block`: returns the list of its calls, each
+    the (trial, counter) pairs it evaluated."""
+    calls = []
+    block = simulator.philox_block
+
+    def counted(seed, trials, counter):
+        trials = np.asarray(trials, dtype=np.uint64)
+        counters = np.broadcast_to(np.asarray(counter, dtype=np.uint64), trials.shape)
+        calls.append(list(zip(trials.tolist(), counters.tolist())))
+        return block(seed, trials, counter)
+
+    monkeypatch.setattr(simulator, "philox_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("source, target", [
+    (SupportClass(1, A), SupportClass(2, A)),  # degrees 2 and 2
+    (SupportClass(1, B), SupportClass(2, A)),  # 3 and 2
+    (SupportClass(2, D), SupportClass(2, D)),  # 3, one class
+])
+def test_each_trial_and_counter_is_evaluated_once(pair_spec, monkeypatch, source, target):
+    measure = construct_measure(pair_spec)
+    trials = 3 * simulator.BLOCK + 5
+    expected = oracles.reference_estimate_flow(measure, source, target, trials, SEED)
+    calls = counting_blocks(monkeypatch)
+    assert estimate_flow(measure, source, target, trials, SEED) == expected
+    evaluated = [pair for call in calls for pair in call]
+    assert len(evaluated) == len(set(evaluated))
+    # block 1 of every trial; the step's block, counter 2, of the end trials
+    assert {counter for _, counter in evaluated} == {1, 2}
+    assert sum(len(call) for call in calls if call[0][1] == 1) == trials
+    if sum(source.vector) == sum(target.vector) == 2:
+        # step word 4, child words 2 and 3: two blocks per block of trials
+        assert len(calls) == 2 * 4
+
+
+def test_a_degree_one_step_reads_counter_one(monkeypatch):
+    # word 3 of a leaf root is its step's word: no second block for it
+    path = FiniteGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+    measure = lift_measure(path, label_vertices(path))
+    leaf, = [cls for cls in measure.support_classes() if sum(cls.vector) == 1]
+    inner, = [cls for cls in measure.support_classes() if sum(cls.vector) == 2]
+    expected = oracles.reference_estimate_flow(measure, leaf, inner, 600, SEED)
+    calls = counting_blocks(monkeypatch)
+    assert estimate_flow(measure, leaf, inner, 600, SEED) == expected
+    evaluated = [pair for call in calls for pair in call]
+    assert len(evaluated) == len(set(evaluated)) and len(calls) == 2
+
+
+def test_high_degree_ends_match_the_per_trial_loop(monkeypatch):
+    """Ends of degree up to 8 step past word 5, so a child's word can sit
+    in a block between counter 1 and the step's: the K = 4 dense grid, every
+    adjacent pair, and a star lift whose centre has degree 7."""
+    template, weights = dense_grid(4, seed=4)
+    grid = assemble_measure(template, weights)
+    star = FiniteGraph.from_edges([(0, k) for k in range(1, 8)])
+    lifted = lift_measure(star, label_vertices(star))
+    assert max(sum(cls.vector) for cls in grid.support_classes()) == 8
+    assert max(sum(cls.vector) for cls in lifted.support_classes()) == 7
+    words_calls = []
+    words = simulator.trial_words
+    monkeypatch.setattr(simulator, "trial_words",
+                        lambda *args: words_calls.append(args) or words(*args))
+    monkeypatch.setattr(simulator, "BLOCK", 256)
+    crossings = 0
+    for measure, trials in [(grid, 700), (lifted, 900)]:
+        walks = oracles.reference_walks(measure, trials, SEED)
+        # `reference_estimate_flow` is flows_of_walks over these walks
+        for source, target in [(s, t) for s, t in adjacent_pairs(measure) if s <= t]:
+            got = estimate_flow(measure, source, target, trials, SEED)
+            assert got == oracles.flows_of_walks(measure, source, target, walks, SEED)
+            crossings += got[0].empirical_mean > 0
+    # child words outside both blocks were read, and crossings were counted
+    assert words_calls and crossings > 100
+
+
 def test_unsampleable_root_is_refused_when_the_measure_is_built():
     """A root class whose neighbor label has no offspring law could not be
     sampled; `RootMeasure` refuses it, so no estimate ever meets one."""
@@ -321,8 +403,14 @@ def test_unsampleable_root_is_refused_when_the_measure_is_built():
 def test_memory_is_bounded_by_the_block(pair_spec):
     measure = construct_measure(pair_spec)
     source, target = SupportClass(1, A), SupportClass(2, A)
+    # a K = 4 grid whose degree-8 ends carry most of the mass
+    template, _ = dense_grid(4)
+    ends = (SupportClass(1, (4, 4)), SupportClass(2, (4, 4)))
+    grid = assemble_measure(template, {cls: F(97, 100) if cls in ends else F(1, 500)
+                                       for cls in template.classes})
     for run in (lambda: mass_transport_check(measure, 1, 2, 300_000, SEED),
-                lambda: estimate_flow(measure, source, target, 300_000, SEED)):
+                lambda: estimate_flow(measure, source, target, 300_000, SEED),
+                lambda: estimate_flow(grid, *ends, 300_000, SEED)):
         tracemalloc.start()
         try:
             run()

@@ -28,6 +28,7 @@ from gwrev.parametrizer import (
 
 from .conftest import dense_grid
 from .oracles import (
+    assert_support_consistency,
     fraction_forced_laws,
     fraction_normalize,
     random_template_candidate,
@@ -117,6 +118,7 @@ def assert_normalizations_match(template, weights):
     assert items(neighbor) == items(ref_neighbor)
     assert items(root) == items(ref_root)
     constructed = construct_measure(spec, report)
+    assert_support_consistency(constructed)
     assert measure_doc(constructed) == measure_doc(reference_constructed(spec))
     # the constructed measure is the assembled one
     assert measure_doc(constructed) == measure_doc(assembled)
