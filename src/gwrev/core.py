@@ -112,20 +112,29 @@ def degrees(dist: Mapping[Vector, Fraction]) -> set:
     return {total(c) for c in dist}
 
 
+def common_sum(terms: Collection[Tuple[int, int]]) -> Tuple[int, int]:
+    """The sum of the fractions given as (numerator, denominator) pairs, as
+    the unreduced pair (sum of numerator * (L / denominator), L) over their
+    common denominator L."""
+    common = math.lcm(*[den for _, den in terms])
+    return sum([num * (common // den) for num, den in terms]), common
+
+
 def sums_to_one(values: Collection[Fraction]) -> bool:
     """Whether the Fractions sum to exactly 1, decided over their common
-    denominator L: sum of numerator * (L / denominator) == L."""
-    common = math.lcm(*[p.denominator for p in values])
-    return sum([p.numerator * (common // p.denominator) for p in values]) == common
+    denominator."""
+    num, common = common_sum([(p.numerator, p.denominator) for p in values])
+    return num == common
 
 
 def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0) -> None:
     """Check a stored distribution: vectors of length n, positive rational
     probabilities summing to exactly 1, and every total >= min_total.  The
-    range and the sum are checked on numerators and denominators; the Fraction
-    sum is formed only to report a sum that is not 1."""
+    range and the sum are checked on numerators and denominators, each read
+    once; the Fraction sum is formed only to report a sum that is not 1."""
     if not dist:
         raise InvalidDistributionError("empty distribution")
+    terms = []
     for c, p in dist.items():
         if len(c) != n:
             raise InvalidDistributionError(f"vector {c} has length {len(c)}, expected {n}")
@@ -136,10 +145,13 @@ def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0
             raise InvalidDistributionError(f"vector {c} has total < {min_total}")
         if not isinstance(p, Fraction):
             raise InvalidDistributionError(f"probability of {c} is not a Fraction: {p!r}")
+        num, den = p.numerator, p.denominator
         # 0 < p <= 1, the denominator being positive
-        if not 0 < p.numerator <= p.denominator:
+        if not 0 < num <= den:
             raise InvalidDistributionError(f"probability of {c} is {p}, outside (0, 1]")
-    if not sums_to_one(dist.values()):
+        terms.append((num, den))
+    num, common = common_sum(terms)
+    if num != common:
         raise InvalidDistributionError(
             f"probabilities sum to {sum(dist.values(), ZERO)}, expected 1")
 

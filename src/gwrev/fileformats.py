@@ -35,22 +35,23 @@ from .core import Dist, GWSpec, PAIR, PLAIN, RootMeasure, SpecError, SupportClas
 from .norelabel import PlainCheckReport, PlainSpec
 from .parametrizer import SupportTemplate, Weights
 
-_FRACTION_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
-
 
 def parse_fraction(text) -> Fraction:
     """A JSON integer, or a string "a" or "a/b" (an optional minus sign on a,
-    surrounding whitespace allowed), as a reduced Fraction.  Any other type,
-    a bool or a float included, raises TypeError: the document has the
-    wrong shape."""
+    surrounding whitespace allowed), as a reduced Fraction.  The text is
+    split at its first "/"; a and b must be non-empty runs of decimal
+    digits by `str.isdecimal`, the Unicode class Nd, so a sign on b, a
+    second "/", a point or an exponent is refused.  Any other type, a bool
+    or a float included, raises TypeError: the document has the wrong
+    shape."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise TypeError(f"not a rational literal: {text!r}")
-    m = _FRACTION_RE.fullmatch(text.strip())
-    if m is None:
+    num, slash, den = text.strip().partition("/")
+    if not (num[1:] if num[:1] == "-" else num).isdecimal() or (
+            slash and not den.isdecimal()):
         raise SpecError(f"not a rational literal: {text!r}")
-    num, den = m.groups()
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
@@ -137,7 +138,10 @@ def _obj_to_dist(entries, n: int) -> Dist:
     for entry in entries:
         if not isinstance(entry, dict) or not isinstance(entry.get("c"), list):
             raise SpecError(f"distribution entry {entry!r} needs a list \"c\"")
-        c = _ints(entry["c"])
+        c = tuple(entry["c"])
+        for x in c:
+            if type(x) is not int:
+                raise TypeError(f"{x!r} is not an integer")
         if len(c) != n:
             raise SpecError(f"vector {c} has length {len(c)}, expected {n}")
         if c in dist:

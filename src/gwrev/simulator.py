@@ -26,7 +26,9 @@ trials at a time, without building a generator:
   probability acc exceeds u.  For the integer k = word >> 11, u < acc
   exactly when k < ceil(acc * 2**53), so a `searchsorted(..., side="right")`
   over those integer thresholds picks the outcome, and no float or
-  Fraction is compared.
+  Fraction is compared.  `_cdf` forms each threshold in integers, as
+  ceil(A * 2**53 / L) for L the lcm of the law's denominators and A the
+  running sum of numerator * (L / denominator), with no Fraction addition.
 * Walk step.  `Generator.integers(deg)` is Lemire's method on 32-bit
   draws: the low half of the next word, word 2 + deg of a depth-2 trial,
   then its high half, then the halves of the words after it.  Only a step
@@ -55,6 +57,7 @@ from .core import (
     GwrevError,
     RootMeasure,
     SupportClass,
+    common_sum,
     decrement,
     exact_flow,
     total,
@@ -82,7 +85,6 @@ trial count."""
 _MASK32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 _11 = np.uint64(11)
-_TWO53 = 1 << 53
 # Philox4x64's round multipliers and key increments, one row per lane
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> _32
@@ -127,11 +129,12 @@ def _cdf(dist: Dict) -> Tuple[list, np.ndarray]:
     draw, and the integer thresholds ceil(acc * 2**53) of their cumulative
     sums acc."""
     items = sorted(dist.items())
-    acc = Fraction(0)
+    common = math.lcm(*[p.denominator for _, p in items])
+    acc = 0
     thresholds = []
     for _, p in items:
-        acc += p
-        thresholds.append(math.ceil(acc * _TWO53))
+        acc += p.numerator * (common // p.denominator)
+        thresholds.append(-(-(acc << 53) // common))
     return [outcome for outcome, _ in items], np.array(thresholds, dtype=np.int64)
 
 
@@ -184,7 +187,7 @@ class _RootDraws:
         counter 1."""
         at = _pick(self.label_cdf, words[0])
         out = np.empty(len(at), dtype=np.int64)
-        for a in np.unique(at):
+        for a in np.flatnonzero(np.bincount(at, minlength=len(self.first))):
             mine = at == a
             out[mine] = self.first[a] + _pick(self.vector_cdf[a], words[1][mine])
         return out
@@ -286,7 +289,7 @@ def estimate_flow(
     for trial in _blocks(trials):
         first = philox_block(seed, trial, 1)
         cls = roots(first)
-        at = np.flatnonzero(np.isin(cls, ends))
+        at = np.flatnonzero((cls == ends[0]) | (cls == ends[1]))
         trial, cls, first = trial[at], cls[at], first[:, at]
         deg = degree[cls]
         # the step reads word 2 + deg first; `last` is its block
@@ -323,20 +326,22 @@ def estimate_flow(
 
 def inverse_degree_mass(measure: RootMeasure) -> Fraction:
     """Normalizer of the degree-unbiased companion measure: the mean of
-    1 / deg(root) under the measure."""
-    out = Fraction(0)
-    for i in sorted(measure.root_dist):
-        for c, p in sorted(measure.neighbor_dist[i].items()):
-            out += measure.root_dist[i] * p / total(c)
-    return out
+    1 / deg(root) under the measure, summed over a common denominator per
+    label and then across the labels."""
+    terms = []
+    for i, r in measure.root_dist.items():
+        num, den = common_sum([(p.numerator, p.denominator * total(c))
+                               for c, p in measure.neighbor_dist[i].items()])
+        terms.append((r.numerator * num, r.denominator * den))
+    return Fraction(*common_sum(terms))
 
 
 def _transport_mass(measure: RootMeasure, i: int, j: int) -> Fraction:
     """`exact_transport` before the division by `inverse_degree_mass`."""
-    num = Fraction(0)
-    for c, p in sorted(measure.neighbor_dist[i].items()):
-        num += measure.root_dist[i] * p * Fraction(c[j - 1], total(c))
-    return num
+    r = measure.root_dist[i]
+    num, den = common_sum([(p.numerator * c[j - 1], p.denominator * total(c))
+                           for c, p in measure.neighbor_dist[i].items()])
+    return Fraction(r.numerator * num, r.denominator * den)
 
 
 def exact_transport(measure: RootMeasure, i: int, j: int) -> Fraction:

@@ -18,8 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from gwrev.checker import MissingOffspringTermError, _cycle_through
-from gwrev.constructor import Violation
+from gwrev import fileformats
+from gwrev.checker import MissingOffspringTermError, _cycle_through, run_checks
+from gwrev.constructor import Violation, construct_measure
 from gwrev.core import (
     ONE,
     GWSpec,
@@ -40,13 +41,15 @@ from gwrev.core import (
     increment,
     total,
 )
-from gwrev.covers import FiniteGraph, GraphTooLargeError
+from gwrev.covers import FiniteGraph, GraphTooLargeError, label_vertices, lift_measure
 from gwrev.norelabel import (
     DegreeDependentParametersError,
     NotMultinomialError,
     PlainSpec,
+    check_plain_spec,
+    construct_plain_measure,
 )
-from gwrev.parametrizer import SupportTemplate
+from gwrev.parametrizer import SupportTemplate, assemble_measure, solve_offspring
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +866,42 @@ def random_circulant(rng: random.Random, max_vertices: int = 12):
                    for v in range(m) for s in jumps})
 
 
+def random_corpus():
+    """The documents of the random corpora, as object trees for
+    `canonical_json` or as (measure, verified) pairs for `measure_json`:
+    constructed, assembled (unverified), plain and lifted measures."""
+    rng = random.Random(12)
+    for _ in range(150):
+        template = random_template_candidate(rng, rng.randint(1, 4))
+        weights = random_template_weights(rng, template)
+        spec = solve_offspring(template, weights)
+        report = run_checks(spec)
+        yield fileformats.template_to_obj(template)
+        yield fileformats.weights_to_obj(weights)
+        yield fileformats.spec_to_obj(spec)
+        yield fileformats.report_to_obj(report)
+        if report.ok():
+            yield construct_measure(spec, report), True
+    for _ in range(60):
+        template, weights = random_admissible_instance(rng, rng.randint(1, 4))
+        yield assemble_measure(template, weights), False
+    for _ in range(60):
+        pspec = random_plain_spec(rng, rng.randint(1, 4))
+        report = check_plain_spec(pspec)
+        yield fileformats.plain_spec_to_obj(pspec)
+        yield fileformats.plain_report_to_obj(report)
+        if report.ok():
+            yield construct_plain_measure(pspec), True
+    for _ in range(40):
+        graph = FiniteGraph.from_edges(random_connected_graph(rng))
+        yield lift_measure(graph, label_vertices(graph)), True
+
+
+def corpus_measures():
+    """The (measure, verified) pairs of `random_corpus`."""
+    return [doc for doc in random_corpus() if isinstance(doc, tuple)]
+
+
 def _permute_entries(row, tau) -> tuple:
     """A vector (or parameter row) indexed by labels, label j moved to tau[j]."""
     out = list(row)
@@ -1195,17 +1234,46 @@ def reference_estimate_flow(measure: RootMeasure, source, target, trials: int, s
     return flows_of_walks(measure, source, target, reference_walks(measure, trials, seed), seed)
 
 
+def fraction_cdf(dist: Dict) -> Tuple[list, List[int]]:
+    """The law's outcomes in sorted order and the thresholds
+    ceil(acc * 2**53) of their cumulative sums acc, by the Fraction walk
+    of `_draw`: the reference of `simulator._cdf`."""
+    items = sorted(dist.items())
+    acc = Fraction(0)
+    thresholds = []
+    for _, p in items:
+        acc += p
+        thresholds.append(math.ceil(acc * 2**53))
+    return [outcome for outcome, _ in items], thresholds
+
+
+def fraction_inverse_degree_mass(measure: RootMeasure) -> Fraction:
+    """The mean of 1 / deg(root) under the measure, one Fraction addition
+    per class: the reference of `simulator.inverse_degree_mass`."""
+    out = Fraction(0)
+    for i in sorted(measure.root_dist):
+        for c, p in sorted(measure.neighbor_dist[i].items()):
+            out += measure.root_dist[i] * p / total(c)
+    return out
+
+
+def fraction_transport_mass(measure: RootMeasure, i: int, j: int) -> Fraction:
+    """The mean of (#j-neighbors / deg) on the i-labeled root event, one
+    Fraction addition per class: the reference of
+    `simulator._transport_mass`."""
+    num = Fraction(0)
+    for c, p in sorted(measure.neighbor_dist[i].items()):
+        num += measure.root_dist[i] * p * Fraction(c[j - 1], total(c))
+    return num
+
+
 def reference_mass_transport_check(measure: RootMeasure, i: int, j: int, trials: int, seed: int):
     """`simulator.mass_transport_check` as a loop over per-trial generators:
-    the body it had before the counter-based bulk path."""
-    from gwrev.simulator import (
-        FlowEstimate,
-        _estimate,
-        exact_transport,
-        inverse_degree_mass,
-    )
+    the body it had before the counter-based bulk path, with the exact
+    references from the Fraction loops above."""
+    from gwrev.simulator import FlowEstimate, _estimate
 
-    z = inverse_degree_mass(measure)
+    z = fraction_inverse_degree_mass(measure)
     z_f = float(z)
     sum_f = sq_f = sum_b = sq_b = 0.0
     for t in range(trials):
@@ -1224,8 +1292,8 @@ def reference_mass_transport_check(measure: RootMeasure, i: int, j: int, trials:
     mean_f, se_f = _estimate(sum_f, sq_f, trials)
     mean_b, se_b = _estimate(sum_b, sq_b, trials)
     return (
-        FlowEstimate(mean_f, se_f, exact_transport(measure, i, j), trials, seed),
-        FlowEstimate(mean_b, se_b, exact_transport(measure, j, i), trials, seed),
+        FlowEstimate(mean_f, se_f, fraction_transport_mass(measure, i, j) / z, trials, seed),
+        FlowEstimate(mean_b, se_b, fraction_transport_mass(measure, j, i) / z, trials, seed),
     )
 
 

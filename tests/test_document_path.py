@@ -5,9 +5,9 @@ sum check of `validate_dist` against the Fraction sum (oracles in
 `tests/oracles.py`), on fuzzed inputs, on every document the random corpora
 serialize and on every call of the three benchmark workloads."""
 
+import itertools
 import json
 import math
-import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,24 +17,18 @@ from hypothesis import strategies as st
 
 from gwrev import core
 from gwrev import fileformats as ff
-from gwrev.checker import run_checks
 from gwrev.cli import main
-from gwrev.constructor import construct_measure
 from gwrev.core import GWSpec, InvalidDistributionError, PAIR, RootMeasure, SpecError
-from gwrev.covers import FiniteGraph, label_vertices, lift_measure
-from gwrev.norelabel import check_plain_spec, construct_plain_measure
-from gwrev.parametrizer import assemble_measure, solve_offspring
+from gwrev.norelabel import construct_plain_measure
+from gwrev.parametrizer import assemble_measure
 
 from .conftest import dense_grid, three_label_plain
 from .oracles import (
+    corpus_measures,
     fraction_parse,
     json_canonical,
     measure_obj,
-    random_admissible_instance,
-    random_connected_graph,
-    random_plain_spec,
-    random_template_candidate,
-    random_template_weights,
+    random_corpus,
     summing_validate_dist,
 )
 
@@ -174,47 +168,40 @@ def test_sums_to_one_is_the_fraction_identity(values):
     assert core.sums_to_one(normalized) == (sum(normalized, F(0)) == 1)
 
 
+# one fault of a law entry (c, p) each, by what it breaks
+FAULTS = {
+    "length": lambda c, p: (c + (0,), p),
+    "negative count": lambda c, p: ((-1,) + c[1:], p),
+    "total below min_total": lambda c, p: ((0,) * len(c), p),
+    "not a Fraction": lambda c, p: (c, float(p)),
+    "outside (0, 1]": lambda c, p: (c, p + 1),
+    "sum": lambda c, p: (c, p / 2),
+}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(FAULTS, 2)))
+def test_validate_dist_reports_faults_in_the_order_of_the_fraction_sum(first, second):
+    entries = [FAULTS[first]((1, 0), F(1, 3)), FAULTS[second]((0, 2), F(2, 3))]
+    dist = dict(entries)
+    assert len(dist) == 2
+    raised = []
+    for validate in (core.validate_dist, summing_validate_dist):
+        with pytest.raises(InvalidDistributionError) as err:
+            validate(dist, 2, min_total=1)
+        raised.append((err.type, str(err.value)))
+    assert raised[0] == raised[1]
+    # the first entry's fault, unless it is the bad sum, which shows only
+    # once every entry has passed
+    vector, _ = entries[1] if first == "sum" else entries[0]
+    assert str(vector) in raised[0][1]
+
+
 # ---------------------------------------------------------------------------
 # Every document of the random corpora
 # ---------------------------------------------------------------------------
 
-def corpus():
-    """The documents of the random corpora, as object trees for
-    `canonical_json` or as (measure, verified) pairs for `measure_json`:
-    constructed, assembled (unverified), plain and lifted measures."""
-    rng = random.Random(12)
-    for _ in range(150):
-        template = random_template_candidate(rng, rng.randint(1, 4))
-        weights = random_template_weights(rng, template)
-        spec = solve_offspring(template, weights)
-        report = run_checks(spec)
-        yield ff.template_to_obj(template)
-        yield ff.weights_to_obj(weights)
-        yield ff.spec_to_obj(spec)
-        yield ff.report_to_obj(report)
-        if report.ok():
-            yield construct_measure(spec, report), True
-    for _ in range(60):
-        template, weights = random_admissible_instance(rng, rng.randint(1, 4))
-        yield assemble_measure(template, weights), False
-    for _ in range(60):
-        pspec = random_plain_spec(rng, rng.randint(1, 4))
-        report = check_plain_spec(pspec)
-        yield ff.plain_spec_to_obj(pspec)
-        yield ff.plain_report_to_obj(report)
-        if report.ok():
-            yield construct_plain_measure(pspec), True
-    for _ in range(40):
-        graph = FiniteGraph.from_edges(random_connected_graph(rng))
-        yield lift_measure(graph, label_vertices(graph)), True
-
-
-def corpus_measures():
-    return [doc for doc in corpus() if isinstance(doc, tuple)]
-
-
 def corpus_documents():
-    for doc in corpus():
+    for doc in random_corpus():
         yield measure_obj(*doc) if isinstance(doc, tuple) else doc
 
 

@@ -114,12 +114,15 @@ class FixedDouble:
         return self.k * (1.0 / 2**53)
 
 
-@pytest.mark.parametrize("dist", [
+EDGE_LAWS = [
     {1: F(1, 3), 2: F(1, 3), 3: F(1, 3)},
     {(0, 1): F(1, 2), (1, 0): F(1, 4), (2, 0): F(1, 4)},
     {(0, 1): F(1, 7), (0, 2): F(0), (1, 1): F(6, 7)},
     {1: F(1, 4), 2: F(1, 4)},  # sums to 1/2: u past the last sum takes the last outcome
-])
+]
+
+
+@pytest.mark.parametrize("dist", EDGE_LAWS)
 def test_threshold_draw_matches_the_cumulative_walk_at_every_boundary(dist):
     outcomes, cdf = _cdf(dist)
     acc, ks = F(0), {0, 2**53 - 1}
@@ -132,6 +135,35 @@ def test_threshold_draw_matches_the_cumulative_walk_at_every_boundary(dist):
     words = np.array([k << 11 | (k * 37) % 2**11 for k in ks], dtype=np.uint64)
     picked = [outcomes[a] for a in _pick(cdf, words).tolist()]
     assert picked == [_draw(FixedDouble(k), dist) for k in ks]
+
+
+def corpus_measures():
+    """The measures of the random corpora (constructed, assembled, plain and
+    lifted) and the 64-bit K = 10 grid."""
+    measures = [measure for measure, _ in oracles.corpus_measures()]
+    return measures + [assemble_measure(*dense_grid(10, seed=1, bits=64))]
+
+
+def test_integer_thresholds_equal_the_fraction_walk_on_every_law():
+    laws = list(EDGE_LAWS)
+    for measure in corpus_measures():
+        laws += [measure.root_dist, *measure.neighbor_dist.values(),
+                 *measure.descendants.offspring.values()]
+    for dist in laws:
+        outcomes, cdf = _cdf(dist)
+        assert (outcomes, cdf.tolist()) == oracles.fraction_cdf(dist)
+    assert len(laws) > 1500
+
+
+def test_integer_references_equal_the_fraction_loops_on_every_measure():
+    for measure in corpus_measures():
+        z = oracles.fraction_inverse_degree_mass(measure)
+        assert simulator.inverse_degree_mass(measure) == z
+        for i in range(1, measure.n + 1):
+            for j in range(1, measure.n + 1):
+                mass = oracles.fraction_transport_mass(measure, i, j)
+                assert simulator._transport_mass(measure, i, j) == mass
+                assert simulator.exact_transport(measure, i, j) == mass / z
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +323,22 @@ def test_zero_probability_outcomes():
     assert_same_transport(measure, 2, 2, 600, SEED)
 
 
+def rare_label_measure():
+    """A path of five vertices lifted to three labels, the centre's label
+    reweighted to root weight 1/200; returned with the centre's class and
+    its neighbors' class."""
+    path = FiniteGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+    labels = label_vertices(path)
+    lifted = lift_measure(path, labels)
+    rare = labels[2]
+    root = {i: F(1, 200) if i == rare else F(199, 400) for i in lifted.root_dist}
+    measure = RootMeasure(n=lifted.n, root_dist=root, neighbor_dist=lifted.neighbor_dist,
+                          descendants=lifted.descendants)
+    centre, = [SupportClass(rare, c) for c in measure.neighbor_dist[rare]]
+    side, = [SupportClass(labels[1], c) for c in measure.neighbor_dist[labels[1]]]
+    return measure, centre, side
+
+
 @pytest.mark.parametrize("block", [1, 3, 7, 64])
 def test_any_split_into_blocks_gives_the_same_estimates(pair_spec, monkeypatch, block):
     measure = construct_measure(pair_spec)
@@ -298,11 +346,19 @@ def test_any_split_into_blocks_gives_the_same_estimates(pair_spec, monkeypatch, 
     trials = 4 * block + 3
     flow = oracles.reference_estimate_flow(measure, source, target, 300, SEED)
     transport = oracles.reference_mass_transport_check(measure, 1, 2, 300, SEED)
+    # three labels, the centre's drawn as the root in few blocks of 64
+    three, centre, side = rare_label_measure()
+    roots = [_draw(trial_generator(SEED, t), three.root_dist) for t in range(1200)]
+    blocks_with_centre = {t // 64 for t, label in enumerate(roots) if label == centre.label}
+    assert three.n == 3 and 0 < len(blocks_with_centre) < 1200 // 64 / 2
     monkeypatch.setattr(simulator, "BLOCK", block)
     assert estimate_flow(measure, source, target, 300, SEED) == flow
     assert mass_transport_check(measure, 1, 2, 300, SEED) == transport
     assert_same_flow(measure, source, target, trials, SEED)
     assert_same_transport(measure, 2, 1, trials, SEED)
+    assert_same_flow(three, centre, side, 1200, SEED)
+    assert_same_transport(three, centre.label, side.label, 1200, SEED)
+    assert_same_transport(three, side.label, side.label, 1200, SEED)
 
 
 def counting_blocks(monkeypatch):
