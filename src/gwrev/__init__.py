@@ -22,20 +22,17 @@ from .core import (
     SpecError,
     SupportClass,
     Vector,
-    active_labels,
     candidate_support,
     decrement,
     degrees,
     exact_flow,
     increment,
-    swap,
     total,
     vector,
 )
 from .checker import (
     CheckReport,
     check_condition_i,
-    check_condition_ii,
     check_strong_connectivity,
     label_potentials,
     run_checks,
@@ -50,7 +47,6 @@ from .parametrizer import (
     family_dimension,
     solve_offspring,
     solve_root_weights,
-    template_of_measure,
     validate_template,
 )
 from .norelabel import (
@@ -74,7 +70,6 @@ from .covers import (
     lift_measure,
     load_graph,
     pair_digraph,
-    rooted_isomorphic,
 )
 
 # The simulator needs numpy; it is imported on first use of one of its

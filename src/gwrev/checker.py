@@ -273,13 +273,6 @@ def solve_potentials(
     return nodes, pot, cycle, components
 
 
-def check_condition_ii(spec: GWSpec) -> Tuple[bool, Optional[List[SupportClass]]]:
-    """Exact cycle consistency of the balance graph, per label pair through
-    `solve_potentials`."""
-    cycle = solve_potentials(spec)[2]
-    return (cycle is None), cycle
-
-
 # ---------------------------------------------------------------------------
 # Full report
 # ---------------------------------------------------------------------------

@@ -88,23 +88,6 @@ def increment(c: Vector, k: int) -> Vector:
     return c[: k - 1] + (c[k - 1] + 1,) + c[k:]
 
 
-def swap(c: Vector, j: int, k: int) -> Vector:
-    """Move one unit from label j to label k: increment(decrement(c, j), k)."""
-    return increment(decrement(c, j), k)
-
-
-def active_labels(dist: Mapping[Vector, Fraction]) -> set:
-    """Labels that occur with positive count somewhere in the support."""
-    if not dist:
-        raise InvalidDistributionError("empty distribution")
-    out = set()
-    for c in dist:
-        for j, cj in enumerate(c, start=1):
-            if cj > 0:
-                out.add(j)
-    return out
-
-
 def degrees(dist: Mapping[Vector, Fraction]) -> set:
     """Set of totals |c| over the support."""
     if not dist:

@@ -198,20 +198,6 @@ def _stable_colouring(graph: FiniteGraph):
     return adj, pairs, colour
 
 
-def rooted_isomorphic(graph: FiniteGraph, x: int, y: int) -> bool:
-    """Is there an automorphism of the graph mapping x to y?
-
-    The search of `label_vertices` for this one pair: refine, individualize
-    x and y, and search only when their traces agree.
-    """
-    adj, pairs, colour = _stable_colouring(graph)
-    if colour[x] != colour[y]:
-        return False
-    left, trace = _individualize(adj, colour, x)
-    right, right_trace = _individualize(adj, colour, y)
-    return trace == right_trace and _automorphism(adj, pairs, left, right) is not None
-
-
 def label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> Dict[int, int]:
     """Partition the vertices into rooted-isomorphism classes (automorphism
     orbits) by individualization-refinement.

@@ -244,12 +244,3 @@ def assemble_measure(template: SupportTemplate, weights: Weights) -> RootMeasure
     return RootMeasure(
         n=template.n, root_dist=root, neighbor_dist=neighbor, descendants=offspring
     )
-
-
-def template_of_measure(measure: RootMeasure) -> Tuple[SupportTemplate, Weights]:
-    """Read the support template and class weights back off a measure."""
-    classes = tuple(measure.support_classes())
-    weights = {
-        cls: measure.neighbor_dist[cls.label][cls.vector] for cls in classes
-    }
-    return SupportTemplate(n=measure.n, classes=classes), weights

@@ -12,10 +12,13 @@ trials at a time, without building a generator:
 
 * Words.  Philox is counter-based: word k of trial t is word k % 4 of the
   block at counter k // 4 + 1 under the key words (t, seed).
-  `philox_block` evaluates a block for an array of trials in numpy uint64
-  arithmetic, both multiplications of a round as one (2, N) array, the
-  high words of the 64 x 64 -> 128-bit products built from 32-bit halves
-  by three multiplications.  `estimate_flow` evaluates a trial's block at
+  `philox_block` evaluates a block for an array of trials with the four
+  words as four separate values.  A word shared by every trial (a common
+  counter, the zero words, the seed's key word and what they produce)
+  stays a Python int, so the first round and half the second cost no
+  array pass; a per-trial word is a numpy uint64 array, the high word of
+  its 64 x 64 -> 128-bit product built from four products of 32-bit
+  halves, updated in place.  `estimate_flow` evaluates a trial's block at
   counter 1 once, for the root draw and the first two children's words,
   and the block holding the step's first word once, for that word and
   the other children's; only the child words of a root of degree 6 or
@@ -29,6 +32,8 @@ trials at a time, without building a generator:
   Fraction is compared.  `_cdf` forms each threshold in integers, as
   ceil(A * 2**53 / L) for L the lcm of the law's denominators and A the
   running sum of numerator * (L / denominator), with no Fraction addition.
+  `_RootDraws` draws a block's root classes, every label's vector law at
+  once, by one search over the thresholds of all labels.
 * Walk step.  `Generator.integers(deg)` is Lemire's method on 32-bit
   draws: the low half of the next word, word 2 + deg of a depth-2 trial,
   then its high half, then the halves of the words after it.  Only a step
@@ -82,39 +87,88 @@ BLOCK = 4096
 """Trials per vectorized block: the working arrays stay small for any
 trial count."""
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-_11 = np.uint64(11)
-# Philox4x64's round multipliers and key increments, one row per lane
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> _32
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+def _u64(x: int) -> np.ndarray:
+    """A shared word as a 0-d uint64 array, the form in which it meets
+    per-trial arrays (cheaper per operation than a numpy scalar, and
+    promoted the same way under every numpy promotion rule)."""
+    return np.array(x, dtype=np.uint64)
+
+
+_MASK64 = _TWO64 - 1
+_MASK32 = _u64(0xFFFFFFFF)
+_32 = _u64(32)
+_11 = _u64(11)
+# Philox4x64's round multipliers, each with its 32-bit halves, and key
+# increments: k0, the trial, is always an array, and k1, the seed, an int
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_HALVES = {m: (_u64(m), _u64(m & 0xFFFFFFFF), _u64(m >> 32))
+                  for m in (_PHILOX_M0, _PHILOX_M1)}
+_PHILOX_W0, _PHILOX_W1 = _u64(0x9E3779B97F4A7C15), 0xBB67AE8584CAA73B
+
+
+def _mulhilo(m: int, x):
+    """The high and low words of the 128-bit product m * x: Python ints
+    for a shared word, else uint64 arrays, the high word from 32-bit
+    halves (every array but `x` is a fresh temporary, so it is updated in
+    place)."""
+    if isinstance(x, int):
+        p = m * x
+        return p >> 64, p & _MASK64
+    m_full, m_lo, m_hi = _PHILOX_HALVES[m]
+    x_lo = x & _MASK32
+    x_hi = x >> _32
+    t = x_lo * m_hi
+    x_lo *= m_lo
+    x_lo >>= _32
+    t += x_lo
+    u = x_hi * m_lo
+    np.bitwise_and(t, _MASK32, out=x_lo)
+    u += x_lo
+    x_hi *= m_hi
+    t >>= _32
+    x_hi += t
+    u >>= _32
+    x_hi += u
+    return x_hi, x * m_full
+
+
+def _xor(a, b):
+    """a ^ b: a Python int while both words are shared, else an array,
+    written into `a` when `a` is one (a fresh round word, never an
+    argument of `philox_block`)."""
+    if isinstance(a, int):
+        if isinstance(b, int):
+            return a ^ b
+        return _u64(a) ^ b
+    a ^= _u64(b) if isinstance(b, int) else b
+    return a
 
 
 def philox_block(seed: int, trials: np.ndarray, counter) -> np.ndarray:
     """The four words of Philox4x64-10 at `counter` (one for all trials or
     one per trial) under the key words (trial, seed) of each trial, as rows
     of a (4, len(trials)) array: words 4 * (counter - 1) to 4 * counter - 1
-    of the trial's GENERATOR stream, whose first block sits at counter 1."""
+    of the trial's GENERATOR stream, whose first block sits at counter 1.
+
+    The words x0..x3 are four separate values.  A word that is the same
+    for every trial (a shared counter, the zero words, the seed's key word
+    and what they alone produce) stays a Python int until it meets a
+    per-trial word."""
     if not (0 <= seed < _TWO64):
         raise ValueError("seed must fit in 64 bits")
     trials = np.asarray(trials, dtype=np.uint64)
-    key = np.empty((2, len(trials)), dtype=np.uint64)
-    key[0], key[1] = trials, seed
-    x02 = np.zeros_like(key)
-    x02[0] = counter
-    x13 = np.zeros_like(key)
+    x0 = int(counter) if np.ndim(counter) == 0 else np.asarray(counter, dtype=np.uint64)
+    x1 = x2 = x3 = 0
+    k0, k1 = trials, seed
     for _ in range(10):
-        # the high words of the products (x0, x2) * (M0, M1), from halves
-        x_lo, x_hi = x02 & _MASK32, x02 >> _32
-        t = x_lo * _PHILOX_M_HI + (x_lo * _PHILOX_M_LO >> _32)
-        u = x_hi * _PHILOX_M_LO + (t & _MASK32)
-        hi = x_hi * _PHILOX_M_HI + (t >> _32) + (u >> _32)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, x2)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, x0)
         # x0, x2 <- hi(x2 * M1) ^ x1 ^ k0, hi(x0 * M0) ^ x3 ^ k1;
         # x1, x3 <- lo(x2 * M1), lo(x0 * M0)
-        x02, x13 = hi[::-1] ^ x13 ^ key, (x02 * _PHILOX_M)[::-1]
-        key += _PHILOX_W
-    return np.stack((x02[0], x13[0], x02[1], x13[1]))
+        x0, x1, x2, x3 = _xor(_xor(hi1, x1), k0), lo1, _xor(hi0, _xor(x3, k1)), lo0
+        k0, k1 = k0 + _PHILOX_W0, (k1 + _PHILOX_W1) & _MASK64
+    return np.stack((x0, x1, x2, x3))
 
 
 def trial_words(seed: int, trials: np.ndarray, index) -> np.ndarray:
@@ -169,28 +223,35 @@ def lemire_step(seed: int, trials: np.ndarray, index: np.ndarray, deg: np.ndarra
 
 class _RootDraws:
     """The root label (word 0) and neighbor vector (word 1) of each trial,
-    as one index into `classes`, the support classes in draw order."""
+    as one index into `classes`, the support classes in draw order.
+
+    Every label's vector law is drawn in one search.  Class c of label
+    index a is the key a + 1j * threshold(c): numpy orders complex numbers
+    by real part, then imaginary part, and every threshold and every
+    k = word >> 11 is an integer of at most 2**53, exact in a double, so
+    the keys at or below a + 1j * k are the classes of the labels before
+    a and the classes of a whose threshold is at most k."""
 
     def __init__(self, measure: RootMeasure):
         labels, self.label_cdf = _cdf(measure.root_dist)
         self.classes: List[SupportClass] = []
-        self.first: List[int] = []
-        self.vector_cdf: List[np.ndarray] = []
-        for label in labels:
+        keys = []
+        for a, label in enumerate(labels):
             vectors, cdf = _cdf(measure.neighbor_dist[label])
-            self.first.append(len(self.classes))
             self.classes += [SupportClass(label, vec) for vec in vectors]
-            self.vector_cdf.append(cdf)
+            keys.append(a + 1j * cdf)
+        self.keys = np.concatenate(keys)
+        # the index of each label's last class, where `_pick` clamps
+        self.last = np.cumsum([len(k) for k in keys]) - 1
 
     def __call__(self, words: np.ndarray) -> np.ndarray:
         """The class drawn by each trial from `words`, its block at
         counter 1."""
         at = _pick(self.label_cdf, words[0])
-        out = np.empty(len(at), dtype=np.int64)
-        for a in np.flatnonzero(np.bincount(at, minlength=len(self.first))):
-            mine = at == a
-            out[mine] = self.first[a] + _pick(self.vector_cdf[a], words[1][mine])
-        return out
+        query = np.empty(len(at), dtype=np.complex128)
+        query.real = at
+        query.imag = words[1] >> _11
+        return np.minimum(np.searchsorted(self.keys, query, side="right"), self.last[at])
 
 
 def _blocks(trials: int):

@@ -577,14 +577,29 @@ def every_visit_condition_i(spec: GWSpec):
 # Per-degree multinomial oracle (support completeness + swap identity)
 # ---------------------------------------------------------------------------
 
+def swap(c: Vector, j: int, k: int) -> Vector:
+    """Move one unit from label j to label k: increment(decrement(c, j), k)."""
+    return increment(decrement(c, j), k)
+
+
+def active_labels(dist) -> set:
+    """Labels that occur with positive count somewhere in the support."""
+    if not dist:
+        raise InvalidDistributionError("empty distribution")
+    out = set()
+    for c in dist:
+        for j, cj in enumerate(c, start=1):
+            if cj > 0:
+                out.add(j)
+    return out
+
+
 def is_degree_multinomial(conditional, degree: int, n: int) -> bool:
     """Decide multinomiality of a conditional law at one degree without
     fitting parameters: the support must be all compositions of the degree
     over the active labels, and each label swap must shift mass by the
     characteristic occupancy ratio."""
-    active = sorted(
-        {j for c in conditional for j in range(1, n + 1) if c[j - 1] > 0}
-    )
+    active = sorted(active_labels(conditional))
     if degree == 0:
         return list(conditional) == [(0,) * n]
 
@@ -611,17 +626,11 @@ def is_degree_multinomial(conditional, degree: int, n: int) -> bool:
             for k in range(1, n + 1):
                 if j == k or c[j - 1] == 0 or c[k - 1] == 0:
                     continue
-                c_jk = list(c)
-                c_jk[j - 1] -= 1
-                c_jk[k - 1] += 1
-                c_kj = list(c)
-                c_kj[k - 1] -= 1
-                c_kj[j - 1] += 1
                 lhs = Fraction(c[j - 1], c[j - 1] + 1) * (
-                    conditional[c] / conditional[tuple(c_jk)]
+                    conditional[c] / conditional[swap(c, j, k)]
                 )
                 rhs = Fraction(c[k - 1] + 1, c[k - 1]) * (
-                    conditional[tuple(c_kj)] / conditional[c]
+                    conditional[swap(c, k, j)] / conditional[c]
                 )
                 if lhs != rhs:
                     return False
@@ -1046,6 +1055,15 @@ def random_template(rng: random.Random, n: int, max_classes: int = 6) -> Support
     return SupportTemplate(n=n, classes=tuple(classes))
 
 
+def template_of_measure(measure: RootMeasure):
+    """Read the support template and class weights back off a measure."""
+    classes = tuple(measure.support_classes())
+    weights = {
+        cls: measure.neighbor_dist[cls.label][cls.vector] for cls in classes
+    }
+    return SupportTemplate(n=measure.n, classes=classes), weights
+
+
 # ---------------------------------------------------------------------------
 # The per-trial sampler: one generator per trial, trees and walks
 # ---------------------------------------------------------------------------
@@ -1265,6 +1283,29 @@ def fraction_transport_mass(measure: RootMeasure, i: int, j: int) -> Fraction:
     for c, p in sorted(measure.neighbor_dist[i].items()):
         num += measure.root_dist[i] * p * Fraction(c[j - 1], total(c))
     return num
+
+
+def loop_root_draws(measure, words: np.ndarray) -> np.ndarray:
+    """`simulator._RootDraws` as a loop over the labels a block draws: each
+    label's trials picked by a full-length mask and drawn by their own
+    `searchsorted`, the body the bulk draw had before its one search.
+    Class indices count the classes of `_RootDraws.classes`, label by label
+    in sorted order."""
+    from gwrev.simulator import _cdf, _pick
+
+    labels, label_cdf = _cdf(measure.root_dist)
+    first, vector_cdf, classes = [], [], 0
+    for label in labels:
+        _, cdf = _cdf(measure.neighbor_dist[label])
+        first.append(classes)
+        vector_cdf.append(cdf)
+        classes += len(cdf)
+    at = _pick(label_cdf, words[0])
+    out = np.empty(len(at), dtype=np.int64)
+    for a in np.flatnonzero(np.bincount(at, minlength=len(first))):
+        mine = at == a
+        out[mine] = first[a] + _pick(vector_cdf[a], words[1][mine])
+    return out
 
 
 def reference_mass_transport_check(measure: RootMeasure, i: int, j: int, trials: int, seed: int):

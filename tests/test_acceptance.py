@@ -30,7 +30,7 @@ from gwrev.norelabel import (
     construct_plain_measure,
     extract_plain_spec,
 )
-from gwrev.parametrizer import assemble_measure, template_of_measure
+from gwrev.parametrizer import assemble_measure
 from gwrev.simulator import estimate_flow, mass_transport_check
 
 from .conftest import (
@@ -53,6 +53,7 @@ from .oracles import (
     random_fraction,
     random_plain_spec,
     random_single_type_law,
+    template_of_measure,
 )
 
 CORPUS_SEED = 20110331

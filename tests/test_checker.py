@@ -6,10 +6,10 @@ import pytest
 from gwrev import checker
 from gwrev.checker import (
     check_condition_i,
-    check_condition_ii,
     check_strong_connectivity,
     labels_realized,
     run_checks,
+    solve_potentials,
 )
 from gwrev.core import GWSpec, PAIR, SupportClass, balance_key
 from gwrev.parametrizer import assemble_measure, solve_offspring
@@ -134,14 +134,13 @@ def test_edge_ratio_antisymmetry(pair_spec):
 # ---------------------------------------------------------------------------
 
 def test_condition_ii_on_worked_instance(pair_spec):
-    ok, cycle = check_condition_ii(pair_spec)
-    assert ok and cycle is None
+    assert solve_potentials(pair_spec)[2] is None
 
 
 def test_condition_ii_violating_cycle(pair_spec):
     broken = break_condition_ii(pair_spec)
-    ok, cycle = check_condition_ii(broken)
-    assert not ok
+    cycle = solve_potentials(broken)[2]
+    assert cycle is not None
     assert cycle[0] == cycle[-1]
     graph = build_balance_graph(broken)
     assert cycle_product(graph, cycle) != 1
@@ -162,7 +161,7 @@ def test_condition_ii_tree_graph_vacuous():
     })
     graph = build_balance_graph(spec)
     assert len(graph.edges()) == len(graph.nodes) - 1
-    assert check_condition_ii(spec) == (True, None)
+    assert solve_potentials(spec)[2] is None
     assert propagate_potentials(graph)[1] is None
 
 
@@ -175,7 +174,7 @@ def test_condition_ii_invariant_under_entry_reordering(pair_spec):
             for key, dist in reversed(list(pair_spec.offspring.items()))
         },
     )
-    assert check_condition_ii(reordered) == check_condition_ii(pair_spec)
+    assert solve_potentials(reordered)[2] == solve_potentials(pair_spec)[2]
 
 
 def test_worked_instance_specific_cycle_balances(pair_spec):

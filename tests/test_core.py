@@ -9,20 +9,19 @@ from gwrev.core import (
     PAIR,
     SpecError,
     SupportClass,
-    active_labels,
     bfs_forest,
     candidate_support,
     class_forest,
     decrement,
     degrees,
     increment,
-    swap,
     total,
     validate_dist,
     vector,
 )
 
 from .conftest import two_label_spec
+from .oracles import active_labels, swap
 
 
 def test_decrement():
@@ -41,10 +40,14 @@ def test_increment_and_swap():
 
 
 def test_swap_is_increment_after_decrement():
+    # the oracle's swap, against one unit moved by hand
     c = (2, 0, 3)
     for j in (1, 3):
         for k in (1, 2, 3):
-            assert swap(c, j, k) == increment(decrement(c, j), k)
+            moved = list(c)
+            moved[j - 1] -= 1
+            moved[k - 1] += 1
+            assert swap(c, j, k) == increment(decrement(c, j), k) == tuple(moved)
 
 
 def test_decrement_increment_roundtrip():

@@ -11,6 +11,7 @@ random corpora the oracles generate.
 import random
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +75,44 @@ def test_words_match_the_philox_bit_generator(seed):
     got = trial_words(seed, np.array(trials, dtype=np.uint64), index)
     for t, k, word in zip(trials, index.tolist(), got.tolist()):
         assert word == int(np.random.Philox(key=(seed << 64) | t).random_raw(k + 1)[-1])
+
+
+COUNTERS = [1, 2, 3, 4, 5, 6, 2**63]
+
+
+def generator_block(seed, trial, counter):
+    """Words 4 * (counter - 1) to 4 * counter - 1 of the trial's stream,
+    from numpy's own Philox bit generator started just before them."""
+    return np.random.Philox(key=(seed << 64) | trial, counter=counter - 1).random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, TOP])
+@pytest.mark.parametrize("trials", [[], [0], [TOP], [0, TOP, 1, 2**63]])
+def test_shared_and_per_trial_counters_give_the_generator_words(seed, trials):
+    """A counter shared by all trials keeps its words as Python ints until
+    they meet the trial's key word; given per trial, every word is an
+    array from the start.  Both give numpy's words."""
+    trials = np.array(trials, dtype=np.uint64)
+    for counter in COUNTERS:
+        shared = simulator.philox_block(seed, trials, counter)
+        assert shared.shape == (4, len(trials)) and shared.dtype == np.uint64
+        # the forms the estimators pass: int64 step counters, a 0-d word
+        # index's counter from `trial_words`
+        forms = [np.full(len(trials), counter, dtype=np.uint64), np.array(counter)]
+        if counter < 2**63:
+            forms += [np.full(len(trials), counter, dtype=np.int64), np.int64(counter)]
+        for per_trial in forms:
+            assert np.array_equal(simulator.philox_block(seed, trials, per_trial), shared)
+        for t, words in zip(trials.tolist(), shared.T.tolist()):
+            assert words == generator_block(seed, t, counter), (seed, t, counter)
+
+
+@pytest.mark.parametrize("seed", [0, TOP])
+def test_a_counter_per_trial_gives_each_trial_its_block(seed):
+    trials = np.array([0, TOP, 5, 2**63 + 1, 9, 2**32, 77], dtype=np.uint64)
+    got = simulator.philox_block(seed, trials, np.array(COUNTERS, dtype=np.uint64))
+    for t, counter, words in zip(trials.tolist(), COUNTERS, got.T.tolist()):
+        assert words == generator_block(seed, t, counter), (seed, t, counter)
 
 
 def test_seed_outside_64_bits_is_rejected_as_before(pair_spec):
@@ -164,6 +203,96 @@ def test_integer_references_equal_the_fraction_loops_on_every_measure():
                 mass = oracles.fraction_transport_mass(measure, i, j)
                 assert simulator._transport_mass(measure, i, j) == mass
                 assert simulator.exact_transport(measure, i, j) == mass / z
+
+
+# ---------------------------------------------------------------------------
+# Root draws: one search against the per-label loop
+# ---------------------------------------------------------------------------
+
+def draw_words(k0, k1, rng):
+    """Words 0 and 1 of a block whose doubles are k0 * 2**-53 and
+    k1 * 2**-53, with random low bits that the doubles drop."""
+    return np.array([[k << 11 | rng.randrange(2**11) for k in ks] for ks in (k0, k1)],
+                    dtype=np.uint64)
+
+
+def boundary_words(measure, rng, every_label=True):
+    """Each label drawn at its first and last k, against every threshold of
+    every label's vector law (or of its own only), one below and one above."""
+    _, label_cdf = simulator._cdf(measure.root_dist)
+    bounds = [0, *label_cdf.tolist()]
+    vector_cdfs = [simulator._cdf(measure.neighbor_dist[label])[1].tolist()
+                   for label in sorted(measure.root_dist)]
+    pooled = sorted({t for cdf in vector_cdfs for t in cdf})
+    k0, k1 = [], []
+    for a, cdf in enumerate(vector_cdfs):
+        edges = {t + d for t in (pooled if every_label else cdf) for d in (-1, 0, 1)}
+        edges = [k for k in sorted(edges | {0, 2**53 - 1}) if 0 <= k < 2**53]
+        for k in {bounds[a], max(bounds[a + 1] - 1, bounds[a])}:
+            k0 += [min(k, 2**53 - 1)] * len(edges)
+            k1 += edges
+    return draw_words(k0, k1, rng)
+
+
+def assert_same_root_draws(measure, words):
+    got = simulator._RootDraws(measure)(words)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracles.loop_root_draws(measure, words).tolist()
+    return got
+
+
+def test_root_draws_equal_the_per_label_loop_on_every_measure():
+    rng = random.Random(5)
+    words = simulator.philox_block(SEED, np.arange(2000, dtype=np.uint64), 1)
+    measures = corpus_measures()
+    for measure in measures:
+        assert_same_root_draws(measure, words)
+        assert_same_root_draws(measure, boundary_words(measure, rng))
+    assert len(measures) > 250 and max(m.n for m in measures) > 3
+
+
+def test_root_draws_on_blocks_that_miss_a_label():
+    three, centre, _ = rare_label_measure()
+    classes = simulator._RootDraws(three).classes
+    words = simulator.philox_block(SEED, np.arange(1200, dtype=np.uint64), 1)
+    missed = hit = 0
+    for lo in range(0, 1200, 64):
+        got = assert_same_root_draws(three, words[:, lo:lo + 64])
+        labels = {classes[c].label for c in got.tolist()}
+        missed += centre.label not in labels
+        hit += centre.label in labels and len(labels) == 3
+    assert missed > 0 and hit > 0
+    for size in (0, 1):
+        assert len(assert_same_root_draws(three, words[:, :size])) == size
+
+
+def many_label_laws(labels, rng):
+    """Root and neighbor laws on `labels` labels, one to four vectors each
+    and some of probability zero, as `_RootDraws` reads them; every third
+    neighbor law sums to less than one, so a draw past its last threshold
+    clamps to its last vector."""
+    weights = [rng.randint(1, 9) for _ in range(labels)]
+    root = {i: F(w, sum(weights)) for i, w in enumerate(weights, start=1)}
+    neighbor = {}
+    for i in root:
+        vectors = rng.sample(range(1, 60), rng.randint(1, 4))
+        mass = [rng.choice([0, 1, 2, 7]) for _ in vectors]
+        mass[0] += 1
+        short = 1 if i % 3 == 0 else 0
+        neighbor[i] = {(v, i % 3): F(m, sum(mass) + short) for v, m in zip(vectors, mass)}
+    return SimpleNamespace(root_dist=root, neighbor_dist=neighbor)
+
+
+def test_root_draws_with_more_labels_than_an_offset_per_label_allows():
+    """Past about 1,000 labels, label offsets of 2**53 + 1 leave int64."""
+    rng = random.Random(1100)
+    laws = many_label_laws(1100, rng)
+    assert 1100 * (2**53 + 1) > 2**63
+    words = simulator.philox_block(SEED, np.arange(20_000, dtype=np.uint64), 1)
+    classes = simulator._RootDraws(laws).classes
+    drawn = assert_same_root_draws(laws, words)
+    assert len({classes[c].label for c in drawn.tolist()}) > 1000
+    assert_same_root_draws(laws, boundary_words(laws, rng, every_label=False))
 
 
 # ---------------------------------------------------------------------------

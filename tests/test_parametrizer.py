@@ -12,7 +12,6 @@ from gwrev.parametrizer import (
     assemble_measure,
     family_dimension,
     solve_offspring,
-    template_of_measure,
     validate_template,
 )
 
@@ -25,6 +24,7 @@ from .oracles import (
     random_admissible_instance,
     random_assembled_instance,
     random_fraction,
+    template_of_measure,
 )
 
 
