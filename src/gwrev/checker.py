@@ -4,7 +4,8 @@ Three checks, all exact:
 
 * strong connectivity of the directed graph on realized (parent, label)
   types, where (i, j) -> (j, k) whenever a (i, j) vertex can have a
-  label-k child;
+  label-k child: forward and backward reachability from the least type,
+  two breadth-first passes in O(P + E) for P types and E type edges;
 * condition i ("support closure"): whenever a root class (i, c) is forced
   into the support through one neighbor label, every other positive
   coordinate of c must force it too;
@@ -66,23 +67,34 @@ class MissingOffspringTermError(GwrevError):
 # ---------------------------------------------------------------------------
 
 def check_strong_connectivity(spec: GWSpec) -> Tuple[bool, Optional[Tuple[PairKey, PairKey]]]:
-    """Strong connectivity of the realized pair-type graph.
+    """Strong connectivity of the realized pair-type graph, by forward and
+    backward reachability from the least type: two breadth-first passes,
+    O(P + E) for P types and E type edges once the edges are read off the
+    stored laws.
 
     Returns (True, None) on success, else (False, (source, target)) for the
-    first ordered pair of realized types with no directed path.
+    first ordered pair of realized types, in sorted order, with no directed
+    path.  With `first` the least type, a type t that `first` misses gives
+    (first, t), the least such t.  Otherwise `first` reaches every type, so
+    a source reaches every type exactly when it reaches `first`: the least
+    source outside the backward reach of `first` fails, and its least
+    unreached target is `first` itself.
     """
     keys = sorted(spec.offspring)
-    succ = {key: set() for key in keys}
+    succ: Dict[PairKey, List[PairKey]] = {key: [] for key in keys}
+    pred: Dict[PairKey, List[PairKey]] = {key: [] for key in keys}
     for (i, j) in keys:
-        for c in spec.offspring[(i, j)]:
-            for k, ck in enumerate(c, start=1):
-                if ck > 0 and (j, k) in succ:
-                    succ[(i, j)].add((j, k))
-    for src in keys:
-        _, seen = bfs_forest([src], succ.__getitem__)
-        for tgt in keys:
-            if tgt not in seen:
-                return False, (src, tgt)
+        # label k is a child label of the law when its column is not all 0
+        for k, column in enumerate(zip(*spec.offspring[(i, j)]), start=1):
+            if (j, k) in succ and any(column):
+                succ[(i, j)].append((j, k))
+                pred[(j, k)].append((i, j))
+    first = keys[0]
+    for edges in (succ, pred):
+        _, seen = bfs_forest([first], edges.__getitem__)
+        missed = next((key for key in keys if key not in seen), None)
+        if missed is not None:
+            return False, (first, missed) if edges is succ else (missed, first)
     return True, None
 
 

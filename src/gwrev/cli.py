@@ -126,7 +126,18 @@ def cmd_parametrize(args) -> int:
     return _save_verified(measure, args.out)
 
 
+def _same_path(a: str, b: str) -> bool:
+    """Whether two paths name one file: `os.path.samefile` when both exist,
+    their resolved paths otherwise."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_cover(args) -> int:
+    if args.dot and _same_path(args.dot, args.out):
+        raise SpecError(f"--dot {args.dot} names the measure output {args.out}")
     graph = load_graph(args.graph)
     labels = label_vertices(graph, max_vertices=args.max_vertices)
     measure = lift_measure(graph, labels)
@@ -205,32 +216,43 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later one.  Subcommands dispatch by name at call time, so a replaced
     module-level `cmd_*` function is the one that runs."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """(parser, subparsers): the top-level parser and each subcommand's own
+    parser by name, built once."""
     parser = argparse.ArgumentParser(
         prog="gwrev",
         description="Reversible root measures for multi-type branching trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("check", help="run the admissibility checks on a spec")
+    def command(name, help):
+        commands[name] = p = sub.add_parser(name, help=help)
+        return p
+
+    p = command("check", help="run the admissibility checks on a spec")
     p.add_argument("spec")
 
-    p = sub.add_parser("construct", help="build the reversible measure for a spec")
+    p = command("construct", help="build the reversible measure for a spec")
     p.add_argument("spec")
     p.add_argument("out")
 
-    p = sub.add_parser("parametrize",
-                       help="build the measure for a support template and weights")
+    p = command("parametrize", help="build the measure for a support template and weights")
     p.add_argument("template")
     p.add_argument("params")
     p.add_argument("out")
 
-    p = sub.add_parser("cover", help="lift a finite graph to a measure")
+    p = command("cover", help="lift a finite graph to a measure")
     p.add_argument("graph")
     p.add_argument("out")
     p.add_argument("--dot", default=None, help="also write the pair digraph as DOT")
     p.add_argument("--max-vertices", type=int, default=10)
 
-    p = sub.add_parser("simulate", help="Monte Carlo flow / transport estimates")
+    p = command("simulate", help="Monte Carlo flow / transport estimates")
     p.add_argument("measure")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -241,14 +263,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mtp", default=None, metavar="I,J",
                    help="check the mass-transport identity for a label pair")
 
-    p = sub.add_parser("verify", help="exact detailed-balance check of a measure")
+    p = command("verify", help="exact detailed-balance check of a measure")
     p.add_argument("measure")
-    return parser
+    return parser, commands
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one argparse pass: a known
+    subcommand is parsed by its own parser, and left-over arguments are
+    refused by the top-level parser, as the nested parse refuses them.
+    Anything else (no arguments, an option first, an unknown command) goes
+    through the top-level parser."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (GwrevError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:

@@ -21,11 +21,11 @@ from .core import (
     RootMeasure,
     SupportClass,
     ZERO,
-    balance_key,
     class_sides,
     exact_flow,
     increment,
     same_key,
+    side_key,
 )
 
 Violation = Tuple[SupportClass, SupportClass, Fraction, Fraction]
@@ -95,25 +95,26 @@ def _normalize(n: int, potentials: Dict[SupportClass, Fraction]):
 _MIXED = object()
 
 
-def _side_key(measure: RootMeasure, members: List[SupportClass], j: int):
-    """(value, covered) for side S(i, j): its one balance key as a Fraction,
-    None when every member's offspring term is zero, or _MIXED when the
-    members' keys differ; and the number of members whose term is nonzero.
-
-    The members' keys, of their neighbor weights, are compared with the
-    first one by cross-multiplication; only the side's value, times the root
-    weight of label i, is formed as a Fraction."""
-    spec = measure.descendants
-    dist = measure.neighbor_dist[members[0].label]
-    keys = [balance_key(spec, u, j, dist[u.vector]) for u in members]
-    covered = len(keys) - keys.count(None)
-    k0 = keys[0]
-    if not all(same_key(k, k0) for k in keys):
-        return _MIXED, covered
-    if k0 is None:
-        return None, covered
-    root = measure.root_dist[members[0].label]
-    return Fraction(root.numerator * k0[0], root.denominator * k0[1]), covered
+def _side_key(measure: RootMeasure, members: List[SupportClass], j: int, law):
+    """(value, covered) for side S(i, j), whose members read their offspring
+    terms from law = p(j, i): the side's one balance key times the root
+    weight of label i, as an unreduced integer pair, None when every
+    member's term is zero, or _MIXED when the members' keys differ; and the
+    number of members whose term is nonzero.  Keys, of the members' neighbor
+    weights, are compared with the first one by cross-multiplication."""
+    i = members[0].label
+    dist = measure.neighbor_dist[i]
+    k0 = side_key(law, members[0], j, dist[members[0].vector])
+    value, covered = k0, k0 is not None
+    for u in members[1:]:
+        k = side_key(law, u, j, dist[u.vector])
+        covered += k is not None
+        if value is not _MIXED and not same_key(k, k0):
+            value = _MIXED
+    if value is None or value is _MIXED:
+        return value, covered
+    root = measure.root_dist[i]
+    return (root.numerator * k0[0], root.denominator * k0[1]), covered
 
 
 def verify_reversibility(measure: RootMeasure) -> List[Violation]:
@@ -138,31 +139,32 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     c_j > 0, label-j classes with d_i > 0), so the measure is reversible iff
     k takes one value on each label pair and the support is closed under
     the walk: O(N * n) work for N classes and n labels.  Within a side the
-    keys are integer pairs compared by cross-multiplication, with no gcd;
-    one Fraction per side compares S(i, j) with S(j, i).  Violations can
+    keys are integer pairs compared by cross-multiplication, with no gcd,
+    and so are the root-weighted keys of S(i, j) and S(j, i).  The law
+    p(j, i) is looked up once per side S(i, j).  Violations can
     only lie in a block whose keys disagree, and only those blocks are
     listed pair by pair, with their flows as Fractions.  As e -> e + e_i is
     injective, the targets of p(i, j) all lie in the support exactly when
     the members of S(j, i) with a nonzero term in p(i, j) number
     len(p(i, j)); the law is enumerated only when the counts differ.
     """
-    spec = measure.descendants
+    law = measure.descendants.offspring_law
     side = class_sides(measure.support_classes())
-    keys = {(i, j): _side_key(measure, members, j)
+    keys = {(i, j): _side_key(measure, members, j, law(j, i))
             for (i, j), members in side.items() if (j, i) in side}
     violations: List[Violation] = []
     for (i, j), members in side.items():
         # S(j, i) counts the supported targets of p(i, j); none without it
-        law = spec.offspring_law(i, j)
-        if keys.get((j, i), (None, 0))[1] != len(law):
-            for e in law:
+        step = law(i, j)
+        if keys.get((j, i), (None, 0))[1] != len(step):
+            for e in step:
                 v = SupportClass(j, increment(e, i))
                 if v.vector not in measure.neighbor_dist[j]:
                     violations += [(u, v, exact_flow(measure, u, v), ZERO) for u in members]
         if i > j or (j, i) not in side:
             continue
-        key = keys[(i, j)][0]
-        if key is not _MIXED and (i == j or key == keys[(j, i)][0]):
+        key, other = keys[(i, j)][0], keys[(j, i)][0]
+        if key is not _MIXED and (i == j or other is not _MIXED and same_key(key, other)):
             continue
         for u in members:
             for v in side[(j, i)]:

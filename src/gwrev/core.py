@@ -389,8 +389,14 @@ def balance_key(spec: GWSpec, u: SupportClass, j: int, weight: Fraction) -> Bala
     v = (j, d) are equal iff k(u, j) == k(v, i) with weight(u) and weight(v),
     a zero term being a value of its own.  Keys are compared by `same_key`,
     without a gcd."""
-    i, c = u
-    p = spec.offspring_law(j, i).get(decrement(c, j))
+    return side_key(spec.offspring_law(j, u.label), u, j, weight)
+
+
+def side_key(law: Dist, u: SupportClass, j: int, weight: Fraction) -> BalanceKey:
+    """`balance_key` of a member u of side S(i, j), its offspring term read
+    from law = p(j, i), the one law every member of the side reads."""
+    c = u.vector
+    p = law.get(decrement(c, j))
     if p is None:
         return None
     return (weight.numerator * p.denominator * c[j - 1],

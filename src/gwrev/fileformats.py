@@ -250,18 +250,28 @@ def _pad(depth: int) -> str:
     return "\n" + " " * depth
 
 
-def _law_json(dist: Dist, depth: int) -> str:
-    """A law as the list of {"c", "p"} objects that json.dumps(sort_keys=True,
-    indent=2) writes when the list's items stand at indent `depth`."""
+def _law_pieces(depth: int) -> tuple:
+    """(open, sep, mid, between, close): the fixed text of a law whose items
+    stand at indent `depth`, as json.dumps(sort_keys=True, indent=2) writes
+    the list of {"c", "p"} objects.  Entry k is sep.join(c_k) + mid + p_k,
+    and the law is open + between.join(entries) + close."""
     item, key, inner = _pad(depth), _pad(depth + 2), _pad(depth + 4)
     head = "{" + key + '"c": [' + inner
-    mid = key + "]," + key + '"p": "'
     tail = '"' + item + "}"
-    sep = "," + inner
-    return "[" + item + ("," + item).join([
-        head + sep.join(map(str, c)) + mid + str(p) + tail
-        for c, p in sorted(dist.items())
-    ]) + _pad(depth - 2) + "]"
+    return ("[" + item + head, "," + inner, key + "]," + key + '"p": "',
+            tail + "," + item + head, tail + _pad(depth - 2) + "]")
+
+
+# a law's pieces at its two indents: neighbor laws and descendant laws
+_NEIGHBOR_LAW, _DESCENDANT_LAW = _law_pieces(8), _law_pieces(10)
+
+
+def _law_json(dist: Dist, pieces: tuple) -> str:
+    """A law written from the `_law_pieces` of its indent."""
+    head, sep, mid, between, close = pieces
+    return head + between.join([
+        sep.join(map(str, c)) + mid + str(p) for c, p in sorted(dist.items())
+    ]) + close
 
 
 def measure_json(measure: RootMeasure, verified: bool = True) -> str:
@@ -274,18 +284,18 @@ def measure_json(measure: RootMeasure, verified: bool = True) -> str:
     if spec.mode == PAIR:
         laws = [
             '{\n        "child": ' + str(child) + ',\n        "dist": '
-            + _law_json(spec.offspring[(parent, child)], 10)
+            + _law_json(spec.offspring[(parent, child)], _DESCENDANT_LAW)
             + ',\n        "parent": ' + str(parent) + "\n      }"
             for parent, child in sorted(spec.offspring)
         ]
     else:
         laws = [
-            '{\n        "dist": ' + _law_json(spec.offspring[i], 10)
+            '{\n        "dist": ' + _law_json(spec.offspring[i], _DESCENDANT_LAW)
             + ',\n        "type": ' + str(i) + "\n      }"
             for i in sorted(spec.offspring)
         ]
     neighbors = [
-        '{\n      "dist": ' + _law_json(measure.neighbor_dist[i], 8)
+        '{\n      "dist": ' + _law_json(measure.neighbor_dist[i], _NEIGHBOR_LAW)
         + ',\n      "label": ' + str(i) + "\n    }"
         for i in sorted(measure.neighbor_dist)
     ]

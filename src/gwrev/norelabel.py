@@ -8,12 +8,16 @@ prod p(i_s, i_{s+1}) / p(i_{s+1}, i_s) = 1 around the label graph.
 The measure itself shifts every degree up by one (the root keeps its parent
 slot) and solves weight(i) / weight(j) = p(j, i) / p(i, j).
 
-The multinomial law is written once.  `_term` is one probability, a single
-Fraction over the row's common denominator; `multinomial_dist` expands a
-degree into those terms, and `_mixture` weights the expansions by a label's
-degree law, at the degree itself for the offspring laws and one above it for
-the root's neighbors.  Extraction checks each listed entry against its term,
-so its cost follows the entries a law lists, not the size of the expansion.
+The multinomial law is written once, in integers over the row's common
+denominator b, p_k = a_k / b: `_numerator` is N(c) = |c|! * prod a_k^c_k /
+prod c_k!, so that c has probability N(c) / b^|c|.  `_term` is that one
+probability, `multinomial_dist` one degree's table of them, and `_mixtures`
+a label's degree mixtures: each degree d of weight u / v spread over the
+table of degree d for the offspring law and d + 1 for the root's neighbors,
+each value the one Fraction u * N(c) / (v * b^D).  A label builds each
+degree's table once and both laws read it.  Extraction checks each listed
+entry against its term, so its cost follows the entries a law lists, not
+the size of the expansion.
 """
 
 from __future__ import annotations
@@ -127,43 +131,74 @@ class PlainSpec:
 # Multinomial expansion
 # ---------------------------------------------------------------------------
 
-def _term(c: Vector, params: Tuple[Fraction, ...]) -> Fraction:
-    """Multinomial probability of the count vector c, read over the row's
-    common denominator b with a_k = p_k * b as the one Fraction
-    |c|! * prod a_k^c_k / (prod c_k! * b^|c|)."""
+def _scaled_row(params: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
+    """(a, b): the row over its common denominator b, p_k = a_k / b."""
     b = math.lcm(*[p.denominator for p in params])
-    d = total(c)
-    num, den = math.factorial(d), b ** d
-    for ck, p in zip(c, params):
-        num *= (p.numerator * (b // p.denominator)) ** ck
-        den *= math.factorial(ck)
-    return Fraction(num, den)
+    return [p.numerator * (b // p.denominator) for p in params], b
+
+
+def _numerator(c: Vector, a: List[int]) -> int:
+    """N(c) = |c|! * prod a_k^c_k / prod c_k!, the multinomial probability of
+    the count vector c times b^|c|.  Each division is exact: the quotient
+    after the k-th is a multinomial coefficient times integer powers."""
+    num = math.factorial(total(c))
+    for ck, ak in zip(c, a):
+        if ck:
+            num = num * ak ** ck // math.factorial(ck)
+    return num
+
+
+def _term(c: Vector, params: Tuple[Fraction, ...]) -> Fraction:
+    """Multinomial probability of the count vector c, N(c) / b^|c|."""
+    a, b = _scaled_row(params)
+    return Fraction(_numerator(c, a), b ** total(c))
+
+
+def _numerators(degree: int, a: List[int]) -> Dict[Vector, int]:
+    """N(c) of every count vector of total `degree` on the labels with
+    a_k > 0, in `combinations_with_replacement` order."""
+    n = len(a)
+    active = [k for k in range(n) if a[k] > 0]
+    if degree and not active:
+        raise SpecError("positive degree with an all-zero parameter row")
+    out: Dict[Vector, int] = {}
+    for draw in itertools.combinations_with_replacement(active, degree):
+        c = [0] * n
+        for k in draw:
+            c[k] += 1
+        c = tuple(c)
+        out[c] = _numerator(c, a)
+    return out
 
 
 def multinomial_dist(degree: int, params: Tuple[Fraction, ...]) -> Dist:
     """Explicit distribution of a degree-`degree` multinomial draw, supported
     exactly on the positive-parameter labels."""
-    n = len(params)
-    active = [k for k in range(n) if params[k] > 0]
-    if degree and not active:
-        raise SpecError("positive degree with an all-zero parameter row")
-    out: Dist = {}
-    for draw in itertools.combinations_with_replacement(active, degree):
-        c = [0] * n
-        for k in draw:
-            c[k] += 1
-        out[tuple(c)] = _term(tuple(c), params)
-    return out
+    a, b = _scaled_row(params)
+    den = b ** degree
+    return {c: Fraction(num, den) for c, num in _numerators(degree, a).items()}
 
 
-def _mixture(pspec: PlainSpec, i: int, shift: int) -> Dist:
-    """Label i's degree mixture: each degree d, with its weight, spread over
-    the multinomial law of degree d + shift on label i's row."""
-    dist: Dist = {}
-    for d, pd in sorted(pspec.degree_dist[i].items()):
-        for c, q in multinomial_dist(d + shift, pspec.params[i]).items():
-            dist[c] = pd * q
-    return dist
+def _mixtures(pspec: PlainSpec, i: int, shifts: Tuple[int, ...]) -> List[Dist]:
+    """Label i's degree mixtures, one per shift: each degree d, with its
+    weight u / v, spread over the multinomial law of degree d + shift, each
+    value the one Fraction u * N(c) / (v * b^(d + shift)).  The table of N
+    of a degree is built once, whichever mixtures read it."""
+    a, b = _scaled_row(pspec.params[i])
+    degrees = sorted(pspec.degree_dist[i].items())
+    tables: Dict[int, Dict[Vector, int]] = {}
+    laws = []
+    for shift in shifts:
+        dist: Dist = {}
+        for d, pd in degrees:
+            table = tables.get(d + shift)
+            if table is None:
+                table = tables[d + shift] = _numerators(d + shift, a)
+            u, v = pd.numerator, pd.denominator * b ** (d + shift)
+            for c, num in table.items():
+                dist[c] = Fraction(u * num, v)
+        laws.append(dist)
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +257,7 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
 
 def expand_plain_spec(pspec: PlainSpec) -> GWSpec:
     """Explicit per-label offspring distributions for a PlainSpec."""
-    offspring = {i: _mixture(pspec, i, 0) for i in range(1, pspec.n + 1)}
+    offspring = {i: _mixtures(pspec, i, (0,))[0] for i in range(1, pspec.n + 1)}
     return GWSpec(n=pspec.n, mode=PLAIN, offspring=offspring)
 
 
@@ -319,10 +354,11 @@ def construct_plain_measure(pspec: PlainSpec) -> RootMeasure:
         raise ChecksFailedError("label graph is disconnected")
     grand = sum(pot.values())
     root_dist = {i: pot[i] / grand for i in range(1, pspec.n + 1)}
-
+    laws = {i: _mixtures(pspec, i, (0, 1)) for i in range(1, pspec.n + 1)}
     return RootMeasure(
         n=pspec.n,
         root_dist=root_dist,
-        neighbor_dist={i: _mixture(pspec, i, 1) for i in range(1, pspec.n + 1)},
-        descendants=expand_plain_spec(pspec),
+        neighbor_dist={i: law for i, (_, law) in laws.items()},
+        descendants=GWSpec(n=pspec.n, mode=PLAIN,
+                           offspring={i: law for i, (law, _) in laws.items()}),
     )

@@ -353,14 +353,16 @@ def estimate_flow(
         at = np.flatnonzero((cls == ends[0]) | (cls == ends[1]))
         trial, cls, first = trial[at], cls[at], first[:, at]
         deg = degree[cls]
-        # the step reads word 2 + deg first; `last` is its block
+        # the step reads word 2 + deg first, from counter 1 (`first`) or, for
+        # the trials `later`, from `last`, the block of its counter
         step = 2 + deg
         last_counter = step // 4 + 1
-        last = first.copy()
         later = np.flatnonzero(last_counter > 1)
+        word = first[step % 4, np.arange(len(trial))]
         if len(later):
-            last[:, later] = philox_block(seed, trial[later], last_counter[later])
-        k = lemire_step(seed, trial, step, deg, last[step % 4, np.arange(len(trial))])
+            last = philox_block(seed, trial[later], last_counter[later])
+            word[later] = last[step[later] % 4, np.arange(len(later))]
+        k = lemire_step(seed, trial, step, deg, word)
         # child k drew its offspring vector from word 2 + k
         go = []
         for root, lands, _, _ in directions:
@@ -370,10 +372,18 @@ def estimate_flow(
         need = np.flatnonzero(go[0] | go[1])
         index = 2 + k[need]
         counter = index // 4 + 1
-        words = np.where(counter == 1, first[index % 4, need], last[index % 4, need])
-        elsewhere = np.flatnonzero((counter > 1) & (counter != last_counter[need]))
-        if len(elsewhere):
-            words[elsewhere] = trial_words(seed, trial[need[elsewhere]], index[elsewhere])
+        words = first[index % 4, need]
+        # a word past counter 1 is read from `last` when its counter is the
+        # step's (a child index lies below the step's, so such a trial is
+        # in `later`), and is evaluated otherwise
+        past = np.flatnonzero(counter > 1)
+        if len(past):
+            at_last = counter[past] == last_counter[need[past]]
+            hit = past[at_last]
+            words[hit] = last[index[hit] % 4, np.searchsorted(later, need[hit])]
+            elsewhere = past[~at_last]
+            if len(elsewhere):
+                words[elsewhere] = trial_words(seed, trial[need[elsewhere]], index[elsewhere])
         for n, (mine, (_, _, cdf, want)) in enumerate(zip(go, directions)):
             counts[n] += int(np.count_nonzero(_pick(cdf, words[mine[need]]) == want))
     fwd, bwd = counts

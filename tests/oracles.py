@@ -48,6 +48,7 @@ from gwrev.norelabel import (
     PlainSpec,
     check_plain_spec,
     construct_plain_measure,
+    multinomial_dist,
 )
 from gwrev.parametrizer import SupportTemplate, assemble_measure, solve_offspring
 
@@ -560,6 +561,25 @@ def unreachable_pair_bruteforce(spec: GWSpec):
     return True, None
 
 
+def every_source_reachability(spec: GWSpec):
+    """`checker.check_strong_connectivity` as first written: one BFS from
+    every realized pair type in sorted order, O(P * E), the first target in
+    sorted order that a source misses giving the witness."""
+    keys = sorted(spec.offspring)
+    succ = {key: set() for key in keys}
+    for (i, j) in keys:
+        for c in spec.offspring[(i, j)]:
+            for k, ck in enumerate(c, start=1):
+                if ck > 0 and (j, k) in succ:
+                    succ[(i, j)].add((j, k))
+    for src in keys:
+        _, seen = bfs_forest([src], succ.__getitem__)
+        for tgt in keys:
+            if tgt not in seen:
+                return False, (src, tgt)
+    return True, None
+
+
 def every_visit_condition_i(spec: GWSpec):
     """`checker.check_condition_i` as a loop that re-checks a class (i, c)
     at every neighbor label j that forces it, each time over all of c's
@@ -653,6 +673,17 @@ def multinomial_pmf_oracle(c, params) -> Fraction:
     for ck, p in zip(c, params):
         out *= Fraction(p) ** ck / math.factorial(ck)
     return out
+
+
+def fraction_mixture(pspec: PlainSpec, i: int, shift: int) -> Dict:
+    """`norelabel`'s degree mixture as first written: each degree d of label
+    i, with its weight, times every term of the multinomial law of degree
+    d + shift on label i's row, one Fraction product per term."""
+    dist = {}
+    for d, pd in sorted(pspec.degree_dist[i].items()):
+        for c, q in multinomial_dist(d + shift, pspec.params[i]).items():
+            dist[c] = pd * q
+    return dist
 
 
 def pmf_extract_plain_spec(spec: GWSpec) -> PlainSpec:

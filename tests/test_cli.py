@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gwrev import fileformats as ff
-from gwrev.cli import main
+from gwrev.cli import build_parser, main, parse_args
 from gwrev.constructor import construct_measure
 from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass
 from gwrev.parametrizer import solve_offspring
@@ -247,6 +247,22 @@ def test_cover_with_an_unwritable_destination_writes_nothing(capsys, tmp_path):
     assert dot.read_text() == "old"
     code, _ = run(capsys, "cover", str(gpath), str(out), "--dot", str(dot))
     assert code == 0 and dot.read_text().startswith("digraph")
+
+
+def test_cover_refuses_a_dot_path_that_names_the_measure_output(capsys, tmp_path, monkeypatch):
+    # the same file under two spellings: exit 2, before either file is opened
+    monkeypatch.chdir(tmp_path)
+    Path("tri.txt").write_text("0 1\n1 2\n2 0\n")
+    for dot in ("same.json", "./same.json", str(tmp_path / "same.json")):
+        assert main(["cover", "tri.txt", "same.json", "--dot", dot]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --dot {dot} names the measure output same.json\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.txt"]
+    # a symbolic link to the measure output is the same file too
+    os.symlink("same.json", "link.json")
+    assert main(["cover", "tri.txt", "same.json", "--dot", "link.json"]) == 2
+    assert not os.path.lexists("same.json") and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("edges, head", [
@@ -711,3 +727,63 @@ def test_parametrize_validates_the_template_once(capsys, tmp_path, monkeypatch):
     assert code == 1 and len(calls) == 1
     assert report == {"ok": False, "failed": [
         "support_symmetry: labels (1, 2) are adjacent from one side only"]}
+
+
+# ---------------------------------------------------------------------------
+# argument parsing and `python -m gwrev`
+# ---------------------------------------------------------------------------
+
+def parsed(parse, argv, capsys):
+    """(exit code or namespace, stdout, stderr) of one parse."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["unknown"],
+    ["-h"],
+    ["construct", "-h"],
+    ["construct", "spec.json"],
+    ["check", "spec.json", "extra.json"],
+    ["simulate", "m.json", "--trials", "x", "--seed", "1"],
+    ["--trials", "5", "simulate", "m.json", "--seed", "1"],
+    ["cover", "g.txt", "m.json", "--max-vertices", "abc"],
+    ["cover", "g.txt", "m.json", "--dot", "d.dot", "--max-vertices", "12"],
+    ["simulate", "m.json", "--trials", "5", "--seed", "1", "--mtp", "1,2"],
+    ["parametrize", "t.json", "w.json", "m.json"],
+])
+def test_one_pass_parse_matches_the_nested_parse(capsys, argv):
+    # the subcommand's own parser gives what the top-level parser gives:
+    # the namespace, or the exit code and every byte written
+    direct = parsed(parse_args, argv, capsys)
+    assert direct == parsed(build_parser().parse_args, argv, capsys)
+    result, out, err = direct
+    assert "Traceback" not in err
+    if isinstance(result, int):
+        assert parsed(main, argv, capsys) == direct
+        assert result == (0 if "-h" in argv else 2)
+        assert (out != "") == ("-h" in argv)
+
+
+def test_python_m_gwrev_runs_the_cli(tmp_path):
+    import gwrev
+
+    (tmp_path / "tri.txt").write_text("0 1\n1 2\n2 0\n")
+    src = str(Path(gwrev.__file__).resolve().parent.parent)
+
+    def gwrev_m(*argv):
+        return subprocess.run([sys.executable, "-m", "gwrev", *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+
+    ok = gwrev_m("cover", "tri.txt", "m.json")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["written"] == "m.json"
+    assert gwrev_m("verify", "m.json").returncode == 0
+    bad = gwrev_m("verify", "missing.json")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr

@@ -40,6 +40,7 @@ from .conftest import break_condition_i, break_condition_ii, dense_grid, two_lab
 from .oracles import (
     build_balance_graph,
     cycle_identity_product,
+    every_source_reachability,
     every_visit_condition_i,
     fraction_solve_potentials,
     fraction_verify_reversibility,
@@ -158,15 +159,20 @@ def test_solve_potentials_matches_on_dense_and_broken_grids():
 
 
 def test_strong_connectivity_matches_all_sources_reachability():
-    # the verdict and the first unreachable (source, target) pair
+    # the verdict and the first unreachable (source, target) pair, also on
+    # specs whose dropped law entries cut type edges
     rng = random.Random(7)
-    failed = 0
+    failed = cut = 0
     for _, _, spec in corpus(7):
-        for s in (spec, reweighted(rng, spec)):
+        for s in (spec, reweighted(rng, spec), dropped_entry(rng, spec)):
+            if s is None:
+                continue
             verdict = check_strong_connectivity(s)
-            assert verdict == unreachable_pair_bruteforce(s)
+            assert verdict == unreachable_pair_bruteforce(s) == every_source_reachability(s)
             failed += not verdict[0]
-    assert CORPUS // 10 < failed < CORPUS
+            cut += s is not spec and not verdict[0] and check_strong_connectivity(spec)[0]
+    assert CORPUS // 10 < failed < 2 * CORPUS
+    assert cut > 10
 
 
 def perturbed(rng, measure):

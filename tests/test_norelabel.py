@@ -26,8 +26,10 @@ from .conftest import three_label_plain
 from .oracles import (
     balance_violations,
     conditional_by_degree,
+    fraction_mixture,
     is_degree_multinomial,
     multinomial_pmf_oracle,
+    normalized_weights,
     pmf_extract_plain_spec,
     random_fraction,
     random_plain_spec,
@@ -76,6 +78,39 @@ def test_multinomial_dist_matches_the_termwise_oracle_on_random_rows():
                 assert len(c) == n and sum(c) == degree
                 assert all(ck == 0 for ck, q in zip(c, row) if q == 0)
                 assert p == multinomial_pmf_oracle(c, row)
+
+
+def random_degrees(rng, pspec):
+    """Copy of a PlainSpec with new degree laws on 0..5: some labels only
+    ever have zero children, and rows keep their zero entries."""
+    degree_dist = {}
+    for i in range(1, pspec.n + 1):
+        degs = sorted(rng.sample(range(6), rng.randint(1, 3)))
+        degree_dist[i] = dict(zip(degs, normalized_weights(rng, len(degs))))
+    return PlainSpec(n=pspec.n, degree_dist=degree_dist, params=pspec.params)
+
+
+def test_plain_tables_match_the_fraction_mixture_and_the_termwise_oracle():
+    # expansion and construction against the Fraction-per-term mixture
+    # (values and entry order) and each entry against the oracle's term
+    rng = random.Random(61)
+    specs = [three_label_plain()]
+    specs += [random_degrees(rng, random_plain_spec(rng, rng.randint(1, 6))) for _ in range(60)]
+    zero_degree = zero_entry = 0
+    for pspec in specs:
+        expanded = expand_plain_spec(pspec).offspring
+        measure = construct_plain_measure(pspec)
+        assert measure.descendants.offspring == expanded
+        for i in range(1, pspec.n + 1):
+            row = pspec.params[i]
+            for shift, law in ((0, expanded[i]), (1, measure.neighbor_dist[i])):
+                assert list(law.items()) == list(fraction_mixture(pspec, i, shift).items())
+                for c, p in law.items():
+                    pd = pspec.degree_dist[i][sum(c) - shift]
+                    assert p == pd * multinomial_pmf_oracle(c, row)
+            zero_degree += 0 in pspec.degree_dist[i]
+            zero_entry += 0 in row
+    assert zero_degree > 20 and zero_entry > 20
 
 
 # ---------------------------------------------------------------------------
