@@ -13,24 +13,22 @@ Three checks, all exact:
   multiply to exactly 1 around every cycle, checked by propagating node
   potentials over a spanning forest and comparing the non-tree edges.
 
-The balance graph has one node per candidate root class (i, c), an edge
-between (i, c) and (j, d) whenever c has a j-neighbor and d an i-neighbor,
-and on that edge the exact ratio that detailed balance forces between the
-two classes' unnormalized weights.  That ratio factors per label pair:
-
-    ratio((i, c), (j, d)) = h((i, c), j) / h((j, d), i),
-    h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j,
-
-so the edges between labels i and j form a complete bipartite block
-S(i, j) x S(j, i) of the sides of `core.class_sides` (a clique when
-i = j) that is consistent exactly when the balance key pot / h
-(`core.balance_key`) is constant on it.  `solve_potentials` walks these
-blocks with `core.class_forest` and never materializes the graph: with N
-classes and n labels it does O(N * n) exact operations plus the sort.  The
-keys are unreduced integer pairs compared by cross-multiplication
-(`core.same_key`), with no gcd; only the potentials, which `construct`
-writes, are Fractions.  The graph itself, built edge by edge in O(N^2), and
-the same walk in Fractions are kept only as the test suite's references.
+Conditions i and ii are statements about the same balance factors
+h((i, c), j) = p(j,i)(c - e_j) * |c| / c_j of the candidate classes, one
+per label j with c_j > 0: condition i says every factor is nonzero,
+condition ii that the balance graph's edge ratios h((i, c), j) / h((j, d), i)
+close around every cycle.  Both read one table (`factor_table`) of the
+inverse factors, filled side by side in O(N * n) for N classes and n
+labels.  Condition i holds when no entry is missing; the table is built in
+full either way, so condition i has no early exit.  The edges between
+labels i and j form a complete bipartite block S(i, j) x S(j, i) of the
+sides of `core.class_sides` (a clique when i = j), consistent exactly when
+the key pot / h is constant on it; `solve_potentials` walks these blocks
+with `core.class_forest` and never materializes the graph.  Keys are
+unreduced integer pairs compared by cross-multiplication (`core.same_key`);
+only the potentials, which `construct` writes, are Fractions.  The graph
+built edge by edge in O(N^2), the same walk in Fractions and the condition-i
+loop over the laws are kept only as the test suite's references.
 """
 
 from __future__ import annotations
@@ -46,19 +44,16 @@ from .core import (
     PairKey,
     SupportClass,
     Vector,
-    balance_key,
     bfs_forest,
     class_forest,
-    decrement,
     increment,
     same_key,
+    side_key,
 )
 
 
 class MissingOffspringTermError(GwrevError):
-    """A candidate class has no balance key: the offspring probability that
-    `core.balance_key` reads for one of its neighbor labels is absent.
-
+    """A candidate class lacks the offspring term of a balance factor.
     Cannot happen once condition i has been verified."""
 
 
@@ -86,7 +81,7 @@ def check_strong_connectivity(spec: GWSpec) -> Tuple[bool, Optional[Tuple[PairKe
     for (i, j) in keys:
         # label k is a child label of the law when its column is not all 0
         for k, column in enumerate(zip(*spec.offspring[(i, j)]), start=1):
-            if (j, k) in succ and any(column):
+            if any(column):
                 succ[(i, j)].append((j, k))
                 pred[(j, k)].append((i, j))
     first = keys[0]
@@ -109,34 +104,64 @@ def labels_realized(spec: GWSpec) -> Tuple[bool, Optional[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Condition i: support closure
+# The factor table, and condition i read off it
 # ---------------------------------------------------------------------------
+
+class _Factors(dict):
+    """Keyed by (class u, neighbor label j); reading a missing entry raises."""
+
+    def __missing__(self, key):
+        u, j = key
+        raise MissingOffspringTermError(
+            f"class {u} needs an unstored offspring probability for parent {j}"
+        )
+
+
+def factor_table(spec: GWSpec) -> tuple:
+    """(nodes, side, order, parent, inv, absent): the sorted candidate
+    classes, their sides and BFS forest (`core.class_forest`),
+    inv[(u, j)] = 1 / h(u, j), the `core.side_key` of weight 1 read from the
+    one law p(j, i) of side S(i, j), and each class's least missing label."""
+    # the candidate classes of every label, read off the stored laws only
+    nodes = sorted({SupportClass(i, increment(e, j))
+                    for (j, i), dist in spec.offspring.items() for e in dist})
+    side, order, parent = class_forest(nodes)
+    inv, absent = _Factors(), {}
+    for (i, j), members in side.items():
+        law = spec.offspring.get((j, i), {})
+        for u in members:
+            key = side_key(law, u, j, ONE)
+            if key is None:
+                absent[u] = min(j, absent.get(u, j))
+            else:
+                inv[(u, j)] = key
+    return nodes, side, order, parent, inv, absent
+
+
+def _condition_i(table: tuple) -> Tuple[bool, Optional[Tuple[int, int, int, Vector]]]:
+    """`check_condition_i` read off a built table."""
+    *_, inv, absent = table
+    firsts = []
+    for u, k in absent.items():
+        # the least label forcing u, whose entry is present
+        j = next(j for j, cj in enumerate(u.vector, start=1) if cj and (u, j) in inv)
+        firsts.append((u.label, j, k, u.vector))
+    # for a fixed j, c - e_j orders as c does
+    witness = min(firsts, key=lambda w: (w[0], w[1], w[3]), default=None)
+    return witness is None, witness
+
 
 def check_condition_i(spec: GWSpec) -> Tuple[bool, Optional[Tuple[int, int, int, Vector]]]:
     """For every class vector c forced into F_i by neighbor label j, every
     other positive coordinate k of c must carry positive mass as well.
 
-    Returns (True, None) or (False, (i, j, k, c)) for the first violation in
-    sorted iteration order.  The verdict on (i, c) does not depend on j, so
-    a class forced through several labels is checked at its first visit
-    only.
+    Returns (True, None) or (False, (i, j, k, c)) for the first violation of
+    a loop over the laws (j, i) in (i, j) order and their sorted entries e,
+    c = e + e_j, k the least label c lacks a term for: over the classes with
+    a missing `factor_table` entry, the least (i, j, c - e_j), j the least
+    label whose entry is present.
     """
-    seen = set()
-    # stored keys (j, i) in (i, j) order: the order of a loop over all
-    # label pairs, without touching the pairs that hold no law
-    for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
-        dist = spec.offspring[(j, i)]
-        for e in sorted(dist):
-            c = increment(e, j)
-            if (i, c) in seen:
-                continue
-            seen.add((i, c))
-            for k, ck in enumerate(c, start=1):
-                if ck == 0:
-                    continue
-                if spec.pair_prob(k, i, decrement(c, k)) == 0:
-                    return False, (i, j, k, c)
-    return True, None
+    return _condition_i(factor_table(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -209,40 +234,16 @@ def solve_potentials(
     * the violating cycle runs through the first inconsistent edge (u, v) in
       sorted order.  With g = pot / h on each side, the edge (u, v) between
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
-      of each label pair is read off the two sides in linear time.  g is the
-      integer pair of `core.balance_key`, compared by cross-multiplication.
-      A tree child v = (j, d) of u = (i, c) has g(v, i) = g(u, j) by
-      construction, so `balance_key` runs once per (class, neighbor label).
+      of each label pair is read off the two sides in linear time.
 
-    Requires condition i (MissingOffspringTermError otherwise).
+    Requires condition i; a missing term the walk reads raises MissingOffspringTermError.
     """
-    # the candidate classes of every label, read off the stored laws only
-    nodes = sorted({
-        SupportClass(i, increment(e, j))
-        for (j, i), dist in spec.offspring.items()
-        for e in dist
-    })
-    side, order, parent = class_forest(nodes)
+    return _potentials(factor_table(spec))
 
-    def key(u: SupportClass, j: int, weight: Fraction) -> Tuple[int, int]:
-        k = balance_key(spec, u, j, weight)
-        if k is None:
-            raise MissingOffspringTermError(
-                f"class {u} needs an unstored offspring probability for parent {j}"
-            )
-        return k
 
-    # g(u, j) = pot(u) / h(u, j); (u, v) across sides S(i, j), S(j, i) is
-    # consistent iff g(u, j) == g(v, i)
-    gs: Dict[Tuple[SupportClass, int], Tuple[int, int]] = {}
-
-    def g(u: SupportClass, j: int) -> Tuple[int, int]:
-        # called only once pot[u] is set
-        k = gs.get((u, j))
-        if k is None:
-            k = gs[(u, j)] = key(u, j, pot[u])
-        return k
-
+def _potentials(table: tuple):
+    """`solve_potentials` on a built table."""
+    nodes, side, order, parent, inv, _ = table
     pot: Dict[SupportClass, Fraction] = {}
     components = 0
     for v in order:
@@ -252,11 +253,16 @@ def solve_potentials(
             pot[v] = ONE
         else:
             # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i), u = (i, c), v = (j, d),
-            # so pot(v) = g(u, j) * h(v, i), with 1 / h(v, i) the key of weight 1;
-            # then g(v, i) = g(u, j), and v's key toward i is read only here
-            num, den = gs[(v, u.label)] = g(u, v.label)
-            inv_num, inv_den = key(v, u.label, ONE)
-            pot[v] = Fraction(num * inv_den, den * inv_num)
+            # so pot(v) = pot(u) * inv(u, j) / inv(v, i)
+            a, b = inv[(u, v.label)]
+            x, y = inv[(v, u.label)]
+            p = pot[u]
+            pot[v] = Fraction(p.numerator * a * y, p.denominator * b * x)
+
+    # g(u, j) = pot(u) / h(u, j); (u, v) across sides S(i, j), S(j, i) is
+    # consistent iff g(u, j) == g(v, i)
+    g = _Factors(((u, j), (pot[u].numerator * a, pot[u].denominator * b))
+                 for (u, j), (a, b) in inv.items())
 
     first = None
     for (i, j), a_side in side.items():
@@ -265,19 +271,19 @@ def solve_potentials(
         if i == j:
             if len(a_side) < 2:
                 continue
-            g0 = g(a_side[0], i)
-            edge = next(((a_side[0], q) for q in a_side[1:] if not same_key(g(q, i), g0)),
+            g0 = g[(a_side[0], i)]
+            edge = next(((a_side[0], q) for q in a_side[1:] if not same_key(g[(q, i)], g0)),
                         None)
         else:
             b_side = side.get((j, i))
             if not b_side:
                 continue
-            gb = [g(v, i) for v in b_side]
+            gb = [g[(v, i)] for v in b_side]
             if not all(same_key(x, gb[0]) for x in gb):
-                g0 = g(a_side[0], j)
+                g0 = g[(a_side[0], j)]
                 edge = next((a_side[0], v) for v, x in zip(b_side, gb) if not same_key(x, g0))
             else:
-                edge = next(((u, b_side[0]) for u in a_side if not same_key(g(u, j), gb[0])),
+                edge = next(((u, b_side[0]) for u in a_side if not same_key(g[(u, j)], gb[0])),
                             None)
         if edge is not None and (first is None or edge < first):
             first = edge
@@ -340,13 +346,14 @@ def run_checks(spec: GWSpec) -> CheckReport:
     """Run every admissibility check in order and collect the results."""
     realized, missing = labels_realized(spec)
     strong, witness = check_strong_connectivity(spec)
-    cond_i, counterexample = check_condition_i(spec)
+    table = factor_table(spec)
+    cond_i, counterexample = _condition_i(table)
     cond_ii = None
     cycle = None
     connected = None
     potentials = None
     if cond_i:
-        _, potentials, cycle, components = solve_potentials(spec)
+        _, potentials, cycle, components = _potentials(table)
         cond_ii = cycle is None
         connected = components == 1
     return CheckReport(

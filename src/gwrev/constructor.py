@@ -132,7 +132,7 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     list means the measure is exactly reversible.
 
     Dividing both flows by the two offspring terms, the pair balances iff
-    k(u, j) == k(v, i) for the `core.balance_key` k(u, j) = w(u) / h(u, j),
+    k(u, j) == k(v, i) for the `core.side_key` k(u, j) = w(u) / h(u, j),
     h the balance factor, a zero term being a value of its own (both zero:
     0 == 0).  The admissible pairs of labels i and j are all pairs across
     the two sides S(i, j) and S(j, i) of `class_sides` (label-i classes with
@@ -149,7 +149,8 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
     len(p(i, j)); the law is enumerated only when the counts differ.
     """
     law = measure.descendants.offspring_law
-    side = class_sides(measure.support_classes())
+    side = class_sides(SupportClass(i, c) for i, dist in measure.neighbor_dist.items()
+                       for c in dist)
     keys = {(i, j): _side_key(measure, members, j, law(j, i))
             for (i, j), members in side.items() if (j, i) in side}
     violations: List[Violation] = []

@@ -379,22 +379,18 @@ def exact_flow(measure: RootMeasure, source: SupportClass, target: SupportClass)
     )
 
 
-def balance_key(spec: GWSpec, u: SupportClass, j: int, weight: Fraction) -> BalanceKey:
+def side_key(law: Dist, u: SupportClass, j: int, weight: Fraction) -> BalanceKey:
     """k(u, j) = weight / h(u, j) for u = (i, c) with c_j > 0, where
     h(u, j) = p(j,i)(c - e_j) * |c| / c_j is the balance factor, as the
     unreduced integer pair (a * q * c_j, b * p * |c|) for weight = a / b and
     p(j,i)(c - e_j) = p / q; None when that offspring term is unstored.
+    The term is read from law = p(j, i), the one law every member of the
+    side S(i, j) reads.
 
     Divided by their offspring terms, the two flows between u = (i, c) and
     v = (j, d) are equal iff k(u, j) == k(v, i) with weight(u) and weight(v),
     a zero term being a value of its own.  Keys are compared by `same_key`,
     without a gcd."""
-    return side_key(spec.offspring_law(j, u.label), u, j, weight)
-
-
-def side_key(law: Dist, u: SupportClass, j: int, weight: Fraction) -> BalanceKey:
-    """`balance_key` of a member u of side S(i, j), its offspring term read
-    from law = p(j, i), the one law every member of the side reads."""
     c = u.vector
     p = law.get(decrement(c, j))
     if p is None:

@@ -10,14 +10,14 @@ slot) and solves weight(i) / weight(j) = p(j, i) / p(i, j).
 
 The multinomial law is written once, in integers over the row's common
 denominator b, p_k = a_k / b: `_numerator` is N(c) = |c|! * prod a_k^c_k /
-prod c_k!, so that c has probability N(c) / b^|c|.  `_term` is that one
-probability, `multinomial_dist` one degree's table of them, and `_mixtures`
-a label's degree mixtures: each degree d of weight u / v spread over the
-table of degree d for the offspring law and d + 1 for the root's neighbors,
-each value the one Fraction u * N(c) / (v * b^D).  A label builds each
-degree's table once and both laws read it.  Extraction checks each listed
-entry against its term, so its cost follows the entries a law lists, not
-the size of the expansion.
+prod c_k!, so that c has probability N(c) / b^|c|.  `multinomial_dist` is
+one degree's table of them, and `_mixtures` a label's degree mixtures: each
+degree d of weight u / v spread over the table of degree d for the
+offspring law and d + 1 for the root's neighbors, each value the one
+Fraction u * N(c) / (v * b^D).  A label builds each degree's table once and
+both laws read it.  Extraction scales each degree's row once and checks
+each listed entry against its probability N(c) / b^d, so its cost follows
+the entries a law lists, not the size of the expansion.
 """
 
 from __future__ import annotations
@@ -148,12 +148,6 @@ def _numerator(c: Vector, a: List[int]) -> int:
     return num
 
 
-def _term(c: Vector, params: Tuple[Fraction, ...]) -> Fraction:
-    """Multinomial probability of the count vector c, N(c) / b^|c|."""
-    a, b = _scaled_row(params)
-    return Fraction(_numerator(c, a), b ** total(c))
-
-
 def _numerators(degree: int, a: List[int]) -> Dict[Vector, int]:
     """N(c) of every count vector of total `degree` on the labels with
     a_k > 0, in `combinations_with_replacement` order."""
@@ -238,8 +232,9 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
                 sum(p * c[j] for c, p in sub.items()) / (mass * d)
                 for j in range(spec.n)
             )
+            a, b = _scaled_row(row)
             for c in sorted(sub):
-                if sub[c] != mass * _term(c, row):
+                if sub[c] != mass * Fraction(_numerator(c, a), b ** d):
                     raise NotMultinomialError(i, d, c)
             row_of_degree[d] = row
         rows = [row_of_degree[d] for d in sorted(row_of_degree)]

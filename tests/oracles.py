@@ -580,6 +580,24 @@ def every_source_reachability(spec: GWSpec):
     return True, None
 
 
+def first_visit_condition_i(spec: GWSpec):
+    """`checker.check_condition_i` as a loop over the laws: the stored keys
+    (j, i) in (i, j) order, their sorted entries e, c = e + e_j, each class
+    (i, c) checked at its first visit, every positive coordinate k of c
+    looked up with `pair_prob`."""
+    seen = set()
+    for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
+        for e in sorted(spec.offspring[(j, i)]):
+            c = increment(e, j)
+            if (i, c) in seen:
+                continue
+            seen.add((i, c))
+            for k, ck in enumerate(c, start=1):
+                if ck > 0 and spec.pair_prob(k, i, decrement(c, k)) == 0:
+                    return False, (i, j, k, c)
+    return True, None
+
+
 def every_visit_condition_i(spec: GWSpec):
     """`checker.check_condition_i` as a loop that re-checks a class (i, c)
     at every neighbor label j that forces it, each time over all of c's

@@ -11,7 +11,7 @@ from gwrev.checker import (
     run_checks,
     solve_potentials,
 )
-from gwrev.core import GWSpec, PAIR, SupportClass, balance_key
+from gwrev.core import GWSpec, PAIR, SupportClass, side_key
 from gwrev.parametrizer import assemble_measure, solve_offspring
 
 from .conftest import A, B, D, break_condition_i, break_condition_ii, dense_grid
@@ -235,34 +235,39 @@ def test_potentials_match_worked_instance(pair_spec):
 
 @pytest.mark.parametrize("k, expected", [(4, 64), (8, 256), (10, 400)])
 def test_solve_potentials_reads_each_balance_key_once(monkeypatch, k, expected):
-    # a BFS tree child v of u has g(v, i) = g(u, j) by construction, so each
-    # (class, neighbor label) key is read once: 2 labels x 2 K^2 classes
+    # the factor table holds one key per (class, neighbor label), 2 labels x
+    # 2 K^2 classes, and the walk reads the table, not the laws
     spec = solve_offspring(*dense_grid(k, seed=1, bits=64))
     reads = []
 
-    def counted(spec, u, j, weight):
+    def counted(law, u, j, weight):
         reads.append((u, j))
-        return balance_key(spec, u, j, weight)
+        return side_key(law, u, j, weight)
 
-    monkeypatch.setattr(checker, "balance_key", counted)
+    monkeypatch.setattr(checker, "side_key", counted)
     assert checker.solve_potentials(spec)[2] is None
     assert len(reads) == len(set(reads)) == expected
 
 
 @pytest.mark.parametrize("k", [4, 8, 10])
 def test_condition_i_reads_each_class_term_once(monkeypatch, k):
-    # every grid class (i, (a, b)) is forced through both labels; its two
-    # terms p(k, i)(c - e_k) are each looked up once
+    # every grid class (i, (a, b)) is forced through both labels; over a
+    # whole run_checks its two terms p(k, i)(c - e_k) are each read once,
+    # for both conditions, and never through pair_prob
     template, weights = dense_grid(k, seed=1, bits=64)
     spec = solve_offspring(template, weights)
-    lookups = []
-    pair_prob = GWSpec.pair_prob
+    reads = []
 
-    def counted(self, i, j, c):
-        lookups.append((i, j, c))
-        return pair_prob(self, i, j, c)
+    def counted(law, u, j, weight):
+        reads.append((u, j))
+        return side_key(law, u, j, weight)
 
-    monkeypatch.setattr(GWSpec, "pair_prob", counted)
-    assert check_condition_i(spec) == (True, None)
+    def forbidden(*args):
+        raise AssertionError("run_checks calls pair_prob")
+
+    monkeypatch.setattr(checker, "side_key", counted)
+    monkeypatch.setattr(GWSpec, "pair_prob", forbidden)
+    report = checker.run_checks(spec)
+    assert report.ok() and report.condition_i_counterexample is None
     terms = sum(x > 0 for cls in template.classes for x in cls.vector)
-    assert len(lookups) == len(set(lookups)) == terms == 4 * k * k
+    assert len(reads) == len(set(reads)) == terms == 4 * k * k

@@ -665,7 +665,7 @@ def test_simulate_builds_no_generator_per_trial(capsys, tmp_path, spec_path, mon
 
 
 # ---------------------------------------------------------------------------
-# construct solves the balance potentials once, in run_checks
+# construct builds the factor table once, in run_checks
 # ---------------------------------------------------------------------------
 
 def test_construct_solves_the_balance_potentials_once(capsys, tmp_path, monkeypatch):
@@ -673,17 +673,17 @@ def test_construct_solves_the_balance_potentials_once(capsys, tmp_path, monkeypa
 
     import gwrev.checker
 
-    original = gwrev.checker.solve_potentials
+    original = gwrev.checker.factor_table
     calls = []
 
     def counting(spec):
         calls.append(spec)
         return original(spec)
 
-    # every gwrev module that holds the solver, the checker's own name included
+    # every gwrev module that holds the table builder, the checker's own name included
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "gwrev" and getattr(module, "solve_potentials", None) is original:
-            monkeypatch.setattr(module, "solve_potentials", counting)
+        if name.split(".")[0] == "gwrev" and getattr(module, "factor_table", None) is original:
+            monkeypatch.setattr(module, "factor_table", counting)
 
     template, weights = dense_grid(4)
     for spec in (two_label_spec(), solve_offspring(template, weights)):

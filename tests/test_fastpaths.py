@@ -7,6 +7,7 @@ forced ratios close on some and not on others: a good share of them fail
 condition ii and exercise the witness paths.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from gwrev.checker import (
+    MissingOffspringTermError,
     check_condition_i,
     check_strong_connectivity,
     run_checks,
@@ -42,6 +44,7 @@ from .oracles import (
     cycle_identity_product,
     every_source_reachability,
     every_visit_condition_i,
+    first_visit_condition_i,
     fraction_solve_potentials,
     fraction_verify_reversibility,
     listed_violations,
@@ -96,24 +99,60 @@ def dropped_entry(rng, spec):
     return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
 
 
+def added_entry(rng, spec):
+    """Copy of the spec with one new entry, of at most 2 children per label,
+    added to a random law (j, i) and the law reweighted at random: its
+    children carry only labels k with a law (i, k), so the spec stays
+    closed, and the new class it forces may lack a term, so condition i may
+    fail; None when that law already lists every such entry."""
+    offspring = dict(spec.offspring)
+    j, i = rng.choice(sorted(offspring))
+    counts = [range(3) if (i, k) in offspring else [0] for k in range(1, spec.n + 1)]
+    new = [e for e in itertools.product(*counts) if e not in offspring[(j, i)]]
+    if not new:
+        return None
+    raw = {c: rng.randint(1, 9) for c in sorted(offspring[(j, i)]) + [rng.choice(new)]}
+    offspring[(j, i)] = {c: F(r, sum(raw.values())) for c, r in raw.items()}
+    return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
+
+
+def outcome(solve, spec):
+    """The result of the solve, or the message of its MissingOffspringTermError."""
+    try:
+        return solve(spec)
+    except MissingOffspringTermError as error:
+        return str(error)
+
+
 def test_condition_i_matches_the_every_visit_loop():
     # the verdict and the witness (first failing class, at its first label)
+    # against both loops, on specs with law entries dropped and added; on a
+    # failing spec run_checks leaves the potentials out, and solve_potentials
+    # fails at the same missing term as the Fraction walk, or at none
     rng = random.Random(9)
     checked = failing = 0
     for _, _, spec in corpus(9):
-        for s in (spec, dropped_entry(rng, spec), dropped_entry(rng, spec)):
+        for s in (spec, dropped_entry(rng, spec), dropped_entry(rng, spec),
+                  added_entry(rng, spec), added_entry(rng, spec)):
             if s is None:
                 continue
             result = check_condition_i(s)
-            assert result == every_visit_condition_i(s)
+            assert result == first_visit_condition_i(s) == every_visit_condition_i(s)
+            report = run_checks(s)
+            assert (report.condition_i, report.condition_i_counterexample) == result
             checked += 1
-            failing += not result[0]
+            if result[0]:
+                continue
+            failing += 1
+            assert report.condition_ii is report.potentials is None
+            assert outcome(solve_potentials, s) == outcome(fraction_solve_potentials, s)
     template, weights = dense_grid(4, seed=3)
     grid = solve_offspring(template, weights)
-    for s in (grid, dropped_entry(rng, grid), two_label_spec(),
-              break_condition_i(two_label_spec())):
-        assert check_condition_i(s) == every_visit_condition_i(s)
-    assert checked > 1200 and checked // 5 < failing < checked - checked // 5
+    for s in (grid, dropped_entry(rng, grid), added_entry(rng, grid), two_label_spec(),
+              break_condition_i(two_label_spec()), break_condition_i(grid)):
+        if s is not None:
+            assert check_condition_i(s) == first_visit_condition_i(s) == every_visit_condition_i(s)
+    assert checked > 2000 and failing > 1000 and checked // 5 < failing < checked - checked // 5
 
 
 def graph_path(spec):
