@@ -53,8 +53,8 @@ from .core import (
 
 
 class MissingOffspringTermError(GwrevError):
-    """A candidate class lacks the offspring term of a balance factor.
-    Cannot happen once condition i has been verified."""
+    """A candidate class lacks the offspring term of a balance factor:
+    condition i fails, and the balance graph is not defined."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +107,6 @@ def labels_realized(spec: GWSpec) -> Tuple[bool, Optional[int]]:
 # The factor table, and condition i read off it
 # ---------------------------------------------------------------------------
 
-class _Factors(dict):
-    """Keyed by (class u, neighbor label j); reading a missing entry raises."""
-
-    def __missing__(self, key):
-        u, j = key
-        raise MissingOffspringTermError(
-            f"class {u} needs an unstored offspring probability for parent {j}"
-        )
-
-
 def factor_table(spec: GWSpec) -> tuple:
     """(nodes, side, order, parent, inv, absent): the sorted candidate
     classes, their sides and BFS forest (`core.class_forest`),
@@ -126,7 +116,7 @@ def factor_table(spec: GWSpec) -> tuple:
     nodes = sorted({SupportClass(i, increment(e, j))
                     for (j, i), dist in spec.offspring.items() for e in dist})
     side, order, parent = class_forest(nodes)
-    inv, absent = _Factors(), {}
+    inv, absent = {}, {}
     for (i, j), members in side.items():
         law = spec.offspring.get((j, i), {})
         for u in members:
@@ -236,13 +226,21 @@ def solve_potentials(
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
       of each label pair is read off the two sides in linear time.
 
-    Requires condition i; a missing term the walk reads raises MissingOffspringTermError.
+    Raises MissingOffspringTermError when condition i fails, naming the
+    class (i, c) and the label k of its witness.
     """
-    return _potentials(factor_table(spec))
+    table = factor_table(spec)
+    holds, witness = _condition_i(table)
+    if not holds:
+        i, _, k, c = witness
+        raise MissingOffspringTermError(
+            f"class {SupportClass(i, c)} needs an unstored offspring probability for parent {k}"
+        )
+    return _potentials(table)
 
 
 def _potentials(table: tuple):
-    """`solve_potentials` on a built table."""
+    """`solve_potentials` on a built table on which condition i holds."""
     nodes, side, order, parent, inv, _ = table
     pot: Dict[SupportClass, Fraction] = {}
     components = 0
@@ -261,8 +259,8 @@ def _potentials(table: tuple):
 
     # g(u, j) = pot(u) / h(u, j); (u, v) across sides S(i, j), S(j, i) is
     # consistent iff g(u, j) == g(v, i)
-    g = _Factors(((u, j), (pot[u].numerator * a, pot[u].denominator * b))
-                 for (u, j), (a, b) in inv.items())
+    g = {(u, j): (pot[u].numerator * a, pot[u].denominator * b)
+         for (u, j), (a, b) in inv.items()}
 
     first = None
     for (i, j), a_side in side.items():

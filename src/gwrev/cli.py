@@ -95,7 +95,7 @@ def cmd_construct(args) -> int:
             _emit({"ok": False, "failed": report.failed_names()[:1],
                    **({"violating_cycle": list(cycle)} if cycle else {})})
             return 1
-        measure = construct_plain_measure(spec)
+        measure = construct_plain_measure(spec, report)
     elif spec.mode == PAIR:
         report = run_checks(spec)
         if not report.ok():
@@ -107,7 +107,7 @@ def cmd_construct(args) -> int:
         if not report.ok():
             _emit(ff.plain_report_to_obj(report))
             return 1
-        measure = construct_plain_measure(pspec)
+        measure = construct_plain_measure(pspec, report)
     return _save_verified(measure, args.out)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -303,6 +303,9 @@ class PlainCheckReport:
     cycles: Optional[bool]
     violating_cycle: Optional[List[int]]
     connected: Optional[bool]
+    # the label potentials, kept for the constructor; None when extraction
+    # failed
+    potentials: Optional[Dict[int, Fraction]] = field(default=None, repr=False, compare=False)
 
     def ok(self) -> bool:
         return self.multinomial and self.cycles is True and self.connected is True
@@ -321,8 +324,8 @@ class PlainCheckReport:
 def check_plain_spec(pspec: PlainSpec) -> PlainCheckReport:
     """Cycle and connectivity checks of a PlainSpec, whose rows are
     multinomial parameters by definition."""
-    _, cycle, components = _plain_potentials(pspec)
-    return PlainCheckReport(True, None, None, cycle is None, cycle, components == 1)
+    pot, cycle, components = _plain_potentials(pspec)
+    return PlainCheckReport(True, None, None, cycle is None, cycle, components == 1, pot)
 
 
 def run_plain_checks(spec: GWSpec) -> Tuple[PlainCheckReport, Optional[PlainSpec]]:
@@ -335,18 +338,23 @@ def run_plain_checks(spec: GWSpec) -> Tuple[PlainCheckReport, Optional[PlainSpec
     return check_plain_spec(pspec), pspec
 
 
-def construct_plain_measure(pspec: PlainSpec) -> RootMeasure:
+def construct_plain_measure(pspec: PlainSpec,
+                            report: Optional[PlainCheckReport] = None) -> RootMeasure:
     """The unique reversible measure for an admissible PlainSpec.
 
-    Root degrees are the child degrees shifted up by one, conditional
-    neighbor laws reuse the same multinomial rows, and the root-label
-    weights solve the pairwise ratio equations.
+    Runs `check_plain_spec` first unless a passing report is supplied; a
+    supplied report must be `check_plain_spec(pspec)`, whose label
+    potentials give the root weights.  Root degrees are the child degrees
+    shifted up by one, conditional neighbor laws reuse the same multinomial
+    rows, and the root-label weights solve the pairwise ratio equations.
     """
-    pot, cycle, components = _plain_potentials(pspec)
-    if cycle is not None:
-        raise ChecksFailedError(f"cycle identity fails along {cycle}")
-    if components != 1:
+    if report is None:
+        report = check_plain_spec(pspec)
+    if report.violating_cycle is not None:
+        raise ChecksFailedError(f"cycle identity fails along {report.violating_cycle}")
+    if not report.connected:
         raise ChecksFailedError("label graph is disconnected")
+    pot = report.potentials
     grand = sum(pot.values())
     root_dist = {i: pot[i] / grand for i in range(1, pspec.n + 1)}
     laws = {i: _mixtures(pspec, i, (0, 1)) for i in range(1, pspec.n + 1)}

@@ -8,7 +8,9 @@ estimates are exact.
 
 `estimate_flow` and `mass_transport_check` compute the draws that
 `numpy.random.Generator(Philox(key))` would make for each trial, BLOCK
-trials at a time, without building a generator:
+(12,288) trials at a time, without building a generator; a call of up to
+BLOCK trials is one block, which pays the fixed cost of each numpy pass
+once:
 
 * Words.  Philox is counter-based: word k of trial t is word k % 4 of the
   block at counter k // 4 + 1 under the key words (t, seed).
@@ -72,20 +74,31 @@ GENERATOR = "philox4x64-10 key=(seed<<64)|trial"
 """Each trial's stream: `numpy.random.Generator(numpy.random.Philox(key))`
 with this key, drawn first by `random()` and then by `integers(deg)`."""
 
-_TWO64 = 1 << 64
+_TWO32, _TWO64 = 1 << 32, 1 << 64
 
 
 class ClassNotInSupportError(GwrevError):
     """A requested root class carries no mass under the measure."""
 
 
+class DegreeTooLargeError(GwrevError):
+    """An end class of a flow has degree 2**32 or more, beyond the range of
+    the walk step's draw `Generator.integers(deg)` as `lemire_step`
+    computes it."""
+
+
 # ---------------------------------------------------------------------------
 # The draws in bulk
 # ---------------------------------------------------------------------------
 
-BLOCK = 4096
-"""Trials per vectorized block: the working arrays stay small for any
-trial count."""
+BLOCK = 12288
+"""Trials per vectorized block; a call of up to 12,288 trials is one block.
+Every block pays again for `philox_block`'s few hundred numpy dispatches
+and the estimators' bookkeeping, so fewer blocks cost less.  The size
+stops here because each lane costs more past about 6,000 lanes, as the
+arrays outgrow the cache, and because the traced peak grows with the
+block: a 300,000-trial flow between a K = 4 grid's degree-8 ends peaks at
+3.1 MiB, under the test suite's 4 MiB bound (4.1 MiB at 16,384)."""
 
 
 def _u64(x: int) -> np.ndarray:
@@ -328,24 +341,33 @@ def estimate_flow(
         raise ClassNotInSupportError(
             f"classes {source} and {target} cannot sit next to each other"
         )
+    for end in (source, target):
+        if total(end.vector) >= _TWO32:
+            raise DegreeTooLargeError(
+                f"class {end} has degree {total(end.vector)}; a walk step "
+                f"needs an end class of degree below 2**32"
+            )
     roots = _RootDraws(measure)
     law = measure.descendants.offspring_law
-    degree = np.array([total(u.vector) for u in roots.classes], dtype=np.int64)
 
     def crossing(frm: SupportClass, to: SupportClass):
-        # (root, lands, cdf, want): the step from a frm root, class index
+        # (root, lo, hi, cdf, want): the step from a frm root, class index
         # root, crosses to a `to` class when child k carries to's label
-        # (lands[k]) and draws outcome `want` of its law, to's vector less
-        # the parent; lands is all False when the law cannot draw it
+        # (lo <= k < hi, children ordered by label) and draws outcome `want`
+        # of its law, to's vector less the parent; hi = lo when the law
+        # cannot draw it
         outcomes, cdf = _cdf(law(frm.label, to.label))
         want = decrement(to.vector, frm.label)
-        lands = np.repeat(np.arange(1, measure.n + 1), frm.vector) == to.label
+        lo = sum(frm.vector[:to.label - 1])
         if want not in outcomes:
-            return roots.classes.index(frm), np.zeros_like(lands), cdf, 0
-        return roots.classes.index(frm), lands, cdf, outcomes.index(want)
+            return roots.classes.index(frm), lo, lo, cdf, 0
+        return (roots.classes.index(frm), lo, lo + frm.vector[to.label - 1], cdf,
+                outcomes.index(want))
 
     directions = (crossing(source, target), crossing(target, source))
-    ends = [root for root, _, _, _ in directions]
+    ends = [root for root, *_ in directions]
+    degree = np.zeros(len(roots.classes), dtype=np.int64)
+    degree[ends] = total(source.vector), total(target.vector)
     counts = [0, 0]
     for trial in _blocks(trials):
         first = philox_block(seed, trial, 1)
@@ -364,11 +386,7 @@ def estimate_flow(
             word[later] = last[step[later] % 4, np.arange(len(later))]
         k = lemire_step(seed, trial, step, deg, word)
         # child k drew its offspring vector from word 2 + k
-        go = []
-        for root, lands, _, _ in directions:
-            mine = cls == root
-            mine[mine] = lands[k[mine]]
-            go.append(mine)
+        go = [(cls == root) & (lo <= k) & (k < hi) for root, lo, hi, _, _ in directions]
         need = np.flatnonzero(go[0] | go[1])
         index = 2 + k[need]
         counter = index // 4 + 1
@@ -384,7 +402,7 @@ def estimate_flow(
             elsewhere = past[~at_last]
             if len(elsewhere):
                 words[elsewhere] = trial_words(seed, trial[need[elsewhere]], index[elsewhere])
-        for n, (mine, (_, _, cdf, want)) in enumerate(zip(go, directions)):
+        for n, (mine, (*_, cdf, want)) in enumerate(zip(go, directions)):
             counts[n] += int(np.count_nonzero(_pick(cdf, words[mine[need]]) == want))
     fwd, bwd = counts
     mean_f, se_f = _estimate(float(fwd), float(fwd), trials)

@@ -360,6 +360,49 @@ def test_simulate_trial_indices_must_fit_in_64_bits(capsys, tmp_path, spec_path,
     assert "trials must be in [1, 2**64]" in captured.err
 
 
+def huge_degree_measure(degree):
+    """A reversible one-label measure whose root has 1 or `degree`
+    neighbors, each with probability 1/2."""
+    return {
+        "root": [{"label": 1, "p": "1"}],
+        "neighbors": [{"label": 1, "dist": [{"c": [1], "p": "1/2"}, {"c": [degree], "p": "1/2"}]}],
+        "descendants": {"n": 1, "mode": "pair", "offspring": [
+            {"parent": 1, "child": 1,
+             "dist": [{"c": [0], "p": "1/2"}, {"c": [degree - 1], "p": "1/2"}]},
+        ]},
+        "verified": True,
+    }
+
+
+@pytest.mark.parametrize("degree", [2**32, 2**40, 2**64])
+def test_simulate_refuses_an_end_of_degree_2_to_the_32_or_more(capsys, tmp_path, monkeypatch,
+                                                               degree):
+    import gwrev.simulator
+
+    path = write(tmp_path / "huge.json", huge_degree_measure(degree))
+    # a huge degree elsewhere in the measure is no obstacle
+    for argv in (["verify", path],
+                 ["simulate", path, "--trials", "1000", "--seed", "1", "--mtp", "1,1"],
+                 ["simulate", path, "--trials", "1000", "--seed", "1",
+                  "--from", "1:(1)", "--to", "1:(1)"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a trial")
+
+    # refused before any array is built: no draw, and no array sized by the degree
+    monkeypatch.setattr(gwrev.simulator, "_RootDraws", no_draws)
+    huge = f"1:({degree})"
+    for ends in ((huge, huge), ("1:(1)", huge)):
+        code = main(["simulate", path, "--trials", "10", "--seed", "1",
+                     "--from", ends[0], "--to", ends[1]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: class {huge} has degree {degree}; a walk step "
+                                f"needs an end class of degree below 2**32\n")
+
+
 def test_verify_detects_tampering(capsys, tmp_path, spec_path):
     out = tmp_path / "measure.json"
     run(capsys, "construct", spec_path, str(out))
@@ -689,6 +732,33 @@ def test_construct_solves_the_balance_potentials_once(capsys, tmp_path, monkeypa
     for spec in (two_label_spec(), solve_offspring(template, weights)):
         calls.clear()
         path = write(tmp_path / "spec.json", ff.spec_to_obj(spec))
+        code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
+        assert code == 0
+        assert len(calls) == 1
+
+
+def test_plain_construct_solves_the_label_potentials_once(capsys, tmp_path, monkeypatch):
+    import sys
+
+    import gwrev.checker
+    from gwrev.norelabel import expand_plain_spec
+
+    original = gwrev.checker.label_potentials
+    calls = []
+
+    def counting(n, ratio):
+        calls.append(n)
+        return original(n, ratio)
+
+    # every gwrev module that holds the solver, the checker's own name included
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gwrev" and getattr(module, "label_potentials", None) is original:
+            monkeypatch.setattr(module, "label_potentials", counting)
+
+    pspec = three_label_plain()
+    for obj in (ff.plain_spec_to_obj(pspec), ff.spec_to_obj(expand_plain_spec(pspec))):
+        calls.clear()
+        path = write(tmp_path / "spec.json", obj)
         code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
         assert code == 0
         assert len(calls) == 1

@@ -513,6 +513,8 @@ def counting_blocks(monkeypatch):
 ])
 def test_each_trial_and_counter_is_evaluated_once(pair_spec, monkeypatch, source, target):
     measure = construct_measure(pair_spec)
+    # four blocks, the last of 5 trials, small enough for the per-trial oracle
+    monkeypatch.setattr(simulator, "BLOCK", 256)
     trials = 3 * simulator.BLOCK + 5
     expected = oracles.reference_estimate_flow(measure, source, target, trials, SEED)
     calls = counting_blocks(monkeypatch)
@@ -525,6 +527,25 @@ def test_each_trial_and_counter_is_evaluated_once(pair_spec, monkeypatch, source
     if sum(source.vector) == sum(target.vector) == 2:
         # step word 4, child words 2 and 3: two blocks per block of trials
         assert len(calls) == 2 * 4
+
+
+def test_a_call_of_up_to_one_block_evaluates_each_counter_once(pair_spec, monkeypatch):
+    """At the default BLOCK a 10,000-trial call is one block: a flow between
+    degree-2 ends evaluates counter 1 and the step's counter 2 once each, an
+    mtp estimate counter 1 only, and both estimates equal those of blocks
+    of 4,096 trials."""
+    measure = construct_measure(pair_spec)
+    source, target = SupportClass(1, A), SupportClass(2, A)
+    assert sum(source.vector) == sum(target.vector) == 2 and simulator.BLOCK >= 10_000
+    calls = counting_blocks(monkeypatch)
+    flow = estimate_flow(measure, source, target, 10_000, SEED)
+    assert len(calls) == 2
+    calls.clear()
+    transport = mass_transport_check(measure, 1, 2, 10_000, SEED)
+    assert len(calls) == 1
+    monkeypatch.setattr(simulator, "BLOCK", 4096)
+    assert estimate_flow(measure, source, target, 10_000, SEED) == flow
+    assert mass_transport_check(measure, 1, 2, 10_000, SEED) == transport
 
 
 def test_a_degree_one_step_reads_counter_one(monkeypatch):
@@ -543,20 +564,25 @@ def test_a_degree_one_step_reads_counter_one(monkeypatch):
 def test_high_degree_ends_match_the_per_trial_loop(monkeypatch):
     """Ends of degree up to 8 step past word 5, so a child's word can sit
     in a block between counter 1 and the step's: the K = 4 dense grid, every
-    adjacent pair, and a star lift whose centre has degree 7."""
+    adjacent pair, and a star lift whose centre has degree 7; and a star
+    of degree 300 whose leaves carry two labels, so that the children of
+    the second label are 150 <= k < 300."""
     template, weights = dense_grid(4, seed=4)
     grid = assemble_measure(template, weights)
     star = FiniteGraph.from_edges([(0, k) for k in range(1, 8)])
     lifted = lift_measure(star, label_vertices(star))
+    wide = lift_measure(FiniteGraph.from_edges([(0, k) for k in range(1, 301)]),
+                        {0: 1, **{k: 2 + (k > 150) for k in range(1, 301)}})
     assert max(sum(cls.vector) for cls in grid.support_classes()) == 8
     assert max(sum(cls.vector) for cls in lifted.support_classes()) == 7
+    assert wide.neighbor_dist[1] == {(0, 150, 150): 1}
     words_calls = []
     words = simulator.trial_words
     monkeypatch.setattr(simulator, "trial_words",
                         lambda *args: words_calls.append(args) or words(*args))
     monkeypatch.setattr(simulator, "BLOCK", 256)
     crossings = 0
-    for measure, trials in [(grid, 700), (lifted, 900)]:
+    for measure, trials in [(grid, 700), (lifted, 900), (wide, 300)]:
         walks = oracles.reference_walks(measure, trials, SEED)
         # `reference_estimate_flow` is flows_of_walks over these walks
         for source, target in [(s, t) for s, t in adjacent_pairs(measure) if s <= t]:
