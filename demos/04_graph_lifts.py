@@ -40,4 +40,4 @@ for name, edges in GRAPHS.items():
 
 print("pair digraph of the star, in DOT form:")
 graph = FiniteGraph.from_edges(GRAPHS["star with three leaves"])
-print(pair_digraph(graph, label_vertices(graph)).to_dot())
+print(pair_digraph(lift_measure(graph, label_vertices(graph))).to_dot())

@@ -17,7 +17,6 @@ from .core import (
     InvalidDistributionError,
     PAIR,
     PLAIN,
-    Rat,
     RootMeasure,
     SpecError,
     SupportClass,
@@ -45,8 +44,6 @@ from .parametrizer import (
     SupportTemplate,
     assemble_measure,
     family_dimension,
-    solve_offspring,
-    solve_root_weights,
     validate_template,
 )
 from .norelabel import (
@@ -59,7 +56,6 @@ from .norelabel import (
     construct_plain_measure,
     expand_plain_spec,
     extract_plain_spec,
-    multinomial_dist,
     run_plain_checks,
 )
 from .covers import (

@@ -28,18 +28,6 @@ def _emit(obj) -> None:
     sys.stdout.write(ff.canonical_json(obj))
 
 
-def _violations_obj(violations) -> list:
-    return [
-        {
-            "first": {"label": u.label, "c": list(u.vector)},
-            "second": {"label": v.label, "c": list(v.vector)},
-            "lhs": ff.format_fraction(lhs),
-            "rhs": ff.format_fraction(rhs),
-        }
-        for (u, v, lhs, rhs) in violations
-    ]
-
-
 def _save_verified(measure, out, fields=None, extra=None) -> int:
     """Verify the measure exactly, write it to `out`, and with it the text
     `extra[1]` to the path `extra[0]` when given, and report success with
@@ -51,16 +39,16 @@ def _save_verified(measure, out, fields=None, extra=None) -> int:
     violations = verify_reversibility(measure)
     if violations:
         _emit({"ok": False, "failed": ["verify"],
-               "violations": _violations_obj(violations)})
+               "violations": ff.violations_to_obj(violations)})
         return 1
     if extra is None:
-        ff.save_measure(out, measure, verified=True)
+        ff.save_measure(out, measure)
     else:
         path, text = extra
         existed = os.path.exists(path)
         with open(path, "a") as fh:
             try:
-                ff.save_measure(out, measure, verified=True)
+                ff.save_measure(out, measure)
             except OSError:
                 if not existed:
                     os.remove(path)
@@ -144,7 +132,7 @@ def cmd_cover(args) -> int:
     fields = {"labels": [labels[v] for v in sorted(labels)]}
     if not args.dot:
         return _save_verified(measure, args.out, fields)
-    dot = pair_digraph(graph, labels).to_dot()
+    dot = pair_digraph(measure).to_dot()
     return _save_verified(measure, args.out, {**fields, "dot": args.dot}, (args.dot, dot))
 
 
@@ -153,7 +141,7 @@ def _estimate_obj(name, est) -> dict:
         "direction": name,
         "empirical_mean": est.empirical_mean,
         "std_error": est.std_error,
-        "exact": ff.format_fraction(est.exact),
+        "exact": str(est.exact),
         "trials": est.trials,
         "seed": est.seed,
         "generator": est.generator,
@@ -207,7 +195,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     measure = ff.load_measure(args.measure)
     violations = verify_reversibility(measure)
-    _emit({"ok": not violations, "violations": _violations_obj(violations)})
+    _emit({"ok": not violations, "violations": ff.violations_to_obj(violations)})
     return 0 if not violations else 1
 
 

@@ -25,7 +25,6 @@ from typing import (
     Union,
 )
 
-Rat = Fraction
 Vector = Tuple[int, ...]
 Dist = Dict[Vector, Fraction]
 
@@ -343,14 +342,6 @@ class RootMeasure:
                         f"label-{i} roots have label-{j} neighbors, but a label-{j} "
                         f"vertex with a label-{i} parent has no offspring law"
                     )
-
-    def support_classes(self) -> list:
-        """All (label, vector) classes carrying positive mass, sorted."""
-        return [
-            SupportClass(i, c)
-            for i in sorted(self.neighbor_dist)
-            for c in sorted(self.neighbor_dist[i])
-        ]
 
     def class_prob(self, cls: SupportClass) -> Fraction:
         """Unconditional probability of the class: root weight times the

@@ -256,13 +256,6 @@ def label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> Dict[int, int]
 # Pair digraph and measure lift
 # ---------------------------------------------------------------------------
 
-def _neighbor_counts(graph: FiniteGraph, labels: Dict[int, int], v: int, n: int) -> Vector:
-    counts = [0] * n
-    for w in graph.neighbors(v):
-        counts[labels[w] - 1] += 1
-    return tuple(counts)
-
-
 @dataclass
 class PairDigraph:
     """Directed multigraph on realized (parent label, own label) pairs."""
@@ -282,34 +275,24 @@ class PairDigraph:
         return "\n".join(lines) + "\n"
 
 
-def pair_digraph(graph: FiniteGraph, labels: Dict[int, int]) -> PairDigraph:
-    """Build the directed pair-label graph.
+def pair_digraph(measure: RootMeasure) -> PairDigraph:
+    """The directed pair-label graph of a lift, read off its laws.
 
-    Node (j, i) stands for "an i vertex entered from a j neighbor"; it sends
-    m edges to (i, k) when such a vertex has m other neighbors labeled k.
-    All realizations of (j, i) must agree on those counts.
+    Node (j, i), a key of the lift's laws, stands for "an i vertex entered
+    from a j neighbor"; it sends m edges to (i, k) when the one vector of
+    its point-mass law has m children labeled k.  A law that is not a point
+    mass raises ValueError.
     """
-    n = max(labels.values())
-    rest_of: Dict[PairKey, Vector] = {}
-    for v in range(graph.vertex_count):
-        i = labels[v]
-        counts = _neighbor_counts(graph, labels, v, n)
-        for j in sorted({labels[w] for w in graph.neighbors(v)}):
-            rest = decrement(counts, j)
-            key = (j, i)
-            if key in rest_of and rest_of[key] != rest:
-                raise IllDefinedLabelingError(
-                    f"vertices of pair {key} disagree on their remaining "
-                    f"neighbor counts: {rest_of[key]} vs {rest}"
-                )
-            rest_of[key] = rest
-    nodes = sorted(rest_of)
+    offspring = measure.descendants.offspring
     multiplicity = {}
-    for (j, i), rest in rest_of.items():
+    for key, law in offspring.items():
+        if len(law) != 1:
+            raise ValueError(f"law {key} is not a point mass")
+        (rest,) = law
         for k, m in enumerate(rest, start=1):
             if m > 0:
-                multiplicity[((j, i), (i, k))] = m
-    return PairDigraph(nodes=nodes, multiplicity=multiplicity)
+                multiplicity[(key, (key[1], k))] = m
+    return PairDigraph(nodes=sorted(offspring), multiplicity=multiplicity)
 
 
 def lift_measure(graph: FiniteGraph, labels: Dict[int, int]) -> RootMeasure:
@@ -328,7 +311,10 @@ def lift_measure(graph: FiniteGraph, labels: Dict[int, int]) -> RootMeasure:
     degree_mass: Dict[int, int] = {i: 0 for i in range(1, n + 1)}
     for v in range(graph.vertex_count):
         i = labels[v]
-        counts = _neighbor_counts(graph, labels, v, n)
+        tally = [0] * n
+        for w in graph.neighbors(v):
+            tally[labels[w] - 1] += 1
+        counts = tuple(tally)
         if i in class_counts and class_counts[i] != counts:
             raise IllDefinedLabelingError(
                 f"label {i} vertices disagree on neighbor counts: "

@@ -10,11 +10,12 @@ that of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline, which
 with an indent falls back to json's pure-Python encoder.  It writes dicts
 with `str` keys, lists, `str`, `int`, `bool`, `None` and `float` (the last
 three through `json.dumps`, so NaN and Infinity stay as json writes them)
-and raises TypeError on anything else.  It writes reports and the other
-documents.  A measure document, the largest and the most often written,
-has its own writer: `measure_json` forms the same text in one pass from the
+and raises TypeError on anything else.  It writes the reports on stdout.
+A measure document, the largest and the most often written, has its own
+writer: `measure_json` forms the same text in one pass from the
 `RootMeasure`, with no object tree in between, since the schema fixes
-every key order and indent.
+every key order and indent.  The package writes no other document; the
+spec, template and weights writers of the tests live in `tests/oracles.py`.
 
 Reading is strict about types: labels, counts, `n`, `d`, `parent`, `child`
 and `type` must be JSON integers, and a probability is a rational string
@@ -56,10 +57,6 @@ def parse_fraction(text) -> Fraction:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise SpecError(f"zero denominator in {text!r}") from None
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(value)
 
 
 _int_repr = int.__repr__
@@ -127,10 +124,6 @@ def _unique(pairs, what: str) -> dict:
     return out
 
 
-def _dist_to_obj(dist: Dist) -> list:
-    return [{"c": list(c), "p": format_fraction(p)} for c, p in sorted(dist.items())]
-
-
 def _obj_to_dist(entries, n: int) -> Dist:
     if not isinstance(entries, list) or not entries:
         raise SpecError("distribution must be a non-empty list")
@@ -153,38 +146,6 @@ def _obj_to_dist(entries, n: int) -> Dist:
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------
-
-def spec_to_obj(spec: GWSpec) -> dict:
-    entries = []
-    for key in sorted(spec.offspring):
-        dist = _dist_to_obj(spec.offspring[key])
-        if spec.mode == PAIR:
-            entries.append({"parent": key[0], "child": key[1], "dist": dist})
-        else:
-            entries.append({"type": key, "dist": dist})
-    return {"n": spec.n, "mode": spec.mode, "offspring": entries}
-
-
-def plain_spec_to_obj(pspec: PlainSpec) -> dict:
-    return {
-        "n": pspec.n,
-        "mode": PLAIN,
-        "degree_dist": [
-            {
-                "type": i,
-                "dist": [
-                    {"d": d, "p": format_fraction(p)}
-                    for d, p in sorted(pspec.degree_dist[i].items())
-                ],
-            }
-            for i in sorted(pspec.degree_dist)
-        ],
-        "params": [
-            [format_fraction(p) for p in pspec.params[i]]
-            for i in range(1, pspec.n + 1)
-        ],
-    }
-
 
 # what reading a document of the wrong shape raises: a number where a list
 # or an object belongs, a missing key, a value that is not an integer
@@ -274,8 +235,9 @@ def _law_json(dist: Dist, pieces: tuple) -> str:
     ]) + close
 
 
-def measure_json(measure: RootMeasure, verified: bool = True) -> str:
-    """The canonical text of a measure document, written in one pass.
+def measure_json(measure: RootMeasure) -> str:
+    """The canonical text of a verified measure document, written in one
+    pass.
 
     The schema fixes every key order and indent, and a RootMeasure has no
     empty list (n >= 1, every law non-empty), so the text is that of
@@ -309,7 +271,7 @@ def measure_json(measure: RootMeasure, verified: bool = True) -> str:
         + ',\n    "offspring": [\n      ' + ",\n      ".join(laws)
         + '\n    ]\n  },\n  "neighbors": [\n    ' + ",\n    ".join(neighbors)
         + '\n  ],\n  "root": [\n    ' + ",\n    ".join(root)
-        + '\n  ],\n  "verified": ' + ("true" if verified else "false") + "\n}\n"
+        + '\n  ],\n  "verified": true\n}\n'
     )
 
 
@@ -341,15 +303,6 @@ def obj_to_measure(obj) -> RootMeasure:
 # Templates and weights
 # ---------------------------------------------------------------------------
 
-def template_to_obj(template: SupportTemplate) -> dict:
-    return {
-        "n": template.n,
-        "classes": [
-            {"label": cls.label, "c": list(cls.vector)} for cls in template.classes
-        ],
-    }
-
-
 def obj_to_template(obj) -> SupportTemplate:
     try:
         n = _int(obj["n"])
@@ -360,15 +313,6 @@ def obj_to_template(obj) -> SupportTemplate:
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad template document: {err}") from None
     return SupportTemplate(n=n, classes=classes)
-
-
-def weights_to_obj(weights: Weights) -> dict:
-    return {
-        "weights": [
-            {"label": cls.label, "c": list(cls.vector), "p": format_fraction(w)}
-            for cls, w in sorted(weights.items())
-        ]
-    }
 
 
 def obj_to_weights(obj) -> Weights:
@@ -416,6 +360,14 @@ def report_to_obj(report: CheckReport) -> dict:
     if report.violating_cycle is not None:
         out["violating_cycle"] = [_class_obj(cls) for cls in report.violating_cycle]
     return out
+
+
+def violations_to_obj(violations) -> list:
+    """The detailed-balance violations of a `verify` report."""
+    return [
+        {"first": _class_obj(u), "second": _class_obj(v), "lhs": str(lhs), "rhs": str(rhs)}
+        for (u, v, lhs, rhs) in violations
+    ]
 
 
 def plain_report_to_obj(report: PlainCheckReport) -> dict:
@@ -473,5 +425,5 @@ def load_measure(path) -> RootMeasure:
     return obj_to_measure(load_json(path))
 
 
-def save_measure(path, measure: RootMeasure, verified: bool = True) -> None:
-    save_json(path, measure_json(measure, verified))
+def save_measure(path, measure: RootMeasure) -> None:
+    save_json(path, measure_json(measure))

@@ -10,8 +10,8 @@ slot) and solves weight(i) / weight(j) = p(j, i) / p(i, j).
 
 The multinomial law is written once, in integers over the row's common
 denominator b, p_k = a_k / b: `_numerator` is N(c) = |c|! * prod a_k^c_k /
-prod c_k!, so that c has probability N(c) / b^|c|.  `multinomial_dist` is
-one degree's table of them, and `_mixtures` a label's degree mixtures: each
+prod c_k!, so that c has probability N(c) / b^|c|.  `_numerators` is one
+degree's table of them, and `_mixtures` a label's degree mixtures: each
 degree d of weight u / v spread over the table of degree d for the
 offspring law and d + 1 for the root's neighbors, each value the one
 Fraction u * N(c) / (v * b^D).  A label builds each degree's table once and
@@ -163,14 +163,6 @@ def _numerators(degree: int, a: List[int]) -> Dict[Vector, int]:
         c = tuple(c)
         out[c] = _numerator(c, a)
     return out
-
-
-def multinomial_dist(degree: int, params: Tuple[Fraction, ...]) -> Dist:
-    """Explicit distribution of a degree-`degree` multinomial draw, supported
-    exactly on the positive-parameter labels."""
-    a, b = _scaled_row(params)
-    den = b ** degree
-    return {c: Fraction(num, den) for c, num in _numerators(degree, a).items()}
 
 
 def _mixtures(pspec: PlainSpec, i: int, shifts: Tuple[int, ...]) -> List[Dist]:

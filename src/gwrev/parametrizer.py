@@ -16,7 +16,7 @@ The two structural conditions do not guarantee closure: a template whose
 class graph contains a cycle through three or more label pairs can force
 root-weight ratios whose product around the cycle differs from 1, for every
 choice of weights (the smallest examples need four labels).  Such templates
-admit no reversible measure and solve_root_weights rejects them with
+admit no reversible measure and assemble_measure rejects them with
 InconsistentRatiosError.
 """
 
@@ -182,41 +182,25 @@ def _forced_laws(template: SupportTemplate, weights: Weights):
     return laws, flow
 
 
-def solve_offspring(template: SupportTemplate, weights: Weights) -> GWSpec:
-    """Recover the offspring laws forced by the class weights.
+def _root_weights(n: int, flow) -> Dict[int, Fraction]:
+    """The root-label weights forced by detailed balance.
 
-    For each parent label i and own label j, the law assigns the class
-    (j, d) with d_i > 0, seen through its parent slot, mass proportional to
-    weight(j, d) * d_i / |d|.
-    """
-    return GWSpec(n=template.n, mode=PAIR, offspring=_forced_laws(template, weights)[0])
-
-
-def solve_root_weights(template: SupportTemplate, weights: Weights) -> Dict[int, Fraction]:
-    """Recover the root-label weights forced by detailed balance.
-
-    Under the laws of `solve_offspring`, the balance key of a label-j class
-    d toward label i is the normalizer of the law (i, j), the label flow
+    Under the forced laws, the balance key of a label-j class d toward
+    label i is the normalizer of the law (i, j), the label flow
 
         flow(i, j) = sum of w(d) * d_i / |d| over label-j classes d, d_i > 0,
 
     so every class pair across labels i and j forces the same ratio
     weight(i) / weight(j) = flow(i, j) / flow(j, i).  `label_potentials`
-    solves these ratios over the label graph.  A disconnected label graph
-    raises SpecError; ratios that do not close around a label cycle raise
+    solves these ratios over the label graph, which chain connectivity
+    makes connected.  Ratios that do not close around a label cycle raise
     InconsistentRatiosError at the first inconsistent label pair in sorted
     order.  O(N * n) work for N classes and n labels.
     """
-    return _root_weights(template.n, _forced_laws(template, weights)[1])
-
-
-def _root_weights(n: int, flow) -> Dict[int, Fraction]:
     ratio = {
         (i, j): f / flow[(j, i)] for (i, j), f in flow.items() if i < j and (j, i) in flow
     }
-    potential, cycle, components = label_potentials(n, ratio)
-    if components != 1:
-        raise SpecError("label graph is not connected; template is invalid")
+    potential, cycle, _ = label_potentials(n, ratio)
     if cycle is not None:
         # the cycle ends ..., j, i with (i, j) its first inconsistent edge
         raise InconsistentRatiosError(cycle[-1], cycle[-2])

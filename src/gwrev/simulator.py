@@ -54,6 +54,7 @@ reference of a flow is `core.exact_flow`, the flow that
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -82,9 +83,10 @@ class ClassNotInSupportError(GwrevError):
 
 
 class DegreeTooLargeError(GwrevError):
-    """An end class of a flow has degree 2**32 or more, beyond the range of
-    the walk step's draw `Generator.integers(deg)` as `lemire_step`
-    computes it."""
+    """Degrees beyond what an estimate can carry: an end class of a flow of
+    degree 2**32 or more, beyond the range of the walk step's draw
+    `Generator.integers(deg)` as `lemire_step` computes it, or a transport
+    check whose 1/deg weights or float sums leave the float range."""
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +455,32 @@ def mass_transport_check(
     _require_trials(trials)
     z = inverse_degree_mass(measure)
     z_f = float(z)
+    if z_f == 0:
+        raise DegreeTooLargeError(
+            "the mean inverse root degree z is below 2**-1074, the smallest "
+            "positive float; a transport check needs z of at least that")
     roots = _RootDraws(measure)
-    # each class's term on either side, in the per-trial loop's arithmetic
-    sent = np.array([u.label == i for u in roots.classes])
-    received = np.array([u.label == j for u in roots.classes])
+    # each class's term on either side, in the per-trial loop's arithmetic;
+    # a class of another label adds 0.0, which leaves an in-order sum as it is
     sent_v = np.array([u.vector[j - 1] / total(u.vector) / z_f if u.label == i else 0.0
                        for u in roots.classes])
     received_v = np.array([u.vector[i - 1] / total(u.vector) / z_f if u.label == j else 0.0
                            for u in roots.classes])
+    # every sum of squares stays below trials * top**2; when that is a
+    # float, so are the values and the exact references, which are at most
+    # top (and `within` compares with float(exact))
+    top = float(max(sent_v.max(), received_v.max()))
+    if not math.isfinite(top * top * trials):
+        raise DegreeTooLargeError(
+            f"the largest transport value c_j / |c| / z is {top:.3g}; a transport "
+            f"check needs its square times the {trials} trials below the largest "
+            f"float, {sys.float_info.max:.3g}")
     sum_f = sq_f = sum_b = sq_b = 0.0
     for trial in _blocks(trials):
         cls = roots(philox_block(seed, trial, 1))
-        v = sent_v[cls[sent[cls]]]
+        v = sent_v[cls]
         sum_f, sq_f = _add_in_order(sum_f, v), _add_in_order(sq_f, v * v)
-        v = received_v[cls[received[cls]]]
+        v = received_v[cls]
         sum_b, sq_b = _add_in_order(sum_b, v), _add_in_order(sq_b, v * v)
     mean_f, se_f = _estimate(sum_f, sq_f, trials)
     mean_b, se_b = _estimate(sum_b, sq_b, trials)

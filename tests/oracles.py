@@ -7,6 +7,7 @@ brute-force search) without reusing the library code paths under test.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -41,16 +42,22 @@ from gwrev.core import (
     increment,
     total,
 )
-from gwrev.covers import FiniteGraph, GraphTooLargeError, label_vertices, lift_measure
+from gwrev.covers import (
+    FiniteGraph,
+    GraphTooLargeError,
+    IllDefinedLabelingError,
+    PairDigraph,
+    label_vertices,
+    lift_measure,
+)
 from gwrev.norelabel import (
     DegreeDependentParametersError,
     NotMultinomialError,
     PlainSpec,
     check_plain_spec,
     construct_plain_measure,
-    multinomial_dist,
 )
-from gwrev.parametrizer import SupportTemplate, assemble_measure, solve_offspring
+from gwrev.parametrizer import SupportTemplate, _forced_laws, assemble_measure
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +111,17 @@ def balance_violations(measure: RootMeasure):
     return out
 
 
+def support_classes(measure: RootMeasure) -> List[SupportClass]:
+    """All (label, vector) classes carrying positive mass, sorted."""
+    return [SupportClass(i, c) for i in sorted(measure.neighbor_dist)
+            for c in sorted(measure.neighbor_dist[i])]
+
+
 def listed_violations(measure: RootMeasure):
     """`balance_violations` as `verify_reversibility` lists them, sorted:
     each failing pair of support classes once, first < second, and every
     step out of the support as (source, target)."""
-    support = set(measure.support_classes())
+    support = set(support_classes(measure))
     return sorted(x for x in balance_violations(measure) if x[0] < x[1] or x[1] not in support)
 
 
@@ -116,7 +129,7 @@ def assert_support_consistency(measure: RootMeasure) -> None:
     # Stationarity forces: every positive coordinate j of a supported class
     # (i, c) corresponds to a stored offspring probability for (j, i).
     spec = measure.descendants
-    for cls in measure.support_classes():
+    for cls in support_classes(measure):
         i, c = cls
         for j, cj in enumerate(c, start=1):
             if cj > 0 and spec.pair_prob(j, i, decrement(c, j)) == 0:
@@ -449,7 +462,7 @@ def fraction_verify_reversibility(measure: RootMeasure) -> List[Violation]:
     labels.  Violations can only lie in a block whose keys disagree, and
     only those blocks are listed pair by pair.
     """
-    side = class_sides(measure.support_classes())
+    side = class_sides(support_classes(measure))
     keys = {
         (i, j): [_balance_key(measure, u, j) for u in members]
         for (i, j), members in side.items()
@@ -480,6 +493,12 @@ def fraction_verify_reversibility(measure: RootMeasure) -> List[Violation]:
 # and `constructor._normalize`, which sum in integers over one common
 # denominator
 # ---------------------------------------------------------------------------
+
+def solve_offspring(template: SupportTemplate, weights) -> GWSpec:
+    """The pair spec of the offspring laws that `assemble_measure` forces
+    from the class weights."""
+    return GWSpec(n=template.n, mode=PAIR, offspring=_forced_laws(template, weights)[0])
+
 
 def fraction_forced_laws(template: SupportTemplate, weights):
     """The offspring laws forced by the class weights, keyed (i, j), and
@@ -697,10 +716,13 @@ def fraction_mixture(pspec: PlainSpec, i: int, shift: int) -> Dict:
     """`norelabel`'s degree mixture as first written: each degree d of label
     i, with its weight, times every term of the multinomial law of degree
     d + shift on label i's row, one Fraction product per term."""
+    row = pspec.params[i]
+    active = [k for k, p in enumerate(row) if p > 0]
     dist = {}
     for d, pd in sorted(pspec.degree_dist[i].items()):
-        for c, q in multinomial_dist(d + shift, pspec.params[i]).items():
-            dist[c] = pd * q
+        for draw in itertools.combinations_with_replacement(active, d + shift):
+            c = tuple(draw.count(k) for k in range(len(row)))
+            dist[c] = pd * multinomial_pmf_oracle(c, row)
     return dist
 
 
@@ -926,38 +948,38 @@ def random_circulant(rng: random.Random, max_vertices: int = 12):
 
 def random_corpus():
     """The documents of the random corpora, as object trees for
-    `canonical_json` or as (measure, verified) pairs for `measure_json`:
-    constructed, assembled (unverified), plain and lifted measures."""
+    `canonical_json` or as measures for `measure_json`: constructed,
+    assembled, plain and lifted measures."""
     rng = random.Random(12)
     for _ in range(150):
         template = random_template_candidate(rng, rng.randint(1, 4))
         weights = random_template_weights(rng, template)
         spec = solve_offspring(template, weights)
         report = run_checks(spec)
-        yield fileformats.template_to_obj(template)
-        yield fileformats.weights_to_obj(weights)
-        yield fileformats.spec_to_obj(spec)
+        yield template_to_obj(template)
+        yield weights_to_obj(weights)
+        yield spec_to_obj(spec)
         yield fileformats.report_to_obj(report)
         if report.ok():
-            yield construct_measure(spec, report), True
+            yield construct_measure(spec, report)
     for _ in range(60):
         template, weights = random_admissible_instance(rng, rng.randint(1, 4))
-        yield assemble_measure(template, weights), False
+        yield assemble_measure(template, weights)
     for _ in range(60):
         pspec = random_plain_spec(rng, rng.randint(1, 4))
         report = check_plain_spec(pspec)
-        yield fileformats.plain_spec_to_obj(pspec)
+        yield plain_spec_to_obj(pspec)
         yield fileformats.plain_report_to_obj(report)
         if report.ok():
-            yield construct_plain_measure(pspec), True
+            yield construct_plain_measure(pspec)
     for _ in range(40):
         graph = FiniteGraph.from_edges(random_connected_graph(rng))
-        yield lift_measure(graph, label_vertices(graph)), True
+        yield lift_measure(graph, label_vertices(graph))
 
 
 def corpus_measures():
-    """The (measure, verified) pairs of `random_corpus`."""
-    return [doc for doc in random_corpus() if isinstance(doc, tuple)]
+    """The measures of `random_corpus`."""
+    return [doc for doc in random_corpus() if isinstance(doc, RootMeasure)]
 
 
 def _permute_entries(row, tau) -> tuple:
@@ -1106,7 +1128,7 @@ def random_template(rng: random.Random, n: int, max_classes: int = 6) -> Support
 
 def template_of_measure(measure: RootMeasure):
     """Read the support template and class weights back off a measure."""
-    classes = tuple(measure.support_classes())
+    classes = tuple(support_classes(measure))
     weights = {
         cls: measure.neighbor_dist[cls.label][cls.vector] for cls in classes
     }
@@ -1495,13 +1517,92 @@ def backtracking_label_vertices(graph: FiniteGraph, max_vertices: int = 10) -> D
 
 
 # ---------------------------------------------------------------------------
+# The pair digraph from the graph and its labels
+# ---------------------------------------------------------------------------
+
+def graph_pair_digraph(graph: FiniteGraph, labels: Dict[int, int]) -> PairDigraph:
+    """`covers.pair_digraph` as first written, from the graph instead of the
+    lift: node (j, i) stands for "an i vertex entered from a j neighbor" and
+    sends m edges to (i, k) when such a vertex has m other neighbors labeled
+    k.  All realizations of (j, i) must agree on those counts."""
+    n = max(labels.values())
+    rest_of: Dict[Tuple[int, int], Vector] = {}
+    for v in range(graph.vertex_count):
+        i = labels[v]
+        counts = [0] * n
+        for w in graph.neighbors(v):
+            counts[labels[w] - 1] += 1
+        for j in sorted({labels[w] for w in graph.neighbors(v)}):
+            rest = decrement(tuple(counts), j)
+            key = (j, i)
+            if key in rest_of and rest_of[key] != rest:
+                raise IllDefinedLabelingError(
+                    f"vertices of pair {key} disagree on their remaining "
+                    f"neighbor counts: {rest_of[key]} vs {rest}"
+                )
+            rest_of[key] = rest
+    multiplicity = {}
+    for (j, i), rest in rest_of.items():
+        for k, m in enumerate(rest, start=1):
+            if m > 0:
+                multiplicity[((j, i), (i, k))] = m
+    return PairDigraph(nodes=sorted(rest_of), multiplicity=multiplicity)
+
+
+# ---------------------------------------------------------------------------
 # The document path as it was first written: json's own encoder, Fraction's
-# own parser and the Fraction sum
+# own parser and the Fraction sum; and the writers of the input documents
+# (specs, templates and weights), which the CLI only reads
 # ---------------------------------------------------------------------------
 
 def json_canonical(obj) -> str:
     """Canonical JSON by json.dumps: sorted keys, two-space indent."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _dist_to_obj(dist) -> list:
+    return [{"c": list(c), "p": str(p)} for c, p in sorted(dist.items())]
+
+
+def spec_to_obj(spec: GWSpec) -> dict:
+    """A spec document, as the CLI reads it."""
+    entries = []
+    for key in sorted(spec.offspring):
+        dist = _dist_to_obj(spec.offspring[key])
+        if spec.mode == PAIR:
+            entries.append({"parent": key[0], "child": key[1], "dist": dist})
+        else:
+            entries.append({"type": key, "dist": dist})
+    return {"n": spec.n, "mode": spec.mode, "offspring": entries}
+
+
+def plain_spec_to_obj(pspec: PlainSpec) -> dict:
+    """A spec document in the direct plain form: degree laws and the
+    parameter matrix."""
+    return {
+        "n": pspec.n,
+        "mode": PLAIN,
+        "degree_dist": [
+            {"type": i, "dist": [{"d": d, "p": str(p)}
+                                 for d, p in sorted(pspec.degree_dist[i].items())]}
+            for i in sorted(pspec.degree_dist)
+        ],
+        "params": [[str(p) for p in pspec.params[i]] for i in range(1, pspec.n + 1)],
+    }
+
+
+def template_to_obj(template: SupportTemplate) -> dict:
+    return {
+        "n": template.n,
+        "classes": [{"label": cls.label, "c": list(cls.vector)} for cls in template.classes],
+    }
+
+
+def weights_to_obj(weights) -> dict:
+    return {
+        "weights": [{"label": cls.label, "c": list(cls.vector), "p": str(w)}
+                    for cls, w in sorted(weights.items())]
+    }
 
 
 def measure_obj(measure: RootMeasure, verified: bool = True) -> dict:

@@ -12,7 +12,7 @@ from gwrev.checker import (
     solve_potentials,
 )
 from gwrev.core import GWSpec, PAIR, SupportClass, side_key
-from gwrev.parametrizer import assemble_measure, solve_offspring
+from gwrev.parametrizer import assemble_measure
 
 from .conftest import A, B, D, break_condition_i, break_condition_ii, dense_grid
 from .oracles import (
@@ -23,6 +23,7 @@ from .oracles import (
     propagate_potentials,
     random_admissible_instance,
     random_closed_walks,
+    solve_offspring,
     strongly_connected_bruteforce,
 )
 

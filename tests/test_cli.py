@@ -13,7 +13,6 @@ from gwrev import fileformats as ff
 from gwrev.cli import build_parser, main, parse_args
 from gwrev.constructor import construct_measure
 from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass
-from gwrev.parametrizer import solve_offspring
 
 from .conftest import (
     break_condition_i,
@@ -24,7 +23,17 @@ from .conftest import (
     two_label_template,
     two_label_weights,
 )
-from .oracles import build_balance_graph, cycle_product, measure_obj, random_plain_spec
+from .oracles import (
+    build_balance_graph,
+    cycle_product,
+    measure_obj,
+    plain_spec_to_obj,
+    random_plain_spec,
+    solve_offspring,
+    spec_to_obj,
+    template_to_obj,
+    weights_to_obj,
+)
 
 
 def write(path, obj):
@@ -34,7 +43,7 @@ def write(path, obj):
 
 @pytest.fixture
 def spec_path(tmp_path):
-    return write(tmp_path / "spec.json", ff.spec_to_obj(two_label_spec()))
+    return write(tmp_path / "spec.json", spec_to_obj(two_label_spec()))
 
 
 def run(capsys, *argv):
@@ -57,7 +66,7 @@ def test_check_passes_on_worked_spec(capsys, spec_path):
 
 def test_check_names_condition_i(capsys, tmp_path):
     path = write(tmp_path / "broken.json",
-                 ff.spec_to_obj(break_condition_i(two_label_spec())))
+                 spec_to_obj(break_condition_i(two_label_spec())))
     code, report = run(capsys, "check", path)
     assert code == 1
     assert "condition_i" in report["failed"]
@@ -68,7 +77,7 @@ def test_check_names_condition_i(capsys, tmp_path):
 
 def test_check_names_condition_ii_with_replayable_cycle(capsys, tmp_path):
     broken = break_condition_ii(two_label_spec())
-    path = write(tmp_path / "broken.json", ff.spec_to_obj(broken))
+    path = write(tmp_path / "broken.json", spec_to_obj(broken))
     code, report = run(capsys, "check", path)
     assert code == 1
     assert "condition_ii" in report["failed"]
@@ -88,11 +97,11 @@ def test_check_malformed_input(capsys, tmp_path):
 
 
 def test_check_plain_spec(capsys, tmp_path):
-    path = write(tmp_path / "plain.json", ff.plain_spec_to_obj(three_label_plain()))
+    path = write(tmp_path / "plain.json", plain_spec_to_obj(three_label_plain()))
     code, report = run(capsys, "check", path)
     assert code == 0 and report["ok"] is True
     broken = three_label_plain(p31=F(1, 4), p32=F(3, 4))
-    path = write(tmp_path / "bad_plain.json", ff.plain_spec_to_obj(broken))
+    path = write(tmp_path / "bad_plain.json", plain_spec_to_obj(broken))
     code, report = run(capsys, "check", path)
     assert code == 1
     assert "cycles" in report["failed"]
@@ -115,7 +124,7 @@ def test_construct_writes_verified_measure(capsys, tmp_path, spec_path):
 
 def test_construct_rejects_broken_spec(capsys, tmp_path):
     path = write(tmp_path / "broken.json",
-                 ff.spec_to_obj(break_condition_i(two_label_spec())))
+                 spec_to_obj(break_condition_i(two_label_spec())))
     out = tmp_path / "measure.json"
     code, report = run(capsys, "construct", path, str(out))
     assert code == 1
@@ -124,7 +133,7 @@ def test_construct_rejects_broken_spec(capsys, tmp_path):
 
 
 def test_construct_plain_direct_form(capsys, tmp_path):
-    path = write(tmp_path / "plain.json", ff.plain_spec_to_obj(three_label_plain()))
+    path = write(tmp_path / "plain.json", plain_spec_to_obj(three_label_plain()))
     out = tmp_path / "measure.json"
     code, _ = run(capsys, "construct", path, str(out))
     assert code == 0
@@ -138,7 +147,7 @@ def test_construct_plain_explicit_form(capsys, tmp_path):
     from gwrev.norelabel import expand_plain_spec
 
     path = write(tmp_path / "plain.json",
-                 ff.spec_to_obj(expand_plain_spec(three_label_plain())))
+                 spec_to_obj(expand_plain_spec(three_label_plain())))
     out = tmp_path / "measure.json"
     code, _ = run(capsys, "construct", path, str(out))
     assert code == 0
@@ -153,7 +162,7 @@ def test_plain_direct_and_explicit_forms_agree(capsys, tmp_path):
     rng = random.Random(61)
     for _ in range(100):
         pspec = random_plain_spec(rng, rng.randint(1, 5))
-        forms = (ff.plain_spec_to_obj(pspec), ff.spec_to_obj(expand_plain_spec(pspec)))
+        forms = (plain_spec_to_obj(pspec), spec_to_obj(expand_plain_spec(pspec)))
         checks, measures = [], []
         for name, obj in zip(("direct", "explicit"), forms):
             path = write(tmp_path / f"{name}.json", obj)
@@ -190,9 +199,9 @@ def test_construct_single_type_augmented_law(capsys, tmp_path):
 def test_parametrize_matches_construct_byte_for_byte(capsys, tmp_path, spec_path):
     measure_a = tmp_path / "a.json"
     run(capsys, "construct", spec_path, str(measure_a))
-    tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(two_label_template()))
+    tmpl = write(tmp_path / "tmpl.json", template_to_obj(two_label_template()))
     params = write(tmp_path / "params.json",
-                   ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
+                   weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
     measure_b = tmp_path / "b.json"
     code, _ = run(capsys, "parametrize", tmpl, params, str(measure_b))
     assert code == 0
@@ -403,6 +412,54 @@ def test_simulate_refuses_an_end_of_degree_2_to_the_32_or_more(capsys, tmp_path,
                                 f"needs an end class of degree below 2**32\n")
 
 
+def one_degree_measure(degree):
+    """The reversible one-label measure whose root always has `degree`
+    neighbors."""
+    return {
+        "root": [{"label": 1, "p": "1"}],
+        "neighbors": [{"label": 1, "dist": [{"c": [degree], "p": "1"}]}],
+        "descendants": {"n": 1, "mode": "pair", "offspring": [
+            {"parent": 1, "child": 1, "dist": [{"c": [degree - 1], "p": "1"}]},
+        ]},
+        "verified": True,
+    }
+
+
+@pytest.mark.parametrize("exponent, bound", [
+    (511, "needs its square times the 10 trials below the largest float, 1.8e+308"),
+    (1024, "is inf; a transport check needs its square times the 10 trials"),
+    (1100, "z is below 2**-1074, the smallest positive float"),
+])
+def test_mtp_refuses_a_measure_whose_float_sums_leave_the_float_range(
+        capsys, tmp_path, monkeypatch, exponent, bound):
+    import gwrev.simulator
+
+    # 1/deg weights of 2**-exponent: transport values c_j / |c| / z of
+    # 2**exponent, whose squares over 10 trials overflow from 2**511 on
+    path = write(tmp_path / "m.json", one_degree_measure(2**exponent))
+    assert main(["verify", path]) == 0
+    capsys.readouterr()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a trial")
+
+    monkeypatch.setattr(gwrev.simulator, "philox_block", no_draws)
+    code = main(["simulate", path, "--mtp", "1,1", "--trials", "10", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and bound in captured.err
+
+
+def test_mtp_estimates_a_measure_of_degree_2_to_the_510(capsys, tmp_path):
+    path = write(tmp_path / "m.json", one_degree_measure(2**510))
+    code, result = run(capsys, "simulate", path, "--mtp", "1,1", "--trials", "10",
+                       "--seed", "1")
+    assert code == 0 and result["ok"]
+    for estimate in result["estimates"]:
+        assert estimate["empirical_mean"] == float(2**510)
+        assert estimate["exact"] == str(2**510)
+
+
 def test_verify_detects_tampering(capsys, tmp_path, spec_path):
     out = tmp_path / "measure.json"
     run(capsys, "construct", spec_path, str(out))
@@ -439,7 +496,7 @@ def test_verify_names_a_walk_step_out_of_the_support(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def _worked_spec_obj():
-    return ff.spec_to_obj(two_label_spec())
+    return spec_to_obj(two_label_spec())
 
 
 def test_dist_entry_vector_not_a_list(capsys, tmp_path):
@@ -471,7 +528,7 @@ def _replaced(entries, path, value):
 
 
 _OFFSPRING = _worked_spec_obj()["offspring"]
-_DEGREE_DIST = ff.plain_spec_to_obj(three_label_plain())["degree_dist"]
+_DEGREE_DIST = plain_spec_to_obj(three_label_plain())["degree_dist"]
 _ROOT = _worked_measure_obj()["root"]
 _NEIGHBORS = _worked_measure_obj()["neighbors"]
 
@@ -508,7 +565,7 @@ def test_document_of_the_wrong_shape(capsys, tmp_path, command, document, key, v
     if document == "measure":
         obj = _worked_measure_obj()
     elif key == "degree_dist":
-        obj = ff.plain_spec_to_obj(three_label_plain())
+        obj = plain_spec_to_obj(three_label_plain())
     else:
         obj = _worked_spec_obj()
     obj[key] = value
@@ -531,16 +588,16 @@ def test_duplicate_entry_is_malformed(capsys, tmp_path, command, document, path)
     if document == "measure":
         obj = _worked_measure_obj()
     elif document == "plain spec":
-        obj = ff.plain_spec_to_obj(three_label_plain())
+        obj = plain_spec_to_obj(three_label_plain())
     else:
-        obj = ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
+        obj = weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
     entries = obj
     for key in path:
         entries = entries[key]
     entries.append(entries[0])
     doc = write(tmp_path / "doc.json", obj)
     if command == "parametrize":
-        tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(two_label_template()))
+        tmpl = write(tmp_path / "tmpl.json", template_to_obj(two_label_template()))
         argv = [command, tmpl, doc, str(tmp_path / "out.json")]
     else:
         argv = [command, doc]
@@ -626,13 +683,13 @@ def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path):
         assert not hasattr(gwrev, name) and not hasattr(gwrev.checker, name), name
 
     template, weights = dense_grid(12)
-    tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(template))
-    params = write(tmp_path / "params.json", ff.weights_to_obj(weights))
+    tmpl = write(tmp_path / "tmpl.json", template_to_obj(template))
+    params = write(tmp_path / "params.json", weights_to_obj(weights))
     code, _ = run(capsys, "parametrize", tmpl, params, str(tmp_path / "param.json"))
     assert code == 0
 
     spec = solve_offspring(template, weights)
-    path = write(tmp_path / "spec.json", ff.spec_to_obj(spec))
+    path = write(tmp_path / "spec.json", spec_to_obj(spec))
     code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
     assert code == 0
     assert (tmp_path / "measure.json").read_bytes() == (tmp_path / "param.json").read_bytes()
@@ -640,7 +697,7 @@ def test_exact_pipeline_avoids_the_quadratic_graph(capsys, tmp_path):
     flat = dict(spec.offspring)
     flat[(1, 1)] = {c: F(1, len(flat[(1, 1)])) for c in flat[(1, 1)]}
     path = write(tmp_path / "flat.json",
-                 ff.spec_to_obj(GWSpec(n=2, mode=PAIR, offspring=flat)))
+                 spec_to_obj(GWSpec(n=2, mode=PAIR, offspring=flat)))
     code, report = run(capsys, "check", path)
     assert code == 1 and report["failed"] == ["condition_ii"]
 
@@ -650,10 +707,10 @@ def test_exact_commands_never_load_numpy(tmp_path):
     # other command leaves it unloaded, in a fresh interpreter
     import gwrev
 
-    spec = write(tmp_path / "spec.json", ff.spec_to_obj(two_label_spec()))
-    tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(two_label_template()))
+    spec = write(tmp_path / "spec.json", spec_to_obj(two_label_spec()))
+    tmpl = write(tmp_path / "tmpl.json", template_to_obj(two_label_template()))
     params = write(tmp_path / "params.json",
-                   ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
+                   weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
     (tmp_path / "graph.txt").write_text("0 1\n1 2\n2 0\n")
     measure = str(tmp_path / "m.json")
     calls = [["check", spec], ["construct", spec, measure],
@@ -731,7 +788,7 @@ def test_construct_solves_the_balance_potentials_once(capsys, tmp_path, monkeypa
     template, weights = dense_grid(4)
     for spec in (two_label_spec(), solve_offspring(template, weights)):
         calls.clear()
-        path = write(tmp_path / "spec.json", ff.spec_to_obj(spec))
+        path = write(tmp_path / "spec.json", spec_to_obj(spec))
         code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
         assert code == 0
         assert len(calls) == 1
@@ -756,7 +813,7 @@ def test_plain_construct_solves_the_label_potentials_once(capsys, tmp_path, monk
             monkeypatch.setattr(module, "label_potentials", counting)
 
     pspec = three_label_plain()
-    for obj in (ff.plain_spec_to_obj(pspec), ff.spec_to_obj(expand_plain_spec(pspec))):
+    for obj in (plain_spec_to_obj(pspec), spec_to_obj(expand_plain_spec(pspec))):
         calls.clear()
         path = write(tmp_path / "spec.json", obj)
         code, _ = run(capsys, "construct", path, str(tmp_path / "measure.json"))
@@ -782,8 +839,8 @@ def test_parametrize_validates_the_template_once(capsys, tmp_path, monkeypatch):
             monkeypatch.setattr(module, "validate_template", counting)
 
     params = write(tmp_path / "params.json",
-                   ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
-    tmpl = write(tmp_path / "tmpl.json", ff.template_to_obj(two_label_template()))
+                   weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))
+    tmpl = write(tmp_path / "tmpl.json", template_to_obj(two_label_template()))
     code, _ = run(capsys, "parametrize", tmpl, params, str(tmp_path / "m.json"))
     assert code == 0 and len(calls) == 1
 

@@ -16,7 +16,6 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwrev import fileformats as ff
 from gwrev.cli import main
 from gwrev.constructor import construct_measure
 from gwrev.norelabel import expand_plain_spec
@@ -29,20 +28,26 @@ from .conftest import (
     two_label_template,
     two_label_weights,
 )
-from .oracles import measure_obj
+from .oracles import (
+    measure_obj,
+    plain_spec_to_obj,
+    spec_to_obj,
+    template_to_obj,
+    weights_to_obj,
+)
 
 # passing documents and ones that fail a named condition
 SPECS = [
-    ff.spec_to_obj(two_label_spec()),
-    ff.spec_to_obj(break_condition_i(two_label_spec())),
-    ff.spec_to_obj(break_condition_ii(two_label_spec())),
-    ff.plain_spec_to_obj(three_label_plain()),
-    ff.plain_spec_to_obj(three_label_plain(p31=F(1, 4), p32=F(3, 4))),
-    ff.spec_to_obj(expand_plain_spec(three_label_plain())),
+    spec_to_obj(two_label_spec()),
+    spec_to_obj(break_condition_i(two_label_spec())),
+    spec_to_obj(break_condition_ii(two_label_spec())),
+    plain_spec_to_obj(three_label_plain()),
+    plain_spec_to_obj(three_label_plain(p31=F(1, 4), p32=F(3, 4))),
+    spec_to_obj(expand_plain_spec(three_label_plain())),
 ]
 MEASURE = measure_obj(construct_measure(two_label_spec()))
-TEMPLATE = ff.template_to_obj(two_label_template())
-WEIGHTS = ff.weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
+TEMPLATE = template_to_obj(two_label_template())
+WEIGHTS = weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
 
 JUNK = st.one_of(
     st.integers(-2, 5),

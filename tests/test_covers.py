@@ -7,6 +7,7 @@ import pytest
 from gwrev.checker import run_checks
 from gwrev.cli import main
 from gwrev.constructor import verify_reversibility
+from gwrev.core import GWSpec, PAIR, RootMeasure
 from gwrev.covers import (
     FiniteGraph,
     GraphTooLargeError,
@@ -21,6 +22,7 @@ from .oracles import (
     backtracking_label_vertices,
     backtracking_rooted_isomorphic,
     balance_violations,
+    graph_pair_digraph,
     permute_measure,
     random_circulant,
     random_connected_graph,
@@ -271,16 +273,20 @@ def test_large_vertex_id_is_rejected_without_allocating_per_id(capsys, tmp_path)
 # Pair digraph
 # ---------------------------------------------------------------------------
 
+def lifted_digraph(g, labels=None):
+    return pair_digraph(lift_measure(g, labels or label_vertices(g)))
+
+
 def test_triangle_pair_digraph_self_loop():
     g = graph(TRIANGLE)
-    digraph = pair_digraph(g, label_vertices(g))
+    digraph = lifted_digraph(g)
     assert digraph.nodes == [(1, 1)]
     assert digraph.multiplicity == {((1, 1), (1, 1)): 1}
 
 
 def test_star_pair_digraph():
     g = graph(STAR)
-    digraph = pair_digraph(g, label_vertices(g))
+    digraph = lifted_digraph(g)
     assert digraph.nodes == [(1, 2), (2, 1)]
     # the center entered from a leaf branches into the two other leaves;
     # a leaf entered from the center is a dead end
@@ -289,7 +295,7 @@ def test_star_pair_digraph():
 
 def test_path_pair_digraph():
     g = graph(P3)
-    digraph = pair_digraph(g, label_vertices(g))
+    digraph = lifted_digraph(g)
     assert digraph.multiplicity == {((1, 2), (2, 1)): 1}
     assert (2, 1) in digraph.nodes
 
@@ -299,7 +305,7 @@ def test_outgoing_multiplicity_is_degree_minus_one():
     for _ in range(8):
         g = graph(random_connected_graph(rng))
         labels = label_vertices(g)
-        digraph = pair_digraph(g, labels)
+        digraph = lifted_digraph(g, labels)
         degree_of_label = {labels[v]: g.degree(v) for v in range(g.vertex_count)}
         outgoing = {}
         for ((src, dst), m) in digraph.multiplicity.items():
@@ -309,17 +315,44 @@ def test_outgoing_multiplicity_is_degree_minus_one():
 
 
 def test_ill_defined_labeling_rejected():
-    # the all-ones labeling of the path collapses distinct neighborhoods
-    g = graph(P3)
-    with pytest.raises(IllDefinedLabelingError):
-        pair_digraph(g, {0: 1, 1: 1, 2: 1})
-    with pytest.raises(IllDefinedLabelingError):
-        lift_measure(g, {0: 1, 1: 1, 2: 1})
+    # the all-ones labeling of the path collapses distinct neighborhoods,
+    # and so does one label for the star's center and a leaf; the lift,
+    # which `pair_digraph` reads, refuses both
+    with pytest.raises(IllDefinedLabelingError, match="label 1 vertices disagree"):
+        lift_measure(graph(P3), {0: 1, 1: 1, 2: 1})
+    with pytest.raises(IllDefinedLabelingError, match="label 1 vertices disagree"):
+        lift_measure(graph(STAR), {0: 1, 1: 1, 2: 2, 3: 2})
+
+
+def test_pair_digraph_matches_the_graph_derivation():
+    # the digraph read off the lift writes the DOT bytes of the derivation
+    # from the graph and its labels
+    rng = random.Random(43)
+    graphs = [random_connected_graph(rng) for _ in range(40)]
+    graphs += [random_cubic_graph(rng, 2 * rng.randint(2, 5)) for _ in range(20)]
+    graphs += [random_circulant(rng, 10) for _ in range(40)]
+    compared = 0
+    for edges in graphs:
+        g = graph(edges)
+        if not g.connected():
+            continue
+        labels = label_vertices(g)
+        assert lifted_digraph(g, labels).to_dot() == graph_pair_digraph(g, labels).to_dot()
+        compared += 1
+    assert compared > 80
+
+
+def test_pair_digraph_refuses_a_law_that_is_not_a_point_mass():
+    spec = GWSpec(n=1, mode=PAIR, offspring={(1, 1): {(1,): F(1, 2), (3,): F(1, 2)}})
+    measure = RootMeasure(n=1, root_dist={1: F(1)}, neighbor_dist={1: {(2,): F(1)}},
+                          descendants=spec)
+    with pytest.raises(ValueError, match="not a point mass"):
+        pair_digraph(measure)
 
 
 def test_dot_export_mentions_multiplicity():
     g = graph(STAR)
-    dot = pair_digraph(g, label_vertices(g)).to_dot()
+    dot = lifted_digraph(g).to_dot()
     assert dot.startswith("digraph")
     assert 'label="2"' in dot
 

@@ -202,7 +202,7 @@ def test_validate_dist_reports_faults_in_the_order_of_the_fraction_sum(first, se
 
 def corpus_documents():
     for doc in random_corpus():
-        yield measure_obj(*doc) if isinstance(doc, tuple) else doc
+        yield measure_obj(doc) if isinstance(doc, RootMeasure) else doc
 
 
 def rationals(node):
@@ -242,19 +242,15 @@ def one_label_measure():
 
 def test_measure_writer_matches_the_oracle_on_the_corpora():
     measures = corpus_measures()
-    kinds = {(m.descendants.mode, verified) for m, verified in measures}
-    assert kinds == {("pair", True), ("pair", False), ("plain", True)}
-    for measure, verified in measures:
-        for flag in (verified, not verified):
-            assert ff.measure_json(measure, flag) == json_canonical(measure_obj(measure, flag))
+    assert {m.descendants.mode for m in measures} == {"pair", "plain"}
+    for measure in measures:
+        assert ff.measure_json(measure) == json_canonical(measure_obj(measure))
     assert len(measures) > 150
 
 
 def test_measure_writer_matches_the_oracle_on_small_measures():
     for measure in (one_label_measure(), construct_plain_measure(three_label_plain())):
-        for verified in (True, False):
-            assert ff.measure_json(measure, verified) == json_canonical(
-                measure_obj(measure, verified))
+        assert ff.measure_json(measure) == json_canonical(measure_obj(measure))
 
 
 @pytest.mark.parametrize("k", [4, 8, 10])
@@ -266,8 +262,8 @@ def test_measure_writer_matches_the_oracle_on_64_bit_grids(k):
 
 def test_save_measure_writes_the_oracle_text(tmp_path):
     measure = one_label_measure()
-    ff.save_measure(tmp_path / "m.json", measure, verified=False)
-    assert (tmp_path / "m.json").read_text() == json_canonical(measure_obj(measure, False))
+    ff.save_measure(tmp_path / "m.json", measure)
+    assert (tmp_path / "m.json").read_text() == json_canonical(measure_obj(measure))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +296,10 @@ def test_benchmark_calls_match_the_old_document_path(name, tmp_path, monkeypatch
         assert text == json_canonical(obj)
         return text
 
-    def checked_write_measure(measure, verified=True):
+    def checked_write_measure(measure):
         seen["measures"] += 1
-        text = write_measure(measure, verified)
-        assert text == json_canonical(measure_obj(measure, verified))
+        text = write_measure(measure)
+        assert text == json_canonical(measure_obj(measure))
         written.append(text)
         return text
 

@@ -33,8 +33,6 @@ from gwrev.parametrizer import (
     InconsistentRatiosError,
     SupportTemplate,
     assemble_measure,
-    solve_offspring,
-    solve_root_weights,
     validate_template,
 )
 
@@ -58,6 +56,8 @@ from .oracles import (
     random_template_candidate,
     random_plain_spec,
     random_template_weights,
+    solve_offspring,
+    support_classes,
     unreachable_pair_bruteforce,
 )
 
@@ -292,14 +292,14 @@ def test_integer_balance_keys_match_fractions_on_64_bit_grids(k):
     assert failing == 2
 
 
-def test_solve_root_weights_matches_the_pairwise_check():
+def test_assembled_root_weights_match_the_pairwise_check():
     # the label-flow solve against every class pair under the solved laws:
     # the same weights, or the same first failing label pair
     raised = 0
     for template, weights, spec in corpus(3):
         expected = pairwise_root_weights(template, weights, spec)
         try:
-            got = solve_root_weights(template, weights)
+            got = assemble_measure(template, weights).root_dist
         except InconsistentRatiosError as err:
             got = err.labels
             raised += 1
@@ -458,7 +458,7 @@ def test_exact_flow_and_transport_are_label_permutation_invariant():
         measures += 1
         tau = random_permutation(rng, measure.n)
         moved = permute_measure(measure, tau)
-        classes = measure.support_classes()
+        classes = support_classes(measure)
         for u in classes:
             for v in classes:
                 if u.vector[v.label - 1] > 0 and v.vector[u.label - 1] > 0:

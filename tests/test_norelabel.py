@@ -17,7 +17,6 @@ from gwrev.norelabel import (
     construct_plain_measure,
     expand_plain_spec,
     extract_plain_spec,
-    multinomial_dist,
     plain_cycle_product,
     run_plain_checks,
 )
@@ -40,18 +39,34 @@ from .oracles import (
 # Multinomial expansion
 # ---------------------------------------------------------------------------
 
-def test_multinomial_dist_matches_oracle():
+def multinomial_table(degree, row):
+    """Label 1's offspring law under `expand_plain_spec` when label 1 always
+    has `degree` children drawn from `row`: the multinomial law of that
+    degree.  Label k > 1 has no children and the row e_1 when `row` gives
+    label k positive probability, e_k otherwise, so the rows have
+    symmetric support."""
+    n = len(row)
+
+    def unit(k):
+        return tuple(F(int(x == k)) for x in range(1, n + 1))
+
+    params = {1: row, **{k: unit(1 if row[k - 1] > 0 else k) for k in range(2, n + 1)}}
+    degree_dist = {1: {degree: F(1)}, **{k: {0: F(1)} for k in range(2, n + 1)}}
+    return expand_plain_spec(PlainSpec(n, degree_dist, params)).offspring[1]
+
+
+def test_multinomial_table_matches_oracle():
     params = (F(1, 2), F(1, 3), F(1, 6))
     for degree in (0, 1, 2, 3):
-        dist = multinomial_dist(degree, params)
+        dist = multinomial_table(degree, params)
         assert sum(dist.values()) == 1
         for c, p in dist.items():
             assert p == multinomial_pmf_oracle(c, params)
         assert is_degree_multinomial(dist, degree, 3)
 
 
-def test_multinomial_dist_respects_zero_parameters():
-    dist = multinomial_dist(3, (F(1, 2), F(0), F(1, 2)))
+def test_multinomial_table_respects_zero_parameters():
+    dist = multinomial_table(3, (F(1, 2), F(0), F(1, 2)))
     assert all(c[1] == 0 for c in dist)
     assert sum(dist.values()) == 1
 
@@ -64,7 +79,7 @@ def random_row(rng, n):
     return tuple(x / sum(raw) for x in raw)
 
 
-def test_multinomial_dist_matches_the_termwise_oracle_on_random_rows():
+def test_multinomial_table_matches_the_termwise_oracle_on_random_rows():
     # every term equals the oracle's, the keys are distinct degree-d vectors
     # on the positive labels, and they sum to 1: so the support is complete
     rng = random.Random(41)
@@ -72,7 +87,7 @@ def test_multinomial_dist_matches_the_termwise_oracle_on_random_rows():
         n = rng.randint(1, 6)
         row = random_row(rng, n)
         for degree in range(7):
-            dist = multinomial_dist(degree, row)
+            dist = multinomial_table(degree, row)
             assert sum(dist.values()) == 1
             for c, p in dist.items():
                 assert len(c) == n and sum(c) == degree
@@ -249,7 +264,7 @@ def test_extraction_matches_the_termwise_oracle_on_perturbed_laws():
 def test_extraction_checks_the_listed_entries_only(monkeypatch):
     # five entries of degree 40 on five labels cost five terms, never the
     # 135,751 of a degree-40 expansion
-    monkeypatch.setattr(norelabel, "multinomial_dist", None)
+    monkeypatch.setattr(norelabel, "_numerators", None)
     law = {tuple(40 if k == j else 0 for k in range(5)): F(1, 5) for j in range(5)}
     spec = GWSpec(n=5, mode=PLAIN,
                   offspring={1: law, **{i: {(0,) * 5: F(1)} for i in range(2, 6)}})
@@ -363,7 +378,7 @@ def test_conditional_laws_share_parameters(plain_spec):
     mu = construct_plain_measure(plain_spec)
     for i in (1, 2, 3):
         for d, conditional in conditional_by_degree(mu.neighbor_dist[i]).items():
-            expected = multinomial_dist(d, plain_spec.params[i])
+            expected = multinomial_table(d, plain_spec.params[i])
             assert conditional == expected
 
 

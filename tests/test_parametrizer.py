@@ -3,15 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from gwrev.checker import run_checks
+from gwrev.checker import label_potentials, run_checks
 from gwrev.constructor import construct_measure, verify_reversibility
 from gwrev.core import SupportClass
 from gwrev.parametrizer import (
     InconsistentRatiosError,
     SupportTemplate,
+    _forced_laws,
     assemble_measure,
     family_dimension,
-    solve_offspring,
     validate_template,
 )
 
@@ -24,6 +24,10 @@ from .oracles import (
     random_admissible_instance,
     random_assembled_instance,
     random_fraction,
+    random_template,
+    random_template_candidate,
+    random_template_weights,
+    solve_offspring,
     template_of_measure,
 )
 
@@ -197,6 +201,25 @@ def test_unbalanceable_template_is_structurally_valid_but_rejected():
         nu = solve_offspring(UNBALANCEABLE, weights)
         report = run_checks(nu)
         assert report.condition_ii is False
+
+
+def test_accepted_templates_have_a_connected_label_graph():
+    # chain connectivity links every label pair by classes, so the label
+    # flows of a template that `validate_template` accepts join all labels
+    # in one component: the root-weight solve has no disconnected case
+    rng = random.Random(9)
+    accepted = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        pick = random_template if rng.random() < 0.5 else random_template_candidate
+        template = pick(rng, n)
+        if not validate_template(template)[0]:
+            continue
+        accepted += 1
+        flow = _forced_laws(template, random_template_weights(rng, template))[1]
+        ratio = {(i, j): f / flow[(j, i)] for (i, j), f in flow.items() if i < j}
+        assert label_potentials(n, ratio)[2] == 1
+    assert accepted > 600
 
 
 LEAFY = SupportTemplate(n=2, classes=(
