@@ -2,14 +2,13 @@
 and verify detailed balance exactly.
 
 The balance-graph potentials pin every class weight up to one global scale
-per component; with a connected graph a single normalization per label gives
-the neighbor distributions and the per-label weight sums give the root-label
-distribution.
+per component; with a connected graph, `core.normalize` of each label's
+potentials gives its neighbor distribution, and of the labels' potential
+sums the root-label distribution.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +23,7 @@ from .core import (
     class_sides,
     exact_flow,
     increment,
+    normalize,
     same_key,
     side_key,
 )
@@ -39,8 +39,7 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
     A supplied report must be `run_checks(spec)`: the class weights are the
     balance-graph potentials it holds.  Each label's potentials, normalized,
     give its neighbor distribution, and the labels' potential sums,
-    normalized, give the root distribution; both are summed in integers over
-    a common denominator (`_normalize`), one Fraction per stored value.
+    normalized, give the root distribution (`_normalize`).
     """
     if spec.mode != PAIR:
         raise ChecksFailedError("construct_measure requires a pair-mode spec")
@@ -63,32 +62,16 @@ def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> Roo
 
 def _normalize(n: int, potentials: Dict[SupportClass, Fraction]):
     """The neighbor and root distributions of the class potentials, as
-    (neighbor_dist, root_dist), in integers over common denominators.
-
-    Over L_i, the lcm of the denominators of label i's potentials, each
-    potential is num(u) / L_i with integer num(u).  With S_i the sum of
-    label i's num(u), the neighbor weight of u is Fraction(num(u), S_i) and
-    label i's potential sum is S_i / L_i.  Over L, the lcm of the L_i, the
-    root weight of label i is Fraction(S_i * L / L_i, sum over k of
-    S_k * L / L_k).  One Fraction per stored value, and no Fraction
-    arithmetic."""
-    by_label: Dict[int, List[SupportClass]] = {i: [] for i in range(1, n + 1)}
+    (neighbor_dist, root_dist): label i's potentials, normalized, give its
+    neighbor distribution and their unreduced sum S_i / L_i, and the labels'
+    sums, normalized, give the root distribution (`core.normalize`)."""
+    by_label: Dict[int, Dict] = {i: {} for i in range(1, n + 1)}
     for node in sorted(potentials):
-        by_label[node.label].append(node)
-    neighbor_dist = {}
-    label_sum = {}  # label i: (S_i, L_i)
-    for i, nodes in by_label.items():
-        pots = [potentials[node] for node in nodes]
-        common = math.lcm(*[p.denominator for p in pots])
-        nums = [p.numerator * (common // p.denominator) for p in pots]
-        norm = sum(nums)
-        neighbor_dist[i] = {node.vector: Fraction(x, norm) for node, x in zip(nodes, nums)}
-        label_sum[i] = (norm, common)
-    common = math.lcm(*[den for _, den in label_sum.values()])
-    scaled = {i: norm * (common // den) for i, (norm, den) in label_sum.items()}
-    grand = sum(scaled.values())
-    root_dist = {i: Fraction(x, grand) for i, x in scaled.items()}
-    return neighbor_dist, root_dist
+        by_label[node.label][node.vector] = potentials[node].as_integer_ratio()
+    neighbor_dist, label_sum = {}, {}
+    for i, pots in by_label.items():
+        neighbor_dist[i], label_sum[i] = normalize(pots)
+    return neighbor_dist, normalize(label_sum)[0]
 
 
 # the value of a side whose members' balance keys differ

@@ -94,12 +94,28 @@ def degrees(dist: Mapping[Vector, Fraction]) -> set:
     return {total(c) for c in dist}
 
 
+def over_common_denominator(terms: Collection[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """The fractions given as (numerator, denominator) pairs over their
+    common denominator L, the lcm of the denominators: ([num * L / den], L)."""
+    common = math.lcm(*[den for _, den in terms])
+    return [num * (common // den) for num, den in terms], common
+
+
 def common_sum(terms: Collection[Tuple[int, int]]) -> Tuple[int, int]:
     """The sum of the fractions given as (numerator, denominator) pairs, as
-    the unreduced pair (sum of numerator * (L / denominator), L) over their
-    common denominator L."""
-    common = math.lcm(*[den for _, den in terms])
-    return sum([num * (common // den) for num, den in terms]), common
+    the unreduced pair (S, L) over their common denominator L."""
+    nums, common = over_common_denominator(terms)
+    return sum(nums), common
+
+
+def normalize(weights: Mapping) -> Tuple[Dict, Tuple[int, int]]:
+    """The weights given as (numerator, denominator) pairs by key, each over
+    their sum, and that sum as the unreduced pair (S, L): over the common
+    denominator L each weight is an integer x, S is their sum, and the key
+    gets the one Fraction(x, S), with no Fraction arithmetic."""
+    nums, common = over_common_denominator(weights.values())
+    norm = sum(nums)
+    return {key: Fraction(x, norm) for key, x in zip(weights, nums)}, (norm, common)
 
 
 def sums_to_one(values: Collection[Fraction]) -> bool:

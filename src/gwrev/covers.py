@@ -35,6 +35,7 @@ from .core import (
     Vector,
     bfs_forest,
     decrement,
+    normalize,
 )
 
 
@@ -331,10 +332,9 @@ def lift_measure(graph: FiniteGraph, labels: Dict[int, int]) -> RootMeasure:
             if cj > 0:
                 offspring[(j, i)] = {decrement(counts, j): Fraction(1)}
 
-    grand = sum(degree_mass.values())
     return RootMeasure(
         n=n,
-        root_dist={i: Fraction(degree_mass[i], grand) for i in range(1, n + 1)},
+        root_dist=normalize({i: (degree_mass[i], 1) for i in range(1, n + 1)})[0],
         neighbor_dist={i: {class_counts[i]: Fraction(1)} for i in range(1, n + 1)},
         descendants=GWSpec(n=n, mode=PAIR, offspring=offspring),
     )

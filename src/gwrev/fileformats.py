@@ -408,8 +408,12 @@ def parse_class_selector(text: str) -> SupportClass:
 
 
 def load_json(path):
+    """The JSON document at `path`; one nested too deeply to parse is malformed."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SpecError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def save_json(path, text: str) -> None:

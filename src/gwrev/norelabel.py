@@ -6,7 +6,8 @@ not depend on the total, and those probabilities satisfy the cycle identity
 prod p(i_s, i_{s+1}) / p(i_{s+1}, i_s) = 1 around the label graph.
 
 The measure itself shifts every degree up by one (the root keeps its parent
-slot) and solves weight(i) / weight(j) = p(j, i) / p(i, j).
+slot) and solves weight(i) / weight(j) = p(j, i) / p(i, j); `core.normalize`
+turns the label potentials into the root weights.
 
 The multinomial law is written once, in integers over the row's common
 denominator b, p_k = a_k / b: `_numerator` is N(c) = |c|! * prod a_k^c_k /
@@ -15,9 +16,9 @@ degree's table of them, and `_mixtures` a label's degree mixtures: each
 degree d of weight u / v spread over the table of degree d for the
 offspring law and d + 1 for the root's neighbors, each value the one
 Fraction u * N(c) / (v * b^D).  A label builds each degree's table once and
-both laws read it.  Extraction scales each degree's row once and checks
-each listed entry against its probability N(c) / b^d, so its cost follows
-the entries a law lists, not the size of the expansion.
+both laws read it.  Extraction scales each degree's entries and row once
+and checks each listed entry against N(c) / b^d in integers, so its cost
+follows the entries a law lists, not the size of the expansion.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .core import (
     SpecError,
     Vector,
     ZERO,
+    normalize,
+    over_common_denominator,
     sums_to_one,
     total,
 )
@@ -131,12 +134,6 @@ class PlainSpec:
 # Multinomial expansion
 # ---------------------------------------------------------------------------
 
-def _scaled_row(params: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
-    """(a, b): the row over its common denominator b, p_k = a_k / b."""
-    b = math.lcm(*[p.denominator for p in params])
-    return [p.numerator * (b // p.denominator) for p in params], b
-
-
 def _numerator(c: Vector, a: List[int]) -> int:
     """N(c) = |c|! * prod a_k^c_k / prod c_k!, the multinomial probability of
     the count vector c times b^|c|.  Each division is exact: the quotient
@@ -170,7 +167,7 @@ def _mixtures(pspec: PlainSpec, i: int, shifts: Tuple[int, ...]) -> List[Dist]:
     weight u / v, spread over the multinomial law of degree d + shift, each
     value the one Fraction u * N(c) / (v * b^(d + shift)).  The table of N
     of a degree is built once, whichever mixtures read it."""
-    a, b = _scaled_row(pspec.params[i])
+    a, b = over_common_denominator([p.as_integer_ratio() for p in pspec.params[i]])
     degrees = sorted(pspec.degree_dist[i].items())
     tables: Dict[int, Dict[Vector, int]] = {}
     laws = []
@@ -212,21 +209,21 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
         by_degree: Dict[int, Dist] = {}
         for c in sorted(dist):
             by_degree.setdefault(total(c), {})[c] = dist[c]
-        degree_dist[i] = {d: sum(sub.values()) for d, sub in sorted(by_degree.items())}
-
-        row_of_degree: Dict[int, Tuple[Fraction, ...]] = {}
-        for d in sorted(by_degree):
+        degree_dist[i], row_of_degree = {}, {}
+        for d, sub in sorted(by_degree.items()):
+            # sub[c] = x(c) / L, so the degree has mass M / L, M the sum of x(c)
+            xs, common = over_common_denominator([p.as_integer_ratio() for p in sub.values()])
+            mass = sum(xs)
+            degree_dist[i][d] = Fraction(mass, common)
             if d == 0:
                 continue  # a single empty vector; multinomial for any row
-            sub = by_degree[d]
-            mass = degree_dist[i][d]
-            row = tuple(
-                sum(p * c[j] for c, p in sub.items()) / (mass * d)
-                for j in range(spec.n)
-            )
-            a, b = _scaled_row(row)
-            for c in sorted(sub):
-                if sub[c] != mass * Fraction(_numerator(c, a), b ** d):
+            # p_k = (sum of x(c) * c_k) / (d * M); check sub[c] = (M / L) * N(c) / b^d
+            row = tuple(Fraction(sum([x * c[k] for c, x in zip(sub, xs)]), d * mass)
+                        for k in range(spec.n))
+            a, b = over_common_denominator([p.as_integer_ratio() for p in row])
+            scale = b ** d
+            for c, x in zip(sub, xs):
+                if x * scale != mass * _numerator(c, a):
                     raise NotMultinomialError(i, d, c)
             row_of_degree[d] = row
         rows = [row_of_degree[d] for d in sorted(row_of_degree)]
@@ -347,8 +344,7 @@ def construct_plain_measure(pspec: PlainSpec,
     if not report.connected:
         raise ChecksFailedError("label graph is disconnected")
     pot = report.potentials
-    grand = sum(pot.values())
-    root_dist = {i: pot[i] / grand for i in range(1, pspec.n + 1)}
+    root_dist, _ = normalize({i: pot[i].as_integer_ratio() for i in range(1, pspec.n + 1)})
     laws = {i: _mixtures(pspec, i, (0, 1)) for i in range(1, pspec.n + 1)}
     return RootMeasure(
         n=pspec.n,

@@ -22,7 +22,6 @@ InconsistentRatiosError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,6 +38,7 @@ from .core import (
     ZERO,
     class_forest,
     decrement,
+    normalize,
     sums_to_one,
     total,
 )
@@ -158,27 +158,21 @@ def _forced_laws(template: SupportTemplate, weights: Weights):
     """The offspring laws forced by the class weights, keyed (i, j), and
     their normalizers, the label flows flow(i, j).
 
-    The law (i, j) gives each class (j, d) of the side S(j, i) the mass
-    x(d) = w(d) * d_i / |d|, normalized.  Over the common denominator L, the
-    lcm of den(w(d)) * |d| over the side, every x(d) * L is the integer
-    num(w(d)) * d_i * L / (den(w(d)) * |d|).  With N their sum, the law
-    entry is Fraction(x(d) * L, N) and flow(i, j) is Fraction(N, L): one
-    Fraction per stored value, and no Fraction arithmetic."""
+    The law (i, j) is `core.normalize` of the masses
+    x(d) = w(d) * d_i / |d|, given as the pairs (num(w(d)) * d_i,
+    den(w(d)) * |d|), of the classes (j, d) of the side S(j, i), and
+    flow(i, j) is their sum, Fraction(S, L) for the unreduced sum (S, L):
+    one Fraction per stored value, and no Fraction arithmetic."""
     side = template.forest[0]
     laws: Dict[Tuple[int, int], Dict] = {}
     flow: Dict[Tuple[int, int], Fraction] = {}
     # the sides S(j, i) in (i, j) order
     for (j, i) in sorted(side, key=lambda key: (key[1], key[0])):
-        members = side[(j, i)]
-        ws = [weights[cls] for cls in members]
-        scales = [w.denominator * total(cls.vector) for w, cls in zip(ws, members)]
-        common = math.lcm(*scales)
-        terms = [w.numerator * cls.vector[i - 1] * (common // s)
-                 for w, cls, s in zip(ws, members, scales)]
-        norm = sum(terms)
-        laws[(i, j)] = {decrement(cls.vector, i): Fraction(x, norm)
-                        for cls, x in zip(members, terms)}
-        flow[(i, j)] = Fraction(norm, common)
+        laws[(i, j)], norm = normalize({
+            decrement(cls.vector, i): (weights[cls].numerator * cls.vector[i - 1],
+                                       weights[cls].denominator * total(cls.vector))
+            for cls in side[(j, i)]})
+        flow[(i, j)] = Fraction(*norm)
     return laws, flow
 
 
@@ -191,11 +185,11 @@ def _root_weights(n: int, flow) -> Dict[int, Fraction]:
         flow(i, j) = sum of w(d) * d_i / |d| over label-j classes d, d_i > 0,
 
     so every class pair across labels i and j forces the same ratio
-    weight(i) / weight(j) = flow(i, j) / flow(j, i).  `label_potentials`
-    solves these ratios over the label graph, which chain connectivity
-    makes connected.  Ratios that do not close around a label cycle raise
-    InconsistentRatiosError at the first inconsistent label pair in sorted
-    order.  O(N * n) work for N classes and n labels.
+    weight(i) / weight(j) = flow(i, j) / flow(j, i), solved up to scale by
+    `label_potentials` over the label graph, which chain connectivity makes
+    connected, and normalized.  Ratios that do not close around a label
+    cycle raise InconsistentRatiosError at the first inconsistent label pair
+    in sorted order.  O(N * n) work for N classes and n labels.
     """
     ratio = {
         (i, j): f / flow[(j, i)] for (i, j), f in flow.items() if i < j and (j, i) in flow
@@ -204,8 +198,7 @@ def _root_weights(n: int, flow) -> Dict[int, Fraction]:
     if cycle is not None:
         # the cycle ends ..., j, i with (i, j) its first inconsistent edge
         raise InconsistentRatiosError(cycle[-1], cycle[-2])
-    grand = sum(potential.values())
-    return {i: potential[i] / grand for i in range(1, n + 1)}
+    return normalize({i: potential[i].as_integer_ratio() for i in range(1, n + 1)})[0]
 
 
 def family_dimension(template: SupportTemplate) -> int:
@@ -220,8 +213,9 @@ def assemble_measure(template: SupportTemplate, weights: Weights) -> RootMeasure
         raise InvalidTemplateError(reason)
     validate_weights(template, weights)
     laws, flow = _forced_laws(template, weights)
-    offspring = GWSpec(n=template.n, mode=PAIR, offspring=laws)
+    # a template whose ratios do not close raises here, before any spec is built
     root = _root_weights(template.n, flow)
+    offspring = GWSpec(n=template.n, mode=PAIR, offspring=laws)
     by_label = template.by_label()
     neighbor = {i: {cls.vector: weights[cls] for cls in by_label[i]}
                 for i in range(1, template.n + 1)}

@@ -32,8 +32,8 @@ once:
   exactly when k < ceil(acc * 2**53), so a `searchsorted(..., side="right")`
   over those integer thresholds picks the outcome, and no float or
   Fraction is compared.  `_cdf` forms each threshold in integers, as
-  ceil(A * 2**53 / L) for L the lcm of the law's denominators and A the
-  running sum of numerator * (L / denominator), with no Fraction addition.
+  ceil(A * 2**53 / L) for A a running sum of the law's probabilities over
+  their common denominator L, with no Fraction addition.
   `_RootDraws` draws a block's root classes, every label's vector law at
   once, by one search over the thresholds of all labels.
 * Walk step.  `Generator.integers(deg)` is Lemire's method on 32-bit
@@ -53,6 +53,7 @@ reference of a flow is `core.exact_flow`, the flow that
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -68,6 +69,7 @@ from .core import (
     common_sum,
     decrement,
     exact_flow,
+    over_common_denominator,
     total,
 )
 
@@ -198,12 +200,8 @@ def _cdf(dist: Dict) -> Tuple[list, np.ndarray]:
     draw, and the integer thresholds ceil(acc * 2**53) of their cumulative
     sums acc."""
     items = sorted(dist.items())
-    common = math.lcm(*[p.denominator for _, p in items])
-    acc = 0
-    thresholds = []
-    for _, p in items:
-        acc += p.numerator * (common // p.denominator)
-        thresholds.append(-(-(acc << 53) // common))
+    nums, common = over_common_denominator([p.as_integer_ratio() for _, p in items])
+    thresholds = [-(-(acc << 53) // common) for acc in itertools.accumulate(nums)]
     return [outcome for outcome, _ in items], np.array(thresholds, dtype=np.int64)
 
 

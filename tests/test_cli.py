@@ -607,6 +607,77 @@ def test_duplicate_entry_is_malformed(capsys, tmp_path, command, document, path)
     assert "error: duplicate" in captured.err
 
 
+NESTED = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command, position", [
+    ("check", 0),
+    ("construct", 0),
+    ("verify", 0),
+    ("simulate", 0),
+    ("parametrize", 0),  # the template
+    ("parametrize", 1),  # the weights
+])
+def test_deeply_nested_document_is_malformed(capsys, tmp_path, command, position):
+    # json's parser runs out of recursion on it; that is malformed input
+    nested = tmp_path / "nested.json"
+    nested.write_text(NESTED)
+    if command == "parametrize":
+        docs = [write(tmp_path / "tmpl.json", template_to_obj(two_label_template())),
+                write(tmp_path / "params.json",
+                      weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))]
+        docs[position] = str(nested)
+        argv = [command, *docs, str(tmp_path / "out.json")]
+    elif command == "construct":
+        argv = [command, str(nested), str(tmp_path / "out.json")]
+    elif command == "simulate":
+        argv = [command, str(nested), "--trials", "10", "--seed", "1", "--mtp", "1,2"]
+    else:
+        argv = [command, str(nested)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    assert not (tmp_path / "out.json").exists()
+
+
+def long_weight(offset):
+    """A weight in (0, 1) whose numerator and denominator have 3,001 digits,
+    as has one minus it."""
+    return F(10**3000 + offset, 2 * 10**3000 + 2 * offset + 1)
+
+
+def test_values_beyond_the_int_str_digit_limit(capsys, tmp_path):
+    # the measure's values have more digits than Python converts by default
+    limit = sys.get_int_max_str_digits()
+    tmpl = write(tmp_path / "tmpl.json", template_to_obj(two_label_template()))
+    params = write(tmp_path / "params.json",
+                   weights_to_obj(two_label_weights(long_weight(1), long_weight(3))))
+    out = tmp_path / "m.json"
+    code, report = run(capsys, "parametrize", tmpl, params, str(out))
+    assert code == 0 and report["ok"] is True
+    assert sys.get_int_max_str_digits() == limit
+    assert max(len(token) for token in out.read_text().split('"')) > limit
+    code, report = run(capsys, "verify", str(out))
+    assert code == 0 and report["ok"] is True
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_main_restores_the_callers_int_str_digit_limit(capsys, tmp_path, spec_path):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert main(["check", spec_path]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert main(["check", str(tmp_path / "missing.json")]) == 2
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["check", "--no-such-option"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_rejects_nonpositive_trials(capsys, tmp_path, spec_path, trials):
     out = tmp_path / "measure.json"

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,9 +14,12 @@ from gwrev.core import (
     bfs_forest,
     candidate_support,
     class_forest,
+    common_sum,
     decrement,
     degrees,
     increment,
+    normalize,
+    over_common_denominator,
     total,
     validate_dist,
     vector,
@@ -144,3 +149,72 @@ def test_class_forest_joins_the_two_sides_of_each_label_pair():
     # a sees S(1, 1) = [a, b] and S(2, 1) = [c]; d only its own clique
     assert order == [a, b, c, d]
     assert parent == {a: None, b: a, c: a, d: None}
+
+
+# ---------------------------------------------------------------------------
+# The one normalization
+# ---------------------------------------------------------------------------
+
+def pairs(weights):
+    return {key: (w.numerator, w.denominator) for key, w in weights.items()}
+
+
+def assert_normalizes(weights):
+    """`normalize` against w / sum(w) and sum(w) in Fractions: the same
+    reduced values in the same key order, and the unreduced sum (S, L)
+    over the lcm L of the denominators."""
+    law, (num, common) = normalize(pairs(weights))
+    grand = sum(weights.values(), F(0))
+    expected = {key: w / grand for key, w in weights.items()}
+    assert list(law.items()) == list(expected.items())
+    assert all(type(p) is F for p in law.values())
+    assert F(num, common) == grand
+    assert common == math.lcm(*[w.denominator for w in weights.values()])
+
+
+def random_weights(rng, count, denominator=None):
+    return {(k, rng.randint(0, 9)): F(rng.randint(1, 10**6),
+                                      denominator or rng.randint(1, 10**6))
+            for k in range(count)}
+
+
+def test_normalize_matches_fractions_on_random_weights():
+    rng = random.Random(23)
+    for _ in range(300):
+        assert_normalizes(random_weights(rng, rng.randint(1, 12)))
+
+
+def test_normalize_integer_weights():
+    # the degree masses of a lifted cover
+    weights = {1: F(6), 2: F(4), 3: F(2)}
+    assert_normalizes(weights)
+    law, total_ = normalize(pairs(weights))
+    assert law == {1: F(1, 2), 2: F(1, 3), 3: F(1, 6)} and total_ == (12, 1)
+
+
+def test_normalize_a_single_weight():
+    for w in (F(1), F(3, 7), F(10**40 + 1, 3)):
+        law, total_ = normalize({"only": (w.numerator, w.denominator)})
+        assert law == {"only": F(1)}
+        assert total_ == (w.numerator, w.denominator)
+
+
+def test_normalize_weights_sharing_a_denominator():
+    rng = random.Random(29)
+    for _ in range(100):
+        weights = random_weights(rng, rng.randint(2, 8), denominator=rng.randint(1, 10**6))
+        assert_normalizes(weights)
+    # the common denominator of pairs that share one is that one, unreduced
+    law, total_ = normalize({1: (2, 6), 2: (3, 6), 3: (1, 6)})
+    assert law == {1: F(1, 3), 2: F(1, 2), 3: F(1, 6)} and total_ == (6, 6)
+
+
+def test_over_common_denominator_matches_common_sum():
+    rng = random.Random(31)
+    for _ in range(300):
+        terms = [(rng.randint(0, 10**9), rng.randint(1, 10**4))
+                 for _ in range(rng.randint(1, 10))]
+        nums, common = over_common_denominator(terms)
+        assert common == math.lcm(*[den for _, den in terms])
+        assert [F(x, common) for x in nums] == [F(num, den) for num, den in terms]
+        assert (sum(nums), common) == common_sum(terms)

@@ -203,6 +203,23 @@ def test_unbalanceable_template_is_structurally_valid_but_rejected():
         assert report.condition_ii is False
 
 
+def test_rejected_template_builds_no_spec(monkeypatch):
+    # the root weights are solved before the forced laws become a GWSpec, so
+    # a template whose ratios do not close never validates one
+    import gwrev.parametrizer as parametrizer
+
+    def no_spec(*args, **kwargs):
+        raise AssertionError("a GWSpec was built for a rejected template")
+
+    weights = {}
+    for i in range(1, 5):
+        group = [c for c in UNBALANCEABLE.classes if c.label == i]
+        weights.update({c: F(1, len(group)) for c in group})
+    monkeypatch.setattr(parametrizer, "GWSpec", no_spec)
+    with pytest.raises(InconsistentRatiosError):
+        assemble_measure(UNBALANCEABLE, weights)
+
+
 def test_accepted_templates_have_a_connected_label_graph():
     # chain connectivity links every label pair by classes, so the label
     # flows of a template that `validate_template` accepts join all labels
