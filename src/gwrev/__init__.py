@@ -47,7 +47,6 @@ from .parametrizer import (
     validate_template,
 )
 from .norelabel import (
-    AsymmetricAdjacencyError,
     DegreeDependentParametersError,
     NotMultinomialError,
     PlainSpec,

@@ -24,8 +24,9 @@ full either way, so condition i has no early exit.  The edges between
 labels i and j form a complete bipartite block S(i, j) x S(j, i) of the
 sides of `core.class_sides` (a clique when i = j), consistent exactly when
 the key pot / h is constant on it; `solve_potentials` walks these blocks
-with `core.class_forest` and never materializes the graph.  Keys are
-unreduced integer pairs compared by cross-multiplication (`core.same_key`);
+with `core.class_forest` and never materializes the graph, and reads each
+block's first inconsistent edge off `core.block_mismatches`, as `verify`
+does.  Keys are unreduced integer pairs compared by cross-multiplication;
 only the potentials, which `construct` writes, are Fractions.  The graph
 built edge by edge in O(N^2), the same walk in Fractions and the condition-i
 loop over the laws are kept only as the test suite's references.
@@ -45,9 +46,9 @@ from .core import (
     SupportClass,
     Vector,
     bfs_forest,
+    block_mismatches,
     class_forest,
     increment,
-    same_key,
     side_key,
 )
 
@@ -224,7 +225,8 @@ def solve_potentials(
     * the violating cycle runs through the first inconsistent edge (u, v) in
       sorted order.  With g = pot / h on each side, the edge (u, v) between
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
-      of each label pair is read off the two sides in linear time.
+      of each label pair is the first pair of `core.block_mismatches` on
+      the two sides' keys, found in linear time.
 
     Raises MissingOffspringTermError when condition i fails, naming the
     class (i, c) and the label k of its witness.
@@ -257,34 +259,18 @@ def _potentials(table: tuple):
             p = pot[u]
             pot[v] = Fraction(p.numerator * a * y, p.denominator * b * x)
 
-    # g(u, j) = pot(u) / h(u, j); (u, v) across sides S(i, j), S(j, i) is
-    # consistent iff g(u, j) == g(v, i)
-    g = {(u, j): (pot[u].numerator * a, pot[u].denominator * b)
-         for (u, j), (a, b) in inv.items()}
-
-    first = None
-    for (i, j), a_side in side.items():
-        if i > j:
-            continue
-        if i == j:
-            if len(a_side) < 2:
-                continue
-            g0 = g[(a_side[0], i)]
-            edge = next(((a_side[0], q) for q in a_side[1:] if not same_key(g[(q, i)], g0)),
-                        None)
-        else:
-            b_side = side.get((j, i))
-            if not b_side:
-                continue
-            gb = [g[(v, i)] for v in b_side]
-            if not all(same_key(x, gb[0]) for x in gb):
-                g0 = g[(a_side[0], j)]
-                edge = next((a_side[0], v) for v, x in zip(b_side, gb) if not same_key(x, g0))
-            else:
-                edge = next(((u, b_side[0]) for u in a_side if not same_key(g[(u, j)], gb[0])),
-                            None)
-        if edge is not None and (first is None or edge < first):
-            first = edge
+    # g(u, j) = pot(u) / h(u, j) over each side S(i, j); (u, v) across
+    # S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i)
+    g = {}
+    for (i, j), members in side.items():
+        g[(i, j)] = keys = []
+        for u in members:
+            a, b = inv[(u, j)]
+            keys.append((pot[u].numerator * a, pot[u].denominator * b))
+    # the first inconsistent edge of each block, and the least of them
+    edges = [next(block_mismatches(members, side[(j, i)], g[(i, j)], g[(j, i)], (1, 1)), None)
+             for (i, j), members in side.items() if i <= j and (j, i) in side]
+    first = min((edge for edge in edges if edge is not None), default=None)
     cycle = None if first is None else _cycle_through(parent, *first)
     return nodes, pot, cycle, components
 

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
-    Callable, Collection, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-    Union,
+    Callable, Collection, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple, Union,
 )
 
 Vector = Tuple[int, ...]
@@ -412,3 +412,30 @@ def same_key(a: BalanceKey, b: BalanceKey) -> bool:
     if a is None or b is None:
         return a is b
     return a[0] * b[1] == b[0] * a[1]
+
+
+def block_mismatches(a: Sequence, b: Sequence, ka: Sequence[BalanceKey],
+                     kb: Sequence[BalanceKey], scale: Tuple[int, int]) -> Iterator[tuple]:
+    """The pairs (u, v) of the block a x b of two non-empty sides whose keys,
+    lists in side order, differ: ka[u] * p / q != kb[v] by `same_key` for
+    scale = (p, q), in the order of a and then of b; for the clique `a is b`,
+    only u before v.  kb is constant on b[:split], so one comparison with
+    kb[0] * q / p decides each u against that prefix, and a u whose key
+    equals that of a constant b is skipped: a block whose keys agree, and a
+    block's first pair, cost at most |a| + |b| + 1 comparisons, and each
+    further pair at most one."""
+    p, q = scale
+    k0 = kb[0]
+    split = next((y for y in range(1, len(b)) if not same_key(kb[y], k0)), len(b))
+    if a is b and split == len(b) and p == q:
+        return  # a clique of one key
+    k0 = None if k0 is None else (k0[0] * q, k0[1] * p)
+    for x, (u, key) in enumerate(zip(a, ka)):
+        start = x + 1 if a is b else 0
+        if not same_key(key, k0):
+            yield from ((u, v) for v in b[start:split])
+        if split < len(b):
+            key = None if key is None else (key[0] * p, key[1] * q)
+            for y in range(max(start, split), len(b)):
+                if not same_key(key, kb[y]):
+                    yield u, b[y]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Union
@@ -408,12 +409,27 @@ def parse_class_selector(text: str) -> SupportClass:
 
 
 def load_json(path):
-    """The JSON document at `path`; one nested too deeply to parse is malformed."""
+    """The JSON document at `path`, parsed under Python's default int <-> str
+    limit of 4,300 digits where Python has one: no field can use a longer
+    integer literal, and converting one costs time quadratic in its digits,
+    so it is malformed, as is a document nested too deeply to parse.
+    Rational strings keep any length."""
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise SpecError(f"{path}: JSON nested too deeply to parse") from None
+        text = fh.read()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SpecError(f"{path}: JSON nested too deeply to parse") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise SpecError(f"{path}: JSON integer literal longer than 4300 digits") from None
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def save_json(path, text: str) -> None:

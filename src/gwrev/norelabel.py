@@ -74,16 +74,6 @@ class DegreeDependentParametersError(GwrevError):
         self.witness = (label, degree_a, degree_b)
 
 
-class AsymmetricAdjacencyError(GwrevError):
-    """p(i, j) > 0 but p(j, i) = 0: no reversible measure can exist."""
-
-    name = "asymmetric-adjacency"
-
-    def __init__(self, i, j):
-        super().__init__(f"label {i} can have {j}-children but not conversely")
-        self.witness = (i, j)
-
-
 @dataclass
 class PlainSpec:
     """Degree distributions plus one multinomial parameter row per label.
@@ -121,10 +111,6 @@ class PlainSpec:
                     raise SpecError(f"parameter row of label {i} leaves [0, 1]")
             if not sums_to_one(row):
                 raise SpecError(f"parameter row of label {i} sums to {sum(row)}")
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if (self.params[i][j - 1] > 0) != (self.params[j][i - 1] > 0):
-                    raise AsymmetricAdjacencyError(i, j)
 
     def prob(self, i: int, j: int) -> Fraction:
         return self.params[i][j - 1]
@@ -193,8 +179,7 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
     degree-independent parameters, and read those parameters off.
 
     Raises NotMultinomialError or DegreeDependentParametersError with the
-    first witness in sorted order, AsymmetricAdjacencyError when the
-    extracted rows cannot support a reversible measure.
+    first witness in sorted order.
     """
     if spec.mode != PLAIN:
         raise SpecError("extract_plain_spec requires a plain-mode spec")
@@ -249,27 +234,15 @@ def expand_plain_spec(pspec: PlainSpec) -> GWSpec:
 # Cycle check and construction
 # ---------------------------------------------------------------------------
 
-def _plain_potentials(pspec: PlainSpec):
-    """`label_potentials` on the label graph, the pairs i < j with
-    p(i, j) > 0, with the ratio weight(i) / weight(j) = p(j, i) / p(i, j) on
-    every edge."""
-    ratio = {
-        (i, j): pspec.prob(j, i) / pspec.prob(i, j)
-        for i in range(1, pspec.n + 1)
-        for j in range(i + 1, pspec.n + 1)
-        if pspec.prob(i, j) > 0
-    }
-    return label_potentials(pspec.n, ratio)
-
-
 def check_plain_cycles(pspec: PlainSpec) -> Tuple[bool, Optional[List[int]]]:
     """Cycle identity on the label graph, by potential propagation.
 
     Returns (True, None) or (False, cycle) where cycle is a closed label walk
-    whose ratio product p(i, j) / p(j, i) differs from 1.
+    whose ratio product p(i, j) / p(j, i) differs from 1; (False, None) when
+    the adjacency is asymmetric, as `check_plain_spec` decides it.
     """
-    _, cycle, _ = _plain_potentials(pspec)
-    return cycle is None, cycle
+    report = check_plain_spec(pspec)
+    return report.cycles is True, report.violating_cycle
 
 
 def plain_cycle_product(pspec: PlainSpec, cycle: List[int]) -> Fraction:
@@ -311,18 +284,36 @@ class PlainCheckReport:
 
 
 def check_plain_spec(pspec: PlainSpec) -> PlainCheckReport:
-    """Cycle and connectivity checks of a PlainSpec, whose rows are
-    multinomial parameters by definition."""
-    pot, cycle, components = _plain_potentials(pspec)
+    """Adjacency, cycle and connectivity checks of a PlainSpec, whose rows
+    are multinomial parameters by definition.
+
+    A reversible measure needs p(j, i) > 0 wherever p(i, j) > 0; the first
+    (i, j) in row-major order with p(i, j) > 0 = p(j, i) fails the report as
+    "asymmetric-adjacency", with the cycle and connectivity checks skipped.
+    """
+    rows = pspec.params
+    asymmetric = next(((i, j) for i in range(1, pspec.n + 1)
+                       for j, p in enumerate(rows[i], start=1) if p and not rows[j][i - 1]), None)
+    if asymmetric is not None:
+        return PlainCheckReport(False, "asymmetric-adjacency", asymmetric, None, None, None)
+    # `label_potentials` on the label graph, the pairs i < j with p(i, j) > 0,
+    # with the ratio weight(i) / weight(j) = p(j, i) / p(i, j) on every edge
+    ratio = {
+        (i, j): pspec.prob(j, i) / pspec.prob(i, j)
+        for i in range(1, pspec.n + 1)
+        for j in range(i + 1, pspec.n + 1)
+        if pspec.prob(i, j) > 0
+    }
+    pot, cycle, components = label_potentials(pspec.n, ratio)
     return PlainCheckReport(True, None, None, cycle is None, cycle, components == 1, pot)
 
 
 def run_plain_checks(spec: GWSpec) -> Tuple[PlainCheckReport, Optional[PlainSpec]]:
-    """Extraction plus cycle and connectivity checks, collected in a report."""
+    """Extraction plus the checks of `check_plain_spec`, collected in a
+    report."""
     try:
         pspec = extract_plain_spec(spec)
-    except (NotMultinomialError, DegreeDependentParametersError,
-            AsymmetricAdjacencyError) as err:
+    except (NotMultinomialError, DegreeDependentParametersError) as err:
         return PlainCheckReport(False, err.name, err.witness, None, None, None), None
     return check_plain_spec(pspec), pspec
 
@@ -339,10 +330,14 @@ def construct_plain_measure(pspec: PlainSpec,
     """
     if report is None:
         report = check_plain_spec(pspec)
-    if report.violating_cycle is not None:
-        raise ChecksFailedError(f"cycle identity fails along {report.violating_cycle}")
-    if not report.connected:
-        raise ChecksFailedError("label graph is disconnected")
+    if not report.ok():
+        if report.cycles is False:
+            reason = f"cycle identity fails along {report.violating_cycle}"
+        elif report.connected is False:
+            reason = "label graph is disconnected"
+        else:
+            reason = f"{report.multinomial_error}, witness {report.multinomial_witness}"
+        raise ChecksFailedError(reason, report=report)
     pot = report.potentials
     root_dist, _ = normalize({i: pot[i].as_integer_ratio() for i in range(1, pspec.n + 1)})
     laws = {i: _mixtures(pspec, i, (0, 1)) for i in range(1, pspec.n + 1)}

@@ -13,6 +13,7 @@ from gwrev import fileformats as ff
 from gwrev.cli import build_parser, main, parse_args
 from gwrev.constructor import construct_measure
 from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass
+from gwrev.norelabel import PlainSpec, expand_plain_spec
 
 from .conftest import (
     break_condition_i,
@@ -106,6 +107,28 @@ def test_check_plain_spec(capsys, tmp_path):
     assert code == 1
     assert "cycles" in report["failed"]
     assert report["violating_cycle"][0] == report["violating_cycle"][-1]
+
+
+@pytest.mark.parametrize("rows, witness", [
+    (((F(1, 2), F(1, 2)), (F(0), F(1))), [1, 2]),
+    (((F(1), F(0)), (F(1, 2), F(1, 2))), [2, 1]),
+])
+def test_asymmetric_plain_spec_fails_in_either_form(capsys, tmp_path, rows, witness):
+    # the witness (i, j) has p(i, j) > 0 = p(j, i); the direct and the
+    # explicit form give the same report, and construct writes nothing
+    pspec = PlainSpec(n=2, degree_dist={1: {1: F(1)}, 2: {1: F(1)}},
+                      params=dict(enumerate(rows, start=1)))
+    expected = {"mode": "plain", "ok": False, "failed": ["asymmetric-adjacency"],
+                "multinomial": "asymmetric-adjacency", "cycles": "skipped",
+                "connected": "skipped", "witness": witness}
+    out = tmp_path / "measure.json"
+    for name, obj in (("direct", plain_spec_to_obj(pspec)),
+                      ("explicit", spec_to_obj(expand_plain_spec(pspec)))):
+        path = write(tmp_path / f"{name}.json", obj)
+        assert run(capsys, "check", path) == (1, expected)
+        code, report = run(capsys, "construct", path, str(out))
+        assert code == 1 and report["failed"] == ["asymmetric-adjacency"]
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +699,19 @@ def test_main_restores_the_callers_int_str_digit_limit(capsys, tmp_path, spec_pa
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_integer_literal_beyond_the_digit_limit_is_malformed(capsys, tmp_path):
+    # converting a JSON integer literal costs time quadratic in its digits,
+    # and no field can use more than Python's default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    for digits, message in ((4301, "longer than 4300 digits"), (4300, "empty spec")):
+        path = tmp_path / "long.json"
+        path.write_text('{"mode": "pair", "n": 1%s, "offspring": []}' % ("0" * (digits - 1)))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gwrev.constructor as constructor
 from gwrev.checker import MissingOffspringTermError, run_checks, solve_potentials
 from gwrev.constructor import construct_measure, verify_reversibility
 from gwrev.core import (
@@ -14,7 +15,7 @@ from gwrev.core import (
 )
 from gwrev.parametrizer import assemble_measure
 
-from .conftest import A, B, D, break_condition_i, break_condition_ii, two_label_spec
+from .conftest import A, B, D, break_condition_i, break_condition_ii, dense_grid, two_label_spec
 from .oracles import (
     assert_support_consistency,
     balance_violations,
@@ -23,6 +24,7 @@ from .oracles import (
     listed_violations,
     random_admissible_instance,
     random_single_type_law,
+    solve_offspring,
 )
 
 
@@ -209,6 +211,34 @@ def test_verify_reversibility_zero_term_within_one_label():
     assert found == [((1, (1,)), (1, (2,)), F(0), F(1, 2))]
     assert found == listed_violations(mu)
     assert found == fraction_verify_reversibility(mu)
+
+
+def test_verify_forms_flows_only_for_the_pairs_it_lists(monkeypatch):
+    # a K = 10 grid measure with mass moved between two label-1 classes, and
+    # one label-2 class dropped, its mass moved to another: two flows per
+    # violating pair of support classes, one per step out of the support,
+    # none for a pair that balances
+    mu = construct_measure(solve_offspring(*dense_grid(10, seed=1, bits=64)))
+    first = dict(mu.neighbor_dist[1])
+    first[(1, 1)], first[(2, 3)] = first[(1, 1)] * 2, first[(2, 3)] - first[(1, 1)]
+    second = dict(mu.neighbor_dist[2])
+    second[(4, 5)] += second.pop((4, 4))
+    perturbed = RootMeasure(n=2, root_dist=mu.root_dist, neighbor_dist={1: first, 2: second},
+                            descendants=mu.descendants)
+    calls = []
+    exact_flow = constructor.exact_flow
+
+    def counted(measure, source, target):
+        calls.append((source, target))
+        return exact_flow(measure, source, target)
+
+    monkeypatch.setattr(constructor, "exact_flow", counted)
+    found = verify_reversibility(perturbed)
+    monkeypatch.undo()
+    assert found == fraction_verify_reversibility(perturbed)
+    leaks = sum(v.vector not in perturbed.neighbor_dist[v.label] for _, v, _, _ in found)
+    assert 0 < leaks < len(found)
+    assert len(calls) == 2 * (len(found) - leaks) + leaks
 
 
 def test_solve_potentials_missing_offspring_term():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gwrev.core as core
 from gwrev.core import (
     CoordinateUnderflowError,
     GWSpec,
@@ -12,6 +13,7 @@ from gwrev.core import (
     SpecError,
     SupportClass,
     bfs_forest,
+    block_mismatches,
     candidate_support,
     class_forest,
     common_sum,
@@ -218,3 +220,113 @@ def test_over_common_denominator_matches_common_sum():
         assert common == math.lcm(*[den for _, den in terms])
         assert [F(x, common) for x in nums] == [F(num, den) for num, den in terms]
         assert (sum(nums), common) == common_sum(terms)
+
+
+# ---------------------------------------------------------------------------
+# block_mismatches against an all-pairs loop
+# ---------------------------------------------------------------------------
+
+def all_pairs_mismatches(a, b, ka, kb, scale):
+    """Every (u, v) of a x b, u before v when `a is b`, whose keys differ as
+    Fractions, ka[u] * p / q != kb[v], None equal only to None."""
+    p, q = scale
+    out = []
+    for x, (u, key) in enumerate(zip(a, ka)):
+        left = None if key is None else F(key[0] * p, key[1] * q)
+        for y, (v, other) in enumerate(zip(b, kb)):
+            if a is b and y <= x:
+                continue
+            if left != (None if other is None else F(*other)):
+                out.append((u, v))
+    return out
+
+
+def random_keys(rng, size, values, constant):
+    """`size` unreduced keys drawn from `values` (None among them), one
+    value throughout when `constant`."""
+    if constant:
+        values = [rng.choice(values)]
+    out = []
+    for _ in range(size):
+        value = rng.choice(values)
+        m = rng.randint(1, 9)
+        out.append(None if value is None else (value.numerator * m, value.denominator * m))
+    return out
+
+
+def random_block(rng):
+    """(a, b, ka, kb, scale): sides of 1-6 sorted members, keys from a pool
+    of 1-3 values and None, a and b each constant one time in three, and
+    the clique S(i, i) one time in four."""
+    p, q = rng.choice([(1, 1), (3, 3), (2, 5), (7, 4)])
+    pool = [F(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    pool += [None] * rng.randint(0, 1)
+    # the keys of a, scaled by p / q, meet the pool of b
+    a_pool = [None if x is None else x * q / p for x in pool]
+    a = [("u", x) for x in range(rng.randint(1, 6))]
+    ka = random_keys(rng, len(a), a_pool, rng.random() < 1 / 3)
+    if rng.random() < 1 / 4:
+        return a, a, ka, ka, (p, q)
+    b = [("v", y) for y in range(rng.randint(1, 6))]
+    return a, b, ka, random_keys(rng, len(b), pool, rng.random() < 1 / 3), (p, q)
+
+
+def test_block_mismatches_matches_all_pairs():
+    rng = random.Random(24)
+    seen = {"clique": 0, "agree": 0, "mixed": 0, "none": 0}
+    for _ in range(3000):
+        a, b, ka, kb, scale = random_block(rng)
+        expected = all_pairs_mismatches(a, b, ka, kb, scale)
+        assert list(block_mismatches(a, b, ka, kb, scale)) == expected
+        assert next(block_mismatches(a, b, ka, kb, scale), None) == (
+            min(expected) if expected else None)
+        seen["clique"] += a is b
+        seen["agree"] += not expected
+        seen["mixed"] += 0 < len(expected) < len(a) * len(b)
+        seen["none"] += None in ka + kb
+    assert min(seen.values()) > 200, seen
+
+
+def test_block_mismatches_first_pair_is_linear(monkeypatch):
+    # a block that agrees, or its first mismatch, costs at most
+    # |a| + |b| + 1 key comparisons
+    calls = []
+    same_key = core.same_key
+
+    def counted(x, y):
+        calls.append(1)
+        return same_key(x, y)
+
+    monkeypatch.setattr(core, "same_key", counted)
+    rng = random.Random(25)
+    for _ in range(3000):
+        a, b, ka, kb, scale = random_block(rng)
+        calls.clear()
+        next(block_mismatches(a, b, ka, kb, scale), None)
+        assert len(calls) <= len(a) + len(b) + 1
+    # sides of 100 members, the one differing key last in a or in b: an
+    # all-pairs scan would make 9,901 or 100 comparisons
+    a, b = list(range(100)), list(range(100, 200))
+    for ka, kb, first in (([(1, 2)] * 99 + [(1, 3)], [(2, 4)] * 100, (99, 100)),
+                          ([(1, 2)] * 100, [(2, 4)] * 99 + [(1, 3)], (0, 199))):
+        calls.clear()
+        assert next(block_mismatches(a, b, ka, kb, (1, 1))) == first
+        assert len(calls) <= 201
+
+
+def test_block_mismatches_constant_sides():
+    a, b = ["u1", "u2", "u3"], ["v1", "v2"]
+    # both constant and equal under the scale: nothing differs
+    assert list(block_mismatches(a, b, [(1, 2)] * 3, [(3, 1)] * 2, (6, 1))) == []
+    # both constant and unequal: every pair
+    assert list(block_mismatches(a, b, [(1, 2)] * 3, [(3, 1)] * 2, (1, 1))) == [
+        (u, v) for u in a for v in b]
+    # b constant: only the members of a whose key differs
+    assert list(block_mismatches(a, b, [(1, 2), (2, 1), (2, 4)], [(1, 2)] * 2, (1, 1))) == [
+        ("u2", "v1"), ("u2", "v2")]
+    # a constant, b not: every u against the v that differ
+    assert list(block_mismatches(a, b, [None] * 3, [None, (1, 1)], (1, 1))) == [
+        (u, "v2") for u in a]
+    # the clique lists each pair once, u before v
+    assert list(block_mismatches(a, a, [(1, 1), (2, 2), (1, 3)], [(1, 1), (2, 2), (1, 3)],
+                                 (1, 1))) == [("u1", "u3"), ("u2", "u3")]

@@ -8,7 +8,6 @@ from gwrev.checker import label_potentials
 from gwrev.constructor import verify_reversibility
 from gwrev.core import ChecksFailedError, GWSpec, PLAIN, SpecError, degrees
 from gwrev.norelabel import (
-    AsymmetricAdjacencyError,
     DegreeDependentParametersError,
     NotMultinomialError,
     PlainSpec,
@@ -181,8 +180,7 @@ def test_extraction_rejects_asymmetric_adjacency():
         1: {(0, 1): F(1)},
         2: {(0, 2): F(1)},
     })
-    with pytest.raises(AsymmetricAdjacencyError):
-        extract_plain_spec(spec)
+    assert check_plain_spec(extract_plain_spec(spec)).multinomial_witness == (1, 2)
     report, _ = run_plain_checks(spec)
     assert "asymmetric-adjacency" in report.failed_names()
 
@@ -238,8 +236,7 @@ def perturbed_law(rng, dist):
 def outcome(extract, spec):
     try:
         return extract(spec)
-    except (NotMultinomialError, DegreeDependentParametersError,
-            AsymmetricAdjacencyError, SpecError) as err:
+    except (NotMultinomialError, DegreeDependentParametersError, SpecError) as err:
         return type(err), getattr(err, "witness", None), str(err)
 
 
@@ -427,9 +424,13 @@ def test_randomized_plain_measures_balance_exactly():
 def test_plain_spec_validation():
     with pytest.raises(SpecError):
         PlainSpec(n=1, degree_dist={1: {1: F(1, 2)}}, params={1: (F(1),)})
-    with pytest.raises(AsymmetricAdjacencyError):
-        PlainSpec(
-            n=2,
-            degree_dist={1: {1: F(1)}, 2: {1: F(1)}},
-            params={1: (F(0), F(1)), 2: (F(0), F(1))},
-        )
+    asymmetric = PlainSpec(
+        n=2,
+        degree_dist={1: {1: F(1)}, 2: {1: F(1)}},
+        params={1: (F(0), F(1)), 2: (F(0), F(1))},
+    )
+    report = check_plain_spec(asymmetric)
+    assert report.failed_names() == ["asymmetric-adjacency"]
+    assert report.multinomial_witness == (1, 2)
+    with pytest.raises(ChecksFailedError):
+        construct_plain_measure(asymmetric)
