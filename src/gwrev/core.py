@@ -212,19 +212,16 @@ class GWSpec:
 
     def _check_closure(self):
         # Every child type reachable from a stored law must itself have a law.
+        # Label k is a child label of a law when its column is not all 0.
         for key in sorted(self.offspring):
-            dist = self.offspring[key]
             child_of = key[1] if self.mode == PAIR else key
-            for c in dist:
-                for k, ck in enumerate(c, start=1):
-                    if ck == 0:
-                        continue
-                    child_key = (child_of, k) if self.mode == PAIR else k
-                    if child_key not in self.offspring:
-                        raise SpecError(
-                            f"law for {key} produces children of type {child_key}, "
-                            "which has no offspring law"
-                        )
+            for k, column in enumerate(zip(*self.offspring[key]), start=1):
+                child_key = (child_of, k) if self.mode == PAIR else k
+                if child_key not in self.offspring and any(column):
+                    raise SpecError(
+                        f"law for {key} produces children of type {child_key}, "
+                        "which has no offspring law"
+                    )
 
     # -- lookup helpers ----------------------------------------------------
 

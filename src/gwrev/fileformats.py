@@ -5,22 +5,20 @@ canonical: keys sorted, entries in sorted order, reduced fractions, two-space
 indent, trailing newline.  Equal objects therefore serialize to byte-identical
 files.
 
-`canonical_json` is a small recursive writer whose output is byte for byte
-that of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline, which
-with an indent falls back to json's pure-Python encoder.  It writes dicts
-with `str` keys, lists, `str`, `int`, `bool`, `None` and `float` (the last
-three through `json.dumps`, so NaN and Infinity stay as json writes them)
-and raises TypeError on anything else.  It writes the reports on stdout.
-A measure document, the largest and the most often written, has its own
-writer: `measure_json` forms the same text in one pass from the
-`RootMeasure`, with no object tree in between, since the schema fixes
-every key order and indent.  The package writes no other document; the
-spec, template and weights writers of the tests live in `tests/oracles.py`.
+`canonical_json`, which writes the reports on stdout, is
+`json.dumps(obj, sort_keys=True, indent=2)` plus a newline.  A measure
+document, the largest and the most often written, has its own writer:
+`measure_json` forms the same text in one pass from the `RootMeasure`,
+with no object tree in between, since the schema fixes every key order and
+indent.  The package writes no other document; the spec, template and
+weights writers of the tests live in `tests/oracles.py`.
 
 Reading is strict about types: labels, counts, `n`, `d`, `parent`, `child`
-and `type` must be JSON integers, and a probability is a rational string
-or a JSON integer.  A float, a bool or a numeric string in their place is a
-malformed document, never truncated to an integer.
+and `type` must be JSON integers, a probability is a rational string or a
+JSON integer, and a list is a JSON list.  A float, a bool or a numeric
+string in their place is a malformed document, never truncated to an
+integer, and so is a string or an object in place of a list, never read by
+its characters or its keys.
 """
 
 from __future__ import annotations
@@ -60,45 +58,8 @@ def parse_fraction(text) -> Fraction:
         raise SpecError(f"zero denominator in {text!r}") from None
 
 
-_int_repr = int.__repr__
-
-
-def _write(obj, indent: str) -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, `indent`
-    being the newline and the spaces before a closing bracket.  Containers
-    write their str and int members in line, sparing a call per leaf."""
-    kind = type(obj)
-    if kind is list:
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        items = [_quote(x) if type(x) is str else _int_repr(x) if type(x) is int
-                 else _write(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key in sorted(obj):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            x = obj[key]
-            items.append(_quote(key) + ": " + (
-                _quote(x) if type(x) is str else _int_repr(x) if type(x) is int
-                else _write(x, inner)))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return _int_repr(obj)
-    if obj is None or kind is bool or isinstance(obj, float):
-        return json.dumps(obj)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
 def canonical_json(obj) -> str:
-    return _write(obj, "\n") + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _int(value) -> int:
@@ -109,9 +70,17 @@ def _int(value) -> int:
     return value
 
 
+def _list(value) -> list:
+    """A JSON list as it is; TypeError for anything else, a string or an
+    object included, which would be read by its characters or its keys."""
+    if type(value) is not list:
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
 def _ints(values) -> tuple:
     """A list of JSON integers as a tuple, each checked by `_int`."""
-    return tuple(map(_int, values))
+    return tuple(map(_int, _list(values)))
 
 
 def _unique(pairs, what: str) -> dict:
@@ -180,15 +149,15 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
     if mode == PLAIN and "degree_dist" in obj:
         degree_dist: Dict[int, Dict[int, Fraction]] = _unique((
             (_int(entry["type"]),
-             _unique(((_int(e["d"]), parse_fraction(e["p"])) for e in entry["dist"]),
+             _unique(((_int(e["d"]), parse_fraction(e["p"])) for e in _list(entry["dist"])),
                      f"degree in the law of type {entry['type']}:"))
-            for entry in obj["degree_dist"]
+            for entry in _list(obj["degree_dist"])
         ), "degree_dist entry for type")
-        params_rows = obj["params"]
+        params_rows = _list(obj["params"])
         if len(params_rows) != n:
             raise SpecError("params matrix must have n rows")
         params = {
-            i + 1: tuple(parse_fraction(p) for p in row)
+            i + 1: tuple(parse_fraction(p) for p in _list(row))
             for i, row in enumerate(params_rows)
         }
         return PlainSpec(n=n, degree_dist=degree_dist, params=params)
@@ -199,7 +168,8 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
         return _int(entry["type"])
 
     offspring = _unique((
-        (key(entry), _obj_to_dist(entry["dist"], n)) for entry in obj.get("offspring", [])
+        (key(entry), _obj_to_dist(entry["dist"], n))
+        for entry in _list(obj.get("offspring", []))
     ), "offspring entry for")
     return GWSpec(n=n, mode=mode, offspring=offspring)
 
@@ -288,10 +258,11 @@ def obj_to_measure(obj) -> RootMeasure:
     n = descendants.n
     try:
         root_dist = _unique((
-            (_int(e["label"]), parse_fraction(e["p"])) for e in obj.get("root", [])
+            (_int(e["label"]), parse_fraction(e["p"])) for e in _list(obj.get("root", []))
         ), "root entry for label")
         neighbor_dist = _unique((
-            (_int(e["label"]), _obj_to_dist(e["dist"], n)) for e in obj.get("neighbors", [])
+            (_int(e["label"]), _obj_to_dist(e["dist"], n))
+            for e in _list(obj.get("neighbors", []))
         ), "neighbors entry for label")
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad measure document: {err}") from None
@@ -309,7 +280,7 @@ def obj_to_template(obj) -> SupportTemplate:
         n = _int(obj["n"])
         classes = tuple(
             SupportClass(_int(e["label"]), _ints(e["c"]))
-            for e in obj["classes"]
+            for e in _list(obj["classes"])
         )
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad template document: {err}") from None
@@ -321,7 +292,7 @@ def obj_to_weights(obj) -> Weights:
         return _unique((
             (SupportClass(_int(e["label"]), _ints(e["c"])),
              parse_fraction(e["p"]))
-            for e in obj["weights"]
+            for e in _list(obj["weights"])
         ), "weight for class")
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad weights document: {err}") from None

@@ -489,6 +489,63 @@ def fraction_verify_reversibility(measure: RootMeasure) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# The theorem at depth 1, by linear algebra
+# ---------------------------------------------------------------------------
+
+def kernel_basis(rows: List[List[Fraction]], width: int) -> List[List[Fraction]]:
+    """A basis of {w : row . w = 0 for every row}, by Gauss-Jordan
+    elimination over Fractions: one vector per free column, 1 there and 0
+    at the other free columns."""
+    rows = [list(row) for row in rows]
+    pivots: List[int] = []
+    for col in range(width):
+        r = len(pivots)
+        lead = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if lead is None:
+            continue
+        rows[r], rows[lead] = rows[lead], rows[r]
+        pivot = rows[r][col]
+        rows[r] = [x / pivot for x in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[col]:
+                factor = row[col]
+                rows[k] = [x - factor * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(width) if col not in pivots):
+        w = [Fraction(0)] * width
+        w[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            w[col] = -row[free]
+        basis.append(w)
+    return basis
+
+
+def depth_one_kernel(spec: GWSpec) -> Tuple[List[SupportClass], List[List[Fraction]]]:
+    """The candidate classes of a pair spec and a basis of the class weights
+    w that balance every one-step flow: for every adjacent pair u = (i, c),
+    v = (j, d) (c_j > 0, d_i > 0), w(u) p(i,j)(d - e_i) c_j / |c| =
+    w(v) p(j,i)(c - e_j) d_i / |d|, the two flows of `core.exact_flow`.
+
+    No ratio, potential or spanning tree is formed, so the kernel decides
+    on its own whether a reversible measure exists, and whether it is
+    unique."""
+    classes = sorted(SupportClass(i, c) for i in range(1, spec.n + 1)
+                     for c in candidate_support(spec, i))
+    column = {u: k for k, u in enumerate(classes)}
+    rows = []
+    for u, v in itertools.combinations(classes, 2):
+        (i, c), (j, d) = u, v
+        if c[j - 1] and d[i - 1]:
+            row = [Fraction(0)] * len(classes)
+            row[column[u]] = spec.pair_prob(i, j, decrement(d, i)) * Fraction(c[j - 1], total(c))
+            row[column[v]] = -spec.pair_prob(j, i, decrement(c, j)) * Fraction(d[i - 1], total(d))
+            if any(row):
+                rows.append(row)
+    return classes, kernel_basis(rows, len(classes))
+
+
+# ---------------------------------------------------------------------------
 # Normalizations in Fractions: the references of `parametrizer._forced_laws`
 # and `constructor._normalize`, which sum in integers over one common
 # denominator

@@ -131,6 +131,24 @@ def test_asymmetric_plain_spec_fails_in_either_form(capsys, tmp_path, rows, witn
         assert not out.exists()
 
 
+@pytest.mark.parametrize("n, params", [
+    (1, "1"),  # read character by character
+    (1, [{"1": 0}]),  # read by its keys
+    (2, ["10", "01"]),  # read as the identity matrix
+])
+@pytest.mark.parametrize("command", ["check", "construct"])
+def test_plain_params_must_be_a_list_of_lists(capsys, tmp_path, n, params, command):
+    obj = {"n": n, "mode": "plain", "params": params,
+           "degree_dist": [{"type": i, "dist": [{"d": 1, "p": "1"}]} for i in range(1, n + 1)]}
+    out = tmp_path / "measure.json"
+    argv = [command, write(tmp_path / "plain.json", obj)]
+    code = main(argv + [str(out)] if command == "construct" else argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "error: bad spec document: " in captured.err and "is not a list" in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------

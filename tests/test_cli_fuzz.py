@@ -196,18 +196,9 @@ DOCUMENTS = [("check", obj) for obj in SPECS] + [
     ("verify", MEASURE), ("parametrize", TEMPLATE), ("parametrize", WEIGHTS)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.data())
-def test_retyped_number_is_malformed(data):
-    # one integer or rational string of a valid document replaced by a float,
-    # a bool or a numeric string: exit 2, never a truncated reading
-    command, doc = data.draw(st.sampled_from(DOCUMENTS))
-    path = data.draw(st.sampled_from(list(int_and_rational_leaves(doc))))
-    doc = copy.deepcopy(doc)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = retyped(data, node[path[-1]])
+def document_status(command, doc):
+    """The exit status and stdout of `command` on the document, the other
+    parametrize input being the valid one."""
     inputs = {"template.json": TEMPLATE, "weights.json": WEIGHTS}
     if command == "parametrize":
         name = "template.json" if "classes" in doc else "weights.json"
@@ -222,10 +213,63 @@ def test_retyped_number_is_malformed(data):
             for file, obj in inputs.items():
                 with open(file, "w") as fh:
                     json.dump(obj, fh)
-            code, out = exit_status(argv)
+            return exit_status(argv)
         finally:
             os.chdir(here)
-    assert (code, out) == (2, ""), (argv, path, node[path[-1]])
+
+
+def replaced(doc, path, value):
+    """A deep copy of the document with the node at `path` replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_retyped_number_is_malformed(data):
+    # one integer or rational string of a valid document replaced by a float,
+    # a bool or a numeric string: exit 2, never a truncated reading
+    command, doc = data.draw(st.sampled_from(DOCUMENTS))
+    path = data.draw(st.sampled_from(list(int_and_rational_leaves(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    value = retyped(data, node[path[-1]])
+    assert document_status(command, replaced(doc, path, value)) == (2, ""), (
+        command, path, value)
+
+
+def list_nodes(node, path=()):
+    """Paths of the lists of a document."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from list_nodes(node[key], path + (key,))
+    elif isinstance(node, list):
+        yield path
+        for k, item in enumerate(node):
+            yield from list_nodes(item, path + (k,))
+
+
+# strings and objects that iterate like a list of labels, counts or
+# rationals: digit strings read character by character, objects by their keys
+NOT_A_LIST = st.sampled_from(["", "x", "1", "10", "100", "010", "001", "1/2",
+                              {}, {"1": 0}, {"0": 0, "1": 0}, {"c": [1, 1], "p": "1"}])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_list_replaced_by_a_string_or_an_object_is_malformed(data):
+    # one list of a valid document, however deep, replaced by a string or an
+    # object: exit 2, never a reading of its characters or keys
+    command, doc = data.draw(st.sampled_from(DOCUMENTS))
+    path = data.draw(st.sampled_from(list(list_nodes(doc))))
+    value = copy.deepcopy(data.draw(NOT_A_LIST))
+    assert document_status(command, replaced(doc, path, value)) == (2, ""), (
+        command, path, value)
 
 
 # graph documents for `cover`: a few connected graphs, line by line

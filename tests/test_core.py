@@ -10,6 +10,7 @@ from gwrev.core import (
     GWSpec,
     InvalidDistributionError,
     PAIR,
+    PLAIN,
     SpecError,
     SupportClass,
     bfs_forest,
@@ -125,6 +126,16 @@ def test_spec_validation_catches_missing_child_law():
         GWSpec(n=2, mode=PAIR, offspring={
             (1, 1): {(0, 1): F(1)},  # produces (1, 2) children, no law
         })
+
+
+@pytest.mark.parametrize("mode, key, witness", [(PAIR, (1, 1), (1, 2)), (PLAIN, 1, 2)])
+def test_missing_child_law_witness_is_the_least_missing_label(mode, key, witness):
+    # the law lists its entry with label-3 children first; the witness is
+    # still label 2, the least child label without a law
+    with pytest.raises(SpecError) as error:
+        GWSpec(n=3, mode=mode, offspring={key: {(0, 0, 1): F(1, 2), (0, 1, 0): F(1, 2)}})
+    assert str(error.value) == (f"law for {key} produces children of type {witness}, "
+                                "which has no offspring law")
 
 
 def test_spec_validation_catches_bad_mode_and_empty():

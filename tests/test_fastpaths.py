@@ -40,6 +40,7 @@ from .conftest import break_condition_i, break_condition_ii, dense_grid, two_lab
 from .oracles import (
     build_balance_graph,
     cycle_identity_product,
+    depth_one_kernel,
     every_source_reachability,
     every_visit_condition_i,
     first_visit_condition_i,
@@ -62,6 +63,8 @@ from .oracles import (
 )
 
 CORPUS = 600
+# templates whose specs and variants go through the depth-1 kernel
+DEPTH_ONE_CORPUS = 200
 
 
 def corpus(seed):
@@ -208,6 +211,41 @@ def test_strong_connectivity_matches_all_sources_reachability():
             cut += s is not spec and not verdict[0] and check_strong_connectivity(spec)[0]
     assert CORPUS // 10 < failed < 2 * CORPUS
     assert cut > 10
+
+
+def test_depth_one_flow_equations_decide_the_theorem():
+    # one unknown weight per candidate class, one equation per adjacent
+    # pair, no ratio and no spanning tree: conditions i and ii with a
+    # connected support hold exactly when the kernel is one-dimensional and
+    # spanned by a positive vector, and that vector, normalized, is the
+    # class masses `construct_measure` gives
+    rng = random.Random(11)
+    grid = solve_offspring(*dense_grid(3, seed=3))
+    # two labels that never meet: conditions i and ii hold on two components
+    apart = GWSpec(n=2, mode=PAIR, offspring={(1, 1): {(1, 0): F(1)}, (2, 2): {(0, 1): F(1)}})
+    specs = [two_label_spec(), break_condition_i(two_label_spec()),
+             break_condition_ii(two_label_spec()), grid, dropped_entry(rng, grid), apart]
+    for _, _, spec in itertools.islice(corpus(11), DEPTH_ONE_CORPUS):
+        specs += [spec, dropped_entry(rng, spec), added_entry(rng, spec), reweighted(rng, spec)]
+    specs = [s for s in specs if s is not None]
+    holding = built = 0
+    dimensions = set()
+    for s in specs:
+        report = run_checks(s)
+        classes, basis = depth_one_kernel(s)
+        holds = (report.condition_i and report.condition_ii is True
+                 and report.connected_support is True)
+        assert holds == (len(basis) == 1 and all(w > 0 for w in basis[0])), s
+        holding += holds
+        dimensions.add(len(basis))
+        if report.ok():
+            measure = construct_measure(s, report)
+            mass = sum(basis[0])
+            assert [w / mass for w in basis[0]] == [measure.class_prob(u) for u in classes]
+            built += 1
+    assert len(specs) // 5 < holding < len(specs) - len(specs) // 5
+    assert built > len(specs) // 5
+    assert dimensions == {0, 1, 2}
 
 
 def perturbed(rng, measure):
