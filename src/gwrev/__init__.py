@@ -31,7 +31,6 @@ from .core import (
 )
 from .checker import (
     CheckReport,
-    check_condition_i,
     check_strong_connectivity,
     label_potentials,
     run_checks,

@@ -80,11 +80,9 @@ def check_strong_connectivity(spec: GWSpec) -> Tuple[bool, Optional[Tuple[PairKe
     succ: Dict[PairKey, List[PairKey]] = {key: [] for key in keys}
     pred: Dict[PairKey, List[PairKey]] = {key: [] for key in keys}
     for (i, j) in keys:
-        # label k is a child label of the law when its column is not all 0
-        for k, column in enumerate(zip(*spec.offspring[(i, j)]), start=1):
-            if any(column):
-                succ[(i, j)].append((j, k))
-                pred[(j, k)].append((i, j))
+        for k in spec.child_labels[(i, j)]:
+            succ[(i, j)].append((j, k))
+            pred[(j, k)].append((i, j))
     first = keys[0]
     for edges in (succ, pred):
         _, seen = bfs_forest([first], edges.__getitem__)
@@ -130,7 +128,11 @@ def factor_table(spec: GWSpec) -> tuple:
 
 
 def _condition_i(table: tuple) -> Tuple[bool, Optional[Tuple[int, int, int, Vector]]]:
-    """`check_condition_i` read off a built table."""
+    """Condition i read off a built table: (True, None), or (False,
+    (i, j, k, c)) for the first violation of a loop over the laws (j, i) in
+    (i, j) order and their sorted entries e, c = e + e_j, k the least label
+    c lacks a term for: over the classes with a missing entry, the least
+    (i, j, c - e_j), j the least label whose entry is present."""
     *_, inv, absent = table
     firsts = []
     for u, k in absent.items():
@@ -140,19 +142,6 @@ def _condition_i(table: tuple) -> Tuple[bool, Optional[Tuple[int, int, int, Vect
     # for a fixed j, c - e_j orders as c does
     witness = min(firsts, key=lambda w: (w[0], w[1], w[3]), default=None)
     return witness is None, witness
-
-
-def check_condition_i(spec: GWSpec) -> Tuple[bool, Optional[Tuple[int, int, int, Vector]]]:
-    """For every class vector c forced into F_i by neighbor label j, every
-    other positive coordinate k of c must carry positive mass as well.
-
-    Returns (True, None) or (False, (i, j, k, c)) for the first violation of
-    a loop over the laws (j, i) in (i, j) order and their sorted entries e,
-    c = e + e_j, k the least label c lacks a term for: over the classes with
-    a missing `factor_table` entry, the least (i, j, c - e_j), j the least
-    label whose entry is present.
-    """
-    return _condition_i(factor_table(spec))
 
 
 # ---------------------------------------------------------------------------

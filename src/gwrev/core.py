@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
 from typing import (
     Callable, Collection, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
     Sequence, Tuple, Union,
@@ -154,6 +155,12 @@ def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0
             f"probabilities sum to {sum(dist.values(), ZERO)}, expected 1")
 
 
+def child_labels(law: Iterable[Vector]) -> Tuple[int, ...]:
+    """The labels k with c_k > 0 in some vector c of the law, ascending:
+    those whose column of the law's vectors is not all 0."""
+    return tuple(compress(count(1), map(any, zip(*law))))
+
+
 # ---------------------------------------------------------------------------
 # Support classes
 # ---------------------------------------------------------------------------
@@ -188,6 +195,8 @@ class GWSpec:
     n: int
     mode: str
     offspring: Dict[SpecKey, Dist]
+    # `child_labels` of each law, read once in __post_init__
+    child_labels: Dict[SpecKey, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -208,16 +217,16 @@ class GWSpec:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise SpecError(f"key {key!r} outside [1, {self.n}]")
             validate_dist(dist, self.n)
+        self.child_labels = {key: child_labels(dist) for key, dist in self.offspring.items()}
         self._check_closure()
 
     def _check_closure(self):
         # Every child type reachable from a stored law must itself have a law.
-        # Label k is a child label of a law when its column is not all 0.
         for key in sorted(self.offspring):
             child_of = key[1] if self.mode == PAIR else key
-            for k, column in enumerate(zip(*self.offspring[key]), start=1):
+            for k in self.child_labels[key]:
                 child_key = (child_of, k) if self.mode == PAIR else k
-                if child_key not in self.offspring and any(column):
+                if child_key not in self.offspring:
                     raise SpecError(
                         f"law for {key} produces children of type {child_key}, "
                         "which has no offspring law"
@@ -298,17 +307,21 @@ def class_forest(classes: Sequence[SupportClass]):
     """`bfs_forest` on the class graph, started from `classes` in order.
 
     Returns (side, order, parent) with side = class_sides(classes).  The
-    neighbours of (i, c) are the sides S(j, i) for c_j > 0; each side is
-    scanned once, after which all of it is discovered, so the walk is
-    O(N * n) for N classes and n labels."""
+    neighbours of (i, c) are the sides S(j, i) for c_j > 0, read off the
+    side index: the labels j with S(j, i) non-empty, ascending, kept where
+    c_j > 0.  Each side is scanned once, after which all of it is
+    discovered, so the walk is O(N * n) for N classes and n labels."""
     side = class_sides(classes)
+    facing: Dict[int, List[int]] = {}
+    for j, i in sorted(side):
+        facing.setdefault(i, []).append(j)
     scanned = set()
 
     def neighbours(u: SupportClass) -> List[SupportClass]:
         out: List[SupportClass] = []
-        for j, cj in enumerate(u.vector, start=1):
+        for j in facing.get(u.label, ()):
             key = (j, u.label)
-            if cj > 0 and key not in scanned and key in side:
+            if u.vector[j - 1] > 0 and key not in scanned:
                 scanned.add(key)
                 out += side[key]
         return out
@@ -349,8 +362,8 @@ class RootMeasure:
             # the root always has at least one neighbor
             validate_dist(dist, self.n, min_total=1)
             # and each neighbor's subtree needs a law to be sampled from
-            for j, column in enumerate(zip(*dist), start=1):
-                if any(column) and not self.descendants.offspring_law(i, j):
+            for j in child_labels(dist):
+                if not self.descendants.offspring_law(i, j):
                     raise SpecError(
                         f"label-{i} roots have label-{j} neighbors, but a label-{j} "
                         f"vertex with a label-{i} parent has no offspring law"

@@ -37,6 +37,7 @@ from .core import (
     decrement,
     normalize,
 )
+from .fileformats import default_int_limit
 
 
 class GraphTooLargeError(GwrevError):
@@ -104,9 +105,10 @@ class FiniteGraph:
 
 
 def load_graph(path) -> FiniteGraph:
-    """Read an undirected edge list: one `u v` pair per line, `#` comments."""
+    """Read an undirected edge list: one `u v` pair per line, `#` comments.
+    Vertex ids are converted under `fileformats.default_int_limit`."""
     edges = []
-    with open(path) as fh:
+    with open(path) as fh, default_int_limit():
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:

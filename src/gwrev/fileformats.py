@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Union
@@ -53,9 +54,39 @@ def parse_fraction(text) -> Fraction:
             slash and not den.isdecimal()):
         raise SpecError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(int(num), int(den or 1))
+        if len(text) <= _DIGITS_CUTOFF:
+            return Fraction(int(num), int(den or 1))
+        return Fraction(_decimal(num), _decimal(den or "1"))
     except ZeroDivisionError:
         raise SpecError(f"zero denominator in {text!r}") from None
+
+
+# the longest run of digits converted with one int()
+_DIGITS_CUTOFF = 2048
+
+
+def _decimal(text: str) -> int:
+    """int(text) for a run of decimal digits with an optional minus sign,
+    refused by the int <-> str limit as int() refuses it, in time
+    sub-quadratic in its length: `int()` is quadratic, so a longer run is
+    split in half, each half converted the same way, and the two joined as
+    hi * 10^k + lo, each power of ten formed once per call."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if len(text) <= _DIGITS_CUTOFF or 0 < limit < len(text):
+        return int(text)
+    if text[0] == "-":
+        return -_decimal(text[1:])
+    powers: Dict[int, int] = {}
+
+    def convert(run: str) -> int:
+        if len(run) <= _DIGITS_CUTOFF:
+            return int(run)
+        k = len(run) // 2
+        if k not in powers:
+            powers[k] = 10 ** k
+        return convert(run[:-k]) * powers[k] + convert(run[-k:])
+
+    return convert(text)
 
 
 def canonical_json(obj) -> str:
@@ -379,28 +410,38 @@ def parse_class_selector(text: str) -> SupportClass:
     )
 
 
-def load_json(path):
-    """The JSON document at `path`, parsed under Python's default int <-> str
-    limit of 4,300 digits where Python has one: no field can use a longer
-    integer literal, and converting one costs time quadratic in its digits,
-    so it is malformed, as is a document nested too deeply to parse.
-    Rational strings keep any length."""
-    with open(path) as fh:
-        text = fh.read()
+@contextmanager
+def default_int_limit():
+    """Python's default int <-> str limit of 4,300 digits, where Python has
+    one, for the block, and the caller's limit restored after it: no
+    integer an input can use is longer, and converting a longer one costs
+    time quadratic in its digits, so `int()` refuses it before converting
+    it, with a ValueError."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(4300)
     try:
-        return json.loads(text)
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def load_json(path):
+    """The JSON document at `path`, parsed under `default_int_limit`: a
+    longer integer literal is malformed, as is a document nested too deeply
+    to parse.  Rational strings keep any length."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        with default_int_limit():
+            return json.loads(text)
     except RecursionError:
         raise SpecError(f"{path}: JSON nested too deeply to parse") from None
     except json.JSONDecodeError:
         raise
     except ValueError:
         raise SpecError(f"{path}: JSON integer literal longer than 4300 digits") from None
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def save_json(path, text: str) -> None:

@@ -11,14 +11,16 @@ turns the label potentials into the root weights.
 
 The multinomial law is written once, in integers over the row's common
 denominator b, p_k = a_k / b: `_numerator` is N(c) = |c|! * prod a_k^c_k /
-prod c_k!, so that c has probability N(c) / b^|c|.  `_numerators` is one
-degree's table of them, and `_mixtures` a label's degree mixtures: each
-degree d of weight u / v spread over the table of degree d for the
-offspring law and d + 1 for the root's neighbors, each value the one
-Fraction u * N(c) / (v * b^D).  A label builds each degree's table once and
-both laws read it.  Extraction scales each degree's entries and row once
-and checks each listed entry against N(c) / b^d in integers, so its cost
-follows the entries a law lists, not the size of the expansion.
+prod c_k!, so that c has probability N(c) / b^|c|; it is formed from
+binomials, so its cost follows the size of N(c), not that of |c|!.
+`_numerators` is one degree's table of them, and `_mixtures` a label's
+degree mixtures: each degree d of weight u / v spread over the table of
+degree d for the offspring law and d + 1 for the root's neighbors, each
+value the one Fraction u * N(c) / (v * b^D).  A label builds each
+degree's table once and both laws read it.  Extraction scales each
+degree's entries and row once and checks each listed entry against
+N(c) / b^d in integers, so its cost follows the entries a law lists, not
+the size of the expansion.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ class PlainSpec:
     params: Dict[int, Tuple[Fraction, ...]]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise SpecError("n must be >= 1")
         if sorted(self.degree_dist) != list(range(1, self.n + 1)):
             raise SpecError("degree distributions must cover every label")
         if sorted(self.params) != list(range(1, self.n + 1)):
@@ -122,12 +126,13 @@ class PlainSpec:
 
 def _numerator(c: Vector, a: List[int]) -> int:
     """N(c) = |c|! * prod a_k^c_k / prod c_k!, the multinomial probability of
-    the count vector c times b^|c|.  Each division is exact: the quotient
-    after the k-th is a multinomial coefficient times integer powers."""
-    num = math.factorial(total(c))
+    the count vector c times b^|c|, formed with no factorial as
+    prod C(s_k, c_k) * a_k^c_k for the running sums s_k = c_1 + ... + c_k."""
+    num, s = 1, 0
     for ck, ak in zip(c, a):
         if ck:
-            num = num * ak ** ck // math.factorial(ck)
+            s += ck
+            num *= math.comb(s, ck) * ak ** ck
     return num
 
 
@@ -243,16 +248,6 @@ def check_plain_cycles(pspec: PlainSpec) -> Tuple[bool, Optional[List[int]]]:
     """
     report = check_plain_spec(pspec)
     return report.cycles is True, report.violating_cycle
-
-
-def plain_cycle_product(pspec: PlainSpec, cycle: List[int]) -> Fraction:
-    """Replay a closed label walk: product of p(i, j) / p(j, i) steps."""
-    if cycle[0] != cycle[-1]:
-        raise ValueError("cycle must start and end at the same label")
-    prod = Fraction(1)
-    for i, j in zip(cycle, cycle[1:]):
-        prod *= pspec.prob(i, j) / pspec.prob(j, i)
-    return prod
 
 
 @dataclass

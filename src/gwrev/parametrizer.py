@@ -117,13 +117,11 @@ def validate_template(template: SupportTemplate) -> Tuple[bool, Optional[str]]:
         if i not in seen:
             return False, f"support_symmetry: label {i} has no class"
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if ((i, j) in side) != ((j, i) in side):
-                return False, (
-                    f"support_symmetry: labels ({i}, {j}) are adjacent from one "
-                    "side only"
-                )
+    # a side S(i, j) with no S(j, i) makes both (i, j) and (j, i) one-sided
+    one_sided = [min(key, key[::-1]) for key in side if key[::-1] not in side]
+    if one_sided:
+        i, j = min(one_sided)
+        return False, f"support_symmetry: labels ({i}, {j}) are adjacent from one side only"
 
     # Chain connectivity: classes u, v can be tree neighbors when u's vector
     # counts v's label and vice versa; every label pair must be bridged by a

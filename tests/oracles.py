@@ -656,8 +656,119 @@ def every_source_reachability(spec: GWSpec):
     return True, None
 
 
+# ---------------------------------------------------------------------------
+# Label reads as first written: every column of a law and every coordinate
+# of a class scanned where it is read
+# ---------------------------------------------------------------------------
+
+def column_child_labels(law) -> tuple:
+    """`core.child_labels` as a column scan: label k when the k-th column
+    of the law's vectors is not all 0."""
+    return tuple(k for k, column in enumerate(zip(*law), start=1) if any(column))
+
+
+def column_closure_error(n: int, mode: str, offspring) -> Optional[str]:
+    """The message of `GWSpec`'s closure check, scanning every column of
+    every law in sorted key order, or None when every child type has a
+    law."""
+    for key in sorted(offspring):
+        child_of = key[1] if mode == PAIR else key
+        for k, column in enumerate(zip(*offspring[key]), start=1):
+            child_key = (child_of, k) if mode == PAIR else k
+            if child_key not in offspring and any(column):
+                return (f"law for {key} produces children of type {child_key}, "
+                        "which has no offspring law")
+    return None
+
+
+def column_strong_connectivity(spec: GWSpec):
+    """`checker.check_strong_connectivity` with each law's type edges read
+    off its columns."""
+    keys = sorted(spec.offspring)
+    succ = {key: [] for key in keys}
+    pred = {key: [] for key in keys}
+    for (i, j) in keys:
+        for k, column in enumerate(zip(*spec.offspring[(i, j)]), start=1):
+            if any(column):
+                succ[(i, j)].append((j, k))
+                pred[(j, k)].append((i, j))
+    first = keys[0]
+    for edges in (succ, pred):
+        _, seen = bfs_forest([first], edges.__getitem__)
+        missed = next((key for key in keys if key not in seen), None)
+        if missed is not None:
+            return False, (first, missed) if edges is succ else (missed, first)
+    return True, None
+
+
+def column_root_law_error(neighbor_dist, descendants: GWSpec) -> Optional[str]:
+    """The message of `RootMeasure`'s root-law check, scanning every column
+    of every neighbor law, or None when each neighbor has a law."""
+    for i, dist in neighbor_dist.items():
+        for j, column in enumerate(zip(*dist), start=1):
+            if any(column) and not descendants.offspring_law(i, j):
+                return (f"label-{i} roots have label-{j} neighbors, but a label-{j} "
+                        f"vertex with a label-{i} parent has no offspring law")
+    return None
+
+
+def scan_class_forest(classes):
+    """`core.class_forest` with the sides built and each class's neighbours
+    found by scanning all n coordinates of its vector."""
+    side = {}
+    for u in classes:
+        for j, cj in enumerate(u.vector, start=1):
+            if cj > 0:
+                side.setdefault((u.label, j), []).append(u)
+    scanned = set()
+
+    def neighbours(u):
+        out = []
+        for j, cj in enumerate(u.vector, start=1):
+            key = (j, u.label)
+            if cj > 0 and key not in scanned and key in side:
+                scanned.add(key)
+                out += side[key]
+        return out
+
+    order, parent = bfs_forest(classes, neighbours)
+    return side, order, parent
+
+
+def pairwise_symmetry_reason(template: SupportTemplate) -> Optional[str]:
+    """The support-symmetry reason of `validate_template`, from a loop over
+    all n^2 label pairs, or None when support symmetry holds."""
+    sides = {(cls.label, j) for cls in template.classes
+             for j, cj in enumerate(cls.vector, start=1) if cj > 0}
+    for i in range(1, template.n + 1):
+        if all(cls.label != i for cls in template.classes):
+            return f"support_symmetry: label {i} has no class"
+    for i in range(1, template.n + 1):
+        for j in range(1, template.n + 1):
+            if ((i, j) in sides) != ((j, i) in sides):
+                return (f"support_symmetry: labels ({i}, {j}) are adjacent from one "
+                        "side only")
+    return None
+
+
+def dropped_entry(rng, spec):
+    """Copy of the spec with one entry of a law of two or more entries
+    dropped and the rest reweighted at random: a class that entry forced
+    loses its mass, so condition i may fail; None when no law has two."""
+    keys = [key for key in sorted(spec.offspring) if len(spec.offspring[key]) > 1]
+    if not keys:
+        return None
+    offspring = dict(spec.offspring)
+    key = rng.choice(keys)
+    kept = sorted(offspring[key])
+    kept.remove(rng.choice(kept))
+    raw = {c: rng.randint(1, 9) for c in kept}
+    offspring[key] = {c: Fraction(r, sum(raw.values())) for c, r in raw.items()}
+    return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
+
+
 def first_visit_condition_i(spec: GWSpec):
-    """`checker.check_condition_i` as a loop over the laws: the stored keys
+    """Condition i (`checker._condition_i`) as a loop over the laws: the stored keys
     (j, i) in (i, j) order, their sorted entries e, c = e + e_j, each class
     (i, c) checked at its first visit, every positive coordinate k of c
     looked up with `pair_prob`."""
@@ -675,7 +786,7 @@ def first_visit_condition_i(spec: GWSpec):
 
 
 def every_visit_condition_i(spec: GWSpec):
-    """`checker.check_condition_i` as a loop that re-checks a class (i, c)
+    """Condition i (`checker._condition_i`) as a loop that re-checks a class (i, c)
     at every neighbor label j that forces it, each time over all of c's
     positive coordinates."""
     for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
@@ -760,6 +871,26 @@ def conditional_by_degree(dist):
         d: {c: p / sum(sub.values()) for c, p in sub.items()}
         for d, sub in grouped.items()
     }
+
+
+def plain_cycle_product(pspec: PlainSpec, cycle: List[int]) -> Fraction:
+    """Replay a closed label walk: product of p(i, j) / p(j, i) steps."""
+    if cycle[0] != cycle[-1]:
+        raise ValueError("cycle must start and end at the same label")
+    prod = Fraction(1)
+    for i, j in zip(cycle, cycle[1:]):
+        prod *= pspec.prob(i, j) / pspec.prob(j, i)
+    return prod
+
+
+def factorial_numerator(c: Vector, a: List[int]) -> int:
+    """`norelabel._numerator` as first written: |c|! * prod a_k^c_k /
+    prod c_k!, dividing by each c_k! in turn (each division is exact)."""
+    num = math.factorial(total(c))
+    for ck, ak in zip(c, a):
+        if ck:
+            num = num * ak ** ck // math.factorial(ck)
+    return num
 
 
 def multinomial_pmf_oracle(c, params) -> Fraction:
@@ -913,13 +1044,16 @@ def random_assembled_instance(rng: random.Random, n: int, max_classes: int = 6):
 
 def random_admissible_instance(rng: random.Random, n: int, max_classes: int = 6):
     """Rejection-sample a (template, weights) pair whose solved offspring
-    laws pass every admissibility check, so the constructor accepts them."""
+    laws pass every admissibility check, so the constructor accepts them.
+    A dozen draws suffice in practice; a checker that never passes fails
+    after 1,000 instead of looping."""
     from gwrev.checker import run_checks
 
-    while True:
+    for _ in range(1000):
         template, weights, measure = random_assembled_instance(rng, n, max_classes)
         if run_checks(measure.descendants).ok():
             return template, weights
+    raise AssertionError(f"no admissible instance on {n} labels in 1,000 draws")
 
 
 def random_template_weights(rng: random.Random, template: SupportTemplate):

@@ -5,7 +5,6 @@ import pytest
 
 from gwrev import checker
 from gwrev.checker import (
-    check_condition_i,
     check_strong_connectivity,
     labels_realized,
     run_checks,
@@ -64,21 +63,26 @@ def test_strong_connectivity_two_components():
 # Condition i
 # ---------------------------------------------------------------------------
 
+def condition_i(spec):
+    report = run_checks(spec)
+    return report.condition_i, report.condition_i_counterexample
+
+
 def test_condition_i_on_worked_instance(pair_spec):
-    ok, counterexample = check_condition_i(pair_spec)
+    ok, counterexample = condition_i(pair_spec)
     assert ok and counterexample is None
 
 
 def test_condition_i_counterexample(pair_spec):
     broken = break_condition_i(pair_spec)
-    ok, counterexample = check_condition_i(broken)
+    ok, counterexample = condition_i(broken)
     assert not ok
     assert counterexample == (1, 1, 2, (1, 1))
 
 
 def test_condition_i_point_masses_pass():
     spec = GWSpec(n=1, mode=PAIR, offspring={(1, 1): {(2,): F(1)}})
-    ok, _ = check_condition_i(spec)
+    ok, _ = condition_i(spec)
     assert ok
 
 

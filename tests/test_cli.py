@@ -732,6 +732,22 @@ def test_integer_literal_beyond_the_digit_limit_is_malformed(capsys, tmp_path):
         assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("command", ["check", "construct"])
+@pytest.mark.parametrize("doc", [
+    {"mode": "plain", "n": 0, "degree_dist": [], "params": []},
+    {"mode": "plain", "n": 0, "offspring": []},
+    {"mode": "pair", "n": 0, "offspring": []},
+])
+def test_spec_with_no_labels_is_malformed(capsys, tmp_path, command, doc):
+    # every spec form needs n >= 1, the direct plain form included
+    out = tmp_path / "m.json"
+    argv = [command, write(tmp_path / "spec.json", doc)]
+    assert main(argv + [str(out)] if command == "construct" else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_rejects_nonpositive_trials(capsys, tmp_path, spec_path, trials):
     out = tmp_path / "measure.json"

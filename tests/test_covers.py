@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -267,6 +268,26 @@ def test_large_vertex_id_is_rejected_without_allocating_per_id(capsys, tmp_path)
     assert code == 2
     assert "exceeds the bound 10" in capsys.readouterr().err
     assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_vertex_id_beyond_the_digit_limit_is_refused_before_conversion(capsys, tmp_path):
+    # converting a 300,000-digit id takes seconds, and the cap's message would
+    # print it in full; ids are read under Python's default 4,300-digit limit
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 " + "9" * 300_000 + "\n")
+    start = time.perf_counter()
+    code = main(["cover", str(path), str(tmp_path / "out.json")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "4300 digits" in captured.err and len(captured.err) < 1000
+    assert elapsed < 0.5, f"cover took {elapsed:.2f} s"
+    assert not (tmp_path / "out.json").exists()
+    # an id of 4,300 digits is read, and the vertex cap refuses the graph
+    path.write_text("0 1\n1 " + "9" * 4300 + "\n")
+    assert load_graph(path).vertex_count == 10**4300
+    assert main(["cover", str(path), str(tmp_path / "out.json")]) == 2
+    assert "exceeds the bound 10" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

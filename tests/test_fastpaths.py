@@ -16,19 +16,15 @@ import pytest
 
 from gwrev.checker import (
     MissingOffspringTermError,
-    check_condition_i,
+    _condition_i,
     check_strong_connectivity,
+    factor_table,
     run_checks,
     solve_potentials,
 )
 from gwrev.constructor import construct_measure, verify_reversibility
 from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass, decrement, exact_flow
-from gwrev.norelabel import (
-    PlainSpec,
-    check_plain_spec,
-    construct_plain_measure,
-    plain_cycle_product,
-)
+from gwrev.norelabel import PlainSpec, check_plain_spec, construct_plain_measure
 from gwrev.parametrizer import (
     InconsistentRatiosError,
     SupportTemplate,
@@ -42,6 +38,7 @@ from .oracles import (
     cycle_identity_product,
     depth_one_kernel,
     every_source_reachability,
+    dropped_entry,
     every_visit_condition_i,
     first_visit_condition_i,
     fraction_solve_potentials,
@@ -52,6 +49,7 @@ from .oracles import (
     permute_class,
     permute_measure,
     permute_spec,
+    plain_cycle_product,
     propagate_potentials,
     random_template,
     random_template_candidate,
@@ -86,22 +84,6 @@ def reweighted(rng, spec):
     return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
 
 
-def dropped_entry(rng, spec):
-    """Copy of the spec with one entry of a law of two or more entries
-    dropped and the rest reweighted at random: a class that entry forced
-    loses its mass, so condition i may fail; None when no law has two."""
-    keys = [key for key in sorted(spec.offspring) if len(spec.offspring[key]) > 1]
-    if not keys:
-        return None
-    offspring = dict(spec.offspring)
-    key = rng.choice(keys)
-    kept = sorted(offspring[key])
-    kept.remove(rng.choice(kept))
-    raw = {c: rng.randint(1, 9) for c in kept}
-    offspring[key] = {c: F(r, sum(raw.values())) for c, r in raw.items()}
-    return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
-
-
 def added_entry(rng, spec):
     """Copy of the spec with one new entry, of at most 2 children per label,
     added to a random law (j, i) and the law reweighted at random: its
@@ -119,6 +101,11 @@ def added_entry(rng, spec):
     return GWSpec(n=spec.n, mode=PAIR, offspring=offspring)
 
 
+def condition_i(spec):
+    """Condition i's verdict and witness, read off the spec's factor table."""
+    return _condition_i(factor_table(spec))
+
+
 def test_condition_i_matches_the_every_visit_loop():
     # the verdict and the witness (first failing class, at its first label)
     # against both loops, on specs with law entries dropped and added; on a
@@ -131,7 +118,7 @@ def test_condition_i_matches_the_every_visit_loop():
                   added_entry(rng, spec), added_entry(rng, spec)):
             if s is None:
                 continue
-            result = check_condition_i(s)
+            result = condition_i(s)
             assert result == first_visit_condition_i(s) == every_visit_condition_i(s)
             report = run_checks(s)
             assert (report.condition_i, report.condition_i_counterexample) == result
@@ -150,7 +137,7 @@ def test_condition_i_matches_the_every_visit_loop():
     for s in (grid, dropped_entry(rng, grid), added_entry(rng, grid), two_label_spec(),
               break_condition_i(two_label_spec()), break_condition_i(grid)):
         if s is not None:
-            assert check_condition_i(s) == first_visit_condition_i(s) == every_visit_condition_i(s)
+            assert condition_i(s) == first_visit_condition_i(s) == every_visit_condition_i(s)
     assert checked > 2000 and failing > 1000 and checked // 5 < failing < checked - checked // 5
 
 
@@ -163,7 +150,7 @@ def graph_path(spec):
 def test_solve_potentials_matches_the_balance_graph():
     inconsistent = 0
     for _, _, spec in corpus(1):
-        assert check_condition_i(spec)[0]
+        assert condition_i(spec)[0]
         fast = solve_potentials(spec)
         assert fast == graph_path(spec) == fraction_solve_potentials(spec)
         inconsistent += fast[2] is not None
@@ -390,8 +377,8 @@ def test_condition_i_witness_order_with_huge_n():
         offspring[(2, 1)] = {(2, 0) + pad: F(1)}
         return GWSpec(n=n, mode=PAIR, offspring=offspring)
 
-    ok, small = check_condition_i(broken(2))
-    ok_big, big = check_condition_i(broken(5000))
+    ok, small = condition_i(broken(2))
+    ok_big, big = condition_i(broken(5000))
     assert not ok and not ok_big
     assert big[:3] == small[:3] and big[3][:2] == small[3]
 

@@ -1,10 +1,13 @@
 import json
 import random
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from gwrev import fileformats as ff
+from gwrev.cli import main
 from gwrev.constructor import construct_measure
 from gwrev.core import SpecError, SupportClass
 from gwrev.norelabel import PlainSpec
@@ -31,6 +34,41 @@ def test_fraction_round_trip():
         ff.parse_fraction("0.5")
     with pytest.raises(SpecError):
         ff.parse_fraction("a/b")
+
+
+def test_long_digit_runs_convert_as_int_does():
+    # above the cutoff a run is converted by halves; the value is int()'s, at
+    # the split edges and at random lengths, in any decimal script and signed
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(17)
+        # ASCII, Arabic-Indic and Devanagari digits, mixed within a run
+        alphabet = "0123456789" + "".join(map(chr, range(0x660, 0x66a))) + "".join(
+            map(chr, range(0x966, 0x970)))
+        cut = ff._DIGITS_CUTOFF
+        lengths = [cut - 1, cut, cut + 1, 2 * cut - 1, 2 * cut, 2 * cut + 1]
+        lengths += [rng.randint(1, 20_000) for _ in range(60)]
+        for length in lengths:
+            digits = "".join(rng.choices(alphabet, k=length))
+            assert ff._decimal(digits) == int(digits)
+            den = rng.choice("123456789") + digits[1:]
+            assert ff.parse_fraction(f"-{digits}/{den}") == F(-int(digits), int(den))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_long_rational_string_reads_in_subquadratic_time(tmp_path, capsys):
+    # int() takes about a second on the two 300,001-digit sides
+    side = "1" + "0" * 300_000
+    law = {"parent": 1, "child": 1, "dist": [{"c": [1], "p": f"{side}/{side}"}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"mode": "pair", "n": 1, "offspring": [law]}))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 0
+    elapsed = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert elapsed < 0.5, f"check took {elapsed:.2f} s"
 
 
 def test_spec_round_trip(pair_spec):

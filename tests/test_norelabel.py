@@ -1,10 +1,13 @@
+import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import gwrev.norelabel as norelabel
 from gwrev.checker import label_potentials
+from gwrev.cli import main
 from gwrev.constructor import verify_reversibility
 from gwrev.core import ChecksFailedError, GWSpec, PLAIN, SpecError, degrees
 from gwrev.norelabel import (
@@ -16,7 +19,6 @@ from gwrev.norelabel import (
     construct_plain_measure,
     expand_plain_spec,
     extract_plain_spec,
-    plain_cycle_product,
     run_plain_checks,
 )
 
@@ -24,10 +26,12 @@ from .conftest import three_label_plain
 from .oracles import (
     balance_violations,
     conditional_by_degree,
+    factorial_numerator,
     fraction_mixture,
     is_degree_multinomial,
     multinomial_pmf_oracle,
     normalized_weights,
+    plain_cycle_product,
     pmf_extract_plain_spec,
     random_fraction,
     random_plain_spec,
@@ -92,6 +96,36 @@ def test_multinomial_table_matches_the_termwise_oracle_on_random_rows():
                 assert len(c) == n and sum(c) == degree
                 assert all(ck == 0 for ck, q in zip(c, row) if q == 0)
                 assert p == multinomial_pmf_oracle(c, row)
+
+
+def test_numerator_matches_the_factorial_form():
+    # N(c) from binomials of the running sums equals |c|! prod a_k^c_k / prod c_k!,
+    # zero counts and zero parameters included
+    rng = random.Random(42)
+    zero_count = zero_param = 0
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        c = tuple(rng.choice([0, 0, 1, 2, 3, rng.randint(4, 60)]) for _ in range(n))
+        a = [rng.choice([0, 1, 2, 3, rng.randint(4, 10**6)]) for _ in range(n)]
+        assert norelabel._numerator(c, a) == factorial_numerator(c, a)
+        zero_count += 0 in c
+        zero_param += any(ck and not ak for ck, ak in zip(c, a))
+    assert zero_count > 1000 and zero_param > 300
+
+
+def test_construct_cost_follows_the_measure_not_the_degree(tmp_path, capsys):
+    # one degree of 10^6: |c|! has 5.6 million digits, the measure 496 bytes
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mode": "plain", "n": 1, "params": [["1"]], '
+                    '"degree_dist": [{"type": 1, "dist": [{"d": 1000000, "p": "1"}]}]}')
+    out = tmp_path / "m.json"
+    start = time.perf_counter()
+    code = main(["construct", str(spec), str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(capsys.readouterr().out)["verified"] is True
+    assert elapsed < 2.0, f"construct took {elapsed:.2f} s"
+    assert len(out.read_bytes()) == 496
+    assert main(["verify", str(out)]) == 0
 
 
 def random_degrees(rng, pspec):
@@ -424,6 +458,8 @@ def test_randomized_plain_measures_balance_exactly():
 def test_plain_spec_validation():
     with pytest.raises(SpecError):
         PlainSpec(n=1, degree_dist={1: {1: F(1, 2)}}, params={1: (F(1),)})
+    with pytest.raises(SpecError, match="n must be >= 1"):
+        PlainSpec(n=0, degree_dist={}, params={})
     asymmetric = PlainSpec(
         n=2,
         degree_dist={1: {1: F(1)}, 2: {1: F(1)}},
