@@ -39,7 +39,7 @@ print(f"  condition i (support closure): {report.condition_i}")
 print(f"  condition ii (cycle consistency): {report.condition_ii}")
 print(f"  balance graph connected: {report.connected_support}")
 
-measure = construct_measure(spec, report)
+measure = construct_measure(spec)
 print("\nthe reversible measure")
 for i in (1, 2):
     print(f"  root label {i} with probability {measure.root_dist[i]}")

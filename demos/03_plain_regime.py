@@ -10,11 +10,11 @@ from fractions import Fraction as F
 
 from gwrev import (
     PlainSpec,
-    check_plain_cycles,
     construct_plain_measure,
     degrees,
     expand_plain_spec,
     extract_plain_spec,
+    run_plain_checks,
     verify_reversibility,
 )
 
@@ -36,8 +36,8 @@ spec = PlainSpec(
     },
 )
 
-ok, cycle = check_plain_cycles(spec)
-print(f"cycle identity holds: {ok}")
+report = run_plain_checks(spec)
+print(f"cycle identity holds: {report.cycles}")
 
 measure = construct_plain_measure(spec)
 print(f"root-label weights: {measure.root_dist}")

@@ -34,7 +34,6 @@ from .checker import (
     check_strong_connectivity,
     label_potentials,
     run_checks,
-    solve_potentials,
 )
 from .constructor import construct_measure, verify_reversibility
 from .parametrizer import (
@@ -49,8 +48,6 @@ from .norelabel import (
     DegreeDependentParametersError,
     NotMultinomialError,
     PlainSpec,
-    check_plain_cycles,
-    check_plain_spec,
     construct_plain_measure,
     expand_plain_spec,
     extract_plain_spec,

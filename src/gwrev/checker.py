@@ -23,7 +23,7 @@ labels.  Condition i holds when no entry is missing; the table is built in
 full either way, so condition i has no early exit.  The edges between
 labels i and j form a complete bipartite block S(i, j) x S(j, i) of the
 sides of `core.class_sides` (a clique when i = j), consistent exactly when
-the key pot / h is constant on it; `solve_potentials` walks these blocks
+the key pot / h is constant on it; `_potentials` walks these blocks
 with `core.class_forest` and never materializes the graph, and reads each
 block's first inconsistent edge off `core.block_mismatches`, as `verify`
 does.  Keys are unreduced integer pairs compared by cross-multiplication;
@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Tuple
 from .core import (
     ONE,
     GWSpec,
-    GwrevError,
     PairKey,
     SupportClass,
     Vector,
@@ -51,11 +50,6 @@ from .core import (
     increment,
     side_key,
 )
-
-
-class MissingOffspringTermError(GwrevError):
-    """A candidate class lacks the offspring term of a balance factor:
-    condition i fails, and the balance graph is not defined."""
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +193,11 @@ def label_potentials(
     return pot, None, components
 
 
-def solve_potentials(
-    spec: GWSpec,
+def _potentials(
+    table: tuple,
 ) -> Tuple[List[SupportClass], Dict[SupportClass, Fraction], Optional[List[SupportClass]], int]:
-    """Balance-graph potentials, worked per label pair in O(N * n).
+    """Balance-graph potentials on a built table on which condition i holds,
+    worked per label pair in O(N * n).
 
     Returns (nodes, potentials, cycle, components): the sorted candidate
     classes, their potentials, a violating cycle or None, and the number of
@@ -216,22 +211,7 @@ def solve_potentials(
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
       of each label pair is the first pair of `core.block_mismatches` on
       the two sides' keys, found in linear time.
-
-    Raises MissingOffspringTermError when condition i fails, naming the
-    class (i, c) and the label k of its witness.
     """
-    table = factor_table(spec)
-    holds, witness = _condition_i(table)
-    if not holds:
-        i, _, k, c = witness
-        raise MissingOffspringTermError(
-            f"class {SupportClass(i, c)} needs an unstored offspring probability for parent {k}"
-        )
-    return _potentials(table)
-
-
-def _potentials(table: tuple):
-    """`solve_potentials` on a built table on which condition i holds."""
     nodes, side, order, parent, inv, _ = table
     pot: Dict[SupportClass, Fraction] = {}
     components = 0

@@ -18,9 +18,9 @@ import sys
 from . import fileformats as ff
 from .checker import run_checks
 from .constructor import construct_measure, verify_reversibility
-from .core import GwrevError, PAIR, SpecError
+from .core import ChecksFailedError, GwrevError, PAIR, SpecError
 from .covers import label_vertices, lift_measure, load_graph, pair_digraph
-from .norelabel import PlainSpec, check_plain_spec, construct_plain_measure, run_plain_checks
+from .norelabel import PlainSpec, construct_plain_measure, run_plain_checks
 from .parametrizer import InconsistentRatiosError, InvalidTemplateError, assemble_measure
 
 
@@ -59,43 +59,34 @@ def _save_verified(measure, out, fields=None, extra=None) -> int:
     return 0
 
 
+def _report_obj(spec, report) -> dict:
+    """The report document of the spec's regime."""
+    return ff.report_to_obj(report) if spec.mode == PAIR else ff.plain_report_to_obj(report)
+
+
 def cmd_check(args) -> int:
     spec = ff.load_spec(args.spec)
-    if isinstance(spec, PlainSpec):
-        report = check_plain_spec(spec)
-        _emit(ff.plain_report_to_obj(report))
-        return 0 if report.ok() else 1
-    if spec.mode == PAIR:
-        report = run_checks(spec)
-        _emit(ff.report_to_obj(report))
-        return 0 if report.ok() else 1
-    report, _ = run_plain_checks(spec)
-    _emit(ff.plain_report_to_obj(report))
+    report = run_checks(spec) if spec.mode == PAIR else run_plain_checks(spec)
+    _emit(_report_obj(spec, report))
     return 0 if report.ok() else 1
 
 
 def cmd_construct(args) -> int:
     spec = ff.load_spec(args.spec)
-    if isinstance(spec, PlainSpec):
-        report = check_plain_spec(spec)
-        if not report.ok():
+    try:
+        measure = (construct_measure if spec.mode == PAIR else construct_plain_measure)(spec)
+    except ChecksFailedError as err:
+        report = err.report
+        if isinstance(spec, PlainSpec):
+            # the direct form's short document: its first failed name and
+            # cycle; writing the full report here, as `check` does, waits for
+            # a change that re-records the benchmark digests it alters
             cycle = report.violating_cycle
             _emit({"ok": False, "failed": report.failed_names()[:1],
                    **({"violating_cycle": list(cycle)} if cycle else {})})
-            return 1
-        measure = construct_plain_measure(spec, report)
-    elif spec.mode == PAIR:
-        report = run_checks(spec)
-        if not report.ok():
-            _emit(ff.report_to_obj(report))
-            return 1
-        measure = construct_measure(spec, report)
-    else:
-        report, pspec = run_plain_checks(spec)
-        if not report.ok():
-            _emit(ff.plain_report_to_obj(report))
-            return 1
-        measure = construct_plain_measure(pspec, report)
+        else:
+            _emit(_report_obj(spec, report))
+        return 1
     return _save_verified(measure, args.out)
 
 

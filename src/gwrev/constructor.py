@@ -10,9 +10,9 @@ sums the root-label distribution.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .checker import CheckReport, run_checks
+from .checker import run_checks
 from .core import (
     ChecksFailedError,
     GWSpec,
@@ -31,33 +31,30 @@ from .core import (
 Violation = Tuple[SupportClass, SupportClass, Fraction, Fraction]
 
 
-def construct_measure(spec: GWSpec, report: Optional[CheckReport] = None) -> RootMeasure:
+def construct_measure(spec: GWSpec) -> RootMeasure:
     """Solve for the reversible measure whose descendants follow `spec`.
 
-    Runs the full admissibility checks first (unless a passing report is
-    supplied) and raises ChecksFailedError carrying the report otherwise.
-    A supplied report must be `run_checks(spec)`: the class weights are the
-    balance-graph potentials it holds.  Each label's potentials, normalized,
-    give its neighbor distribution, and the labels' potential sums,
-    normalized, give the root distribution (`_normalize`).
+    Runs `run_checks` and raises ChecksFailedError carrying its report when
+    a check fails.  The class weights are the balance-graph potentials the
+    report holds: each label's potentials, normalized, give its neighbor
+    distribution, and the labels' potential sums, normalized, give the root
+    distribution (`_normalize`).
     """
     if spec.mode != PAIR:
         raise ChecksFailedError("construct_measure requires a pair-mode spec")
-    if report is None:
-        report = run_checks(spec)
+    report = run_checks(spec)
     if not report.ok():
         raise ChecksFailedError(
             f"spec fails admissibility checks: {', '.join(report.failed_names())}",
             report=report,
         )
     neighbor_dist, root_dist = _normalize(spec.n, report.potentials)
-    measure = RootMeasure(
+    return RootMeasure(
         n=spec.n,
         root_dist=root_dist,
         neighbor_dist=neighbor_dist,
         descendants=spec,
     )
-    return measure
 
 
 def _normalize(n: int, potentials: Dict[SupportClass, Fraction]):

@@ -106,17 +106,22 @@ class FiniteGraph:
 
 def load_graph(path) -> FiniteGraph:
     """Read an undirected edge list: one `u v` pair per line, `#` comments.
-    Vertex ids are converted under `fileformats.default_int_limit`."""
+    Vertex ids are converted under `fileformats.default_int_limit`, so an id
+    of more than 4300 digits is malformed.  A refused line is named by its
+    number and at most its first 40 characters."""
     edges = []
     with open(path) as fh, default_int_limit():
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"bad edge line: {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                u, v = line.split()
+                edges.append((int(u), int(v)))
+            except ValueError:
+                shown = line if len(line) <= 40 else line[:40] + "..."
+                raise ValueError(f"{path}: line {number}: bad edge line {shown!r}, not two "
+                                 "integer vertex ids of at most 4300 digits") from None
     return FiniteGraph.from_edges(edges)
 
 

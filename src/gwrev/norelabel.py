@@ -25,11 +25,10 @@ the size of the expansion.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .checker import label_potentials
 from .core import (
@@ -88,6 +87,9 @@ class PlainSpec:
     n: int
     degree_dist: Dict[int, Dict[int, Fraction]]
     params: Dict[int, Tuple[Fraction, ...]]
+    # a class attribute, not a field: `spec.mode` names the regime of every
+    # spec form
+    mode = PLAIN
 
     def __post_init__(self):
         if self.n < 1:
@@ -138,19 +140,33 @@ def _numerator(c: Vector, a: List[int]) -> int:
 
 def _numerators(degree: int, a: List[int]) -> Dict[Vector, int]:
     """N(c) of every count vector of total `degree` on the labels with
-    a_k > 0, in `combinations_with_replacement` order."""
+    a_k > 0, in `combinations_with_replacement` order: the first active
+    label's count falls from `degree` to 0, and for each the rest follow in
+    this order on the remaining total.  Each vector costs O(n) work, however
+    large the degree."""
     n = len(a)
     active = [k for k in range(n) if a[k] > 0]
     if degree and not active:
         raise SpecError("positive degree with an all-zero parameter row")
+    # the counts on the active labels (a single zero when there are none)
+    x = [degree] + [0] * (len(active) - 1)
+    c = [0] * n
     out: Dict[Vector, int] = {}
-    for draw in itertools.combinations_with_replacement(active, degree):
-        c = [0] * n
-        for k in draw:
-            c[k] += 1
-        c = tuple(c)
-        out[c] = _numerator(c, a)
-    return out
+    while True:
+        for k, xk in zip(active, x):
+            c[k] = xk
+        vec = tuple(c)
+        out[vec] = _numerator(vec, a)
+        # the successor: the last count before the final one that can fall
+        # gives one, and the final count moves next to it
+        p = len(x) - 2
+        while p >= 0 and not x[p]:
+            p -= 1
+        if p < 0:
+            return out
+        rest, x[-1] = x[-1], 0
+        x[p] -= 1
+        x[p + 1] = rest + 1
 
 
 def _mixtures(pspec: PlainSpec, i: int, shifts: Tuple[int, ...]) -> List[Dist]:
@@ -236,19 +252,8 @@ def expand_plain_spec(pspec: PlainSpec) -> GWSpec:
 
 
 # ---------------------------------------------------------------------------
-# Cycle check and construction
+# Checks and construction
 # ---------------------------------------------------------------------------
-
-def check_plain_cycles(pspec: PlainSpec) -> Tuple[bool, Optional[List[int]]]:
-    """Cycle identity on the label graph, by potential propagation.
-
-    Returns (True, None) or (False, cycle) where cycle is a closed label walk
-    whose ratio product p(i, j) / p(j, i) differs from 1; (False, None) when
-    the adjacency is asymmetric, as `check_plain_spec` decides it.
-    """
-    report = check_plain_spec(pspec)
-    return report.cycles is True, report.violating_cycle
-
 
 @dataclass
 class PlainCheckReport:
@@ -260,8 +265,10 @@ class PlainCheckReport:
     cycles: Optional[bool]
     violating_cycle: Optional[List[int]]
     connected: Optional[bool]
-    # the label potentials, kept for the constructor; None when extraction
-    # failed
+    # the PlainSpec decided and its label potentials, kept for the
+    # constructor; None when extraction failed, and the potentials also
+    # when the adjacency is asymmetric
+    pspec: Optional[PlainSpec] = field(default=None, repr=False, compare=False)
     potentials: Optional[Dict[int, Fraction]] = field(default=None, repr=False, compare=False)
 
     def ok(self) -> bool:
@@ -278,19 +285,30 @@ class PlainCheckReport:
         return out
 
 
-def check_plain_spec(pspec: PlainSpec) -> PlainCheckReport:
-    """Adjacency, cycle and connectivity checks of a PlainSpec, whose rows
-    are multinomial parameters by definition.
+def run_plain_checks(spec: Union[GWSpec, PlainSpec]) -> PlainCheckReport:
+    """Every plain-mode check of a spec in either form, collected in a
+    report.
 
-    A reversible measure needs p(j, i) > 0 wherever p(i, j) > 0; the first
+    An explicit GWSpec is first read through `extract_plain_spec`, whose
+    NotMultinomialError or DegreeDependentParametersError fails the report;
+    a PlainSpec's rows are multinomial parameters by definition.  A
+    reversible measure needs p(j, i) > 0 wherever p(i, j) > 0; the first
     (i, j) in row-major order with p(i, j) > 0 = p(j, i) fails the report as
-    "asymmetric-adjacency", with the cycle and connectivity checks skipped.
+    "asymmetric-adjacency".  Either failure skips the cycle identity, decided
+    by potential propagation on the label graph, and the connectivity check.
     """
+    pspec = spec
+    if not isinstance(spec, PlainSpec):
+        try:
+            pspec = extract_plain_spec(spec)
+        except (NotMultinomialError, DegreeDependentParametersError) as err:
+            return PlainCheckReport(False, err.name, err.witness, None, None, None)
     rows = pspec.params
     asymmetric = next(((i, j) for i in range(1, pspec.n + 1)
                        for j, p in enumerate(rows[i], start=1) if p and not rows[j][i - 1]), None)
     if asymmetric is not None:
-        return PlainCheckReport(False, "asymmetric-adjacency", asymmetric, None, None, None)
+        return PlainCheckReport(False, "asymmetric-adjacency", asymmetric, None, None, None,
+                                pspec)
     # `label_potentials` on the label graph, the pairs i < j with p(i, j) > 0,
     # with the ratio weight(i) / weight(j) = p(j, i) / p(i, j) on every edge
     ratio = {
@@ -300,31 +318,19 @@ def check_plain_spec(pspec: PlainSpec) -> PlainCheckReport:
         if pspec.prob(i, j) > 0
     }
     pot, cycle, components = label_potentials(pspec.n, ratio)
-    return PlainCheckReport(True, None, None, cycle is None, cycle, components == 1, pot)
+    return PlainCheckReport(True, None, None, cycle is None, cycle, components == 1, pspec, pot)
 
 
-def run_plain_checks(spec: GWSpec) -> Tuple[PlainCheckReport, Optional[PlainSpec]]:
-    """Extraction plus the checks of `check_plain_spec`, collected in a
-    report."""
-    try:
-        pspec = extract_plain_spec(spec)
-    except (NotMultinomialError, DegreeDependentParametersError) as err:
-        return PlainCheckReport(False, err.name, err.witness, None, None, None), None
-    return check_plain_spec(pspec), pspec
+def construct_plain_measure(spec: Union[GWSpec, PlainSpec]) -> RootMeasure:
+    """The unique reversible measure for an admissible plain spec in either
+    form.
 
-
-def construct_plain_measure(pspec: PlainSpec,
-                            report: Optional[PlainCheckReport] = None) -> RootMeasure:
-    """The unique reversible measure for an admissible PlainSpec.
-
-    Runs `check_plain_spec` first unless a passing report is supplied; a
-    supplied report must be `check_plain_spec(pspec)`, whose label
-    potentials give the root weights.  Root degrees are the child degrees
-    shifted up by one, conditional neighbor laws reuse the same multinomial
-    rows, and the root-label weights solve the pairwise ratio equations.
+    Runs `run_plain_checks` and raises ChecksFailedError carrying its report
+    when a check fails.  The report's label potentials give the root
+    weights.  Root degrees are the child degrees shifted up by one, and
+    conditional neighbor laws reuse the same multinomial rows.
     """
-    if report is None:
-        report = check_plain_spec(pspec)
+    report = run_plain_checks(spec)
     if not report.ok():
         if report.cycles is False:
             reason = f"cycle identity fails along {report.violating_cycle}"
@@ -333,7 +339,7 @@ def construct_plain_measure(pspec: PlainSpec,
         else:
             reason = f"{report.multinomial_error}, witness {report.multinomial_witness}"
         raise ChecksFailedError(reason, report=report)
-    pot = report.potentials
+    pspec, pot = report.pspec, report.potentials
     root_dist, _ = normalize({i: pot[i].as_integer_ratio() for i in range(1, pspec.n + 1)})
     laws = {i: _mixtures(pspec, i, (0, 1)) for i in range(1, pspec.n + 1)}
     return RootMeasure(

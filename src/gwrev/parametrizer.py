@@ -81,7 +81,7 @@ class SupportTemplate:
                 raise SpecError(f"class {cls} has a label outside [1, {self.n}]")
             if len(cls.vector) != self.n:
                 raise SpecError(f"class {cls} has a vector of wrong length")
-            if any(x < 0 for x in cls.vector):
+            if min(cls.vector) < 0:
                 raise SpecError(f"class {cls} has a negative count")
             if total(cls.vector) < 1:
                 raise SpecError(f"class {cls} has an empty neighbor vector")

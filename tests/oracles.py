@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from gwrev import fileformats
-from gwrev.checker import MissingOffspringTermError, _cycle_through, run_checks
+from gwrev.checker import _cycle_through, run_checks
 from gwrev.constructor import Violation, construct_measure
 from gwrev.core import (
     ONE,
@@ -54,10 +54,15 @@ from gwrev.norelabel import (
     DegreeDependentParametersError,
     NotMultinomialError,
     PlainSpec,
-    check_plain_spec,
     construct_plain_measure,
+    run_plain_checks,
 )
 from gwrev.parametrizer import SupportTemplate, _forced_laws, assemble_measure
+
+
+class MissingOffspringTermError(GwrevError):
+    """A candidate class lacks the offspring term of a balance factor:
+    condition i fails, and the balance graph is not defined."""
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,7 @@ def random_closed_walks(nodes, rng, count, max_len=8):
 
 # ---------------------------------------------------------------------------
 # The balance graph, materialized edge by edge in O(N^2): the reference of
-# `checker.solve_potentials`
+# `checker._potentials`
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -340,7 +345,7 @@ def cycle_product(graph: BalanceGraph, cycle: List[SupportClass]) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Detailed balance per label-pair side in Fractions: the reference of the
-# integer balance keys of `checker.solve_potentials` and
+# integer balance keys of `checker._potentials` and
 # `constructor.verify_reversibility`
 # ---------------------------------------------------------------------------
 
@@ -893,6 +898,20 @@ def factorial_numerator(c: Vector, a: List[int]) -> int:
     return num
 
 
+def combinations_numerators(degree: int, a: List[int]) -> Dict[Vector, int]:
+    """`norelabel._numerators` as first written: one count vector per
+    `combinations_with_replacement` draw of length `degree` from the labels
+    with a_k > 0, so O(degree) work per vector."""
+    active = [k for k in range(len(a)) if a[k] > 0]
+    out: Dict[Vector, int] = {}
+    for draw in itertools.combinations_with_replacement(active, degree):
+        c = [0] * len(a)
+        for k in draw:
+            c[k] += 1
+        out[tuple(c)] = factorial_numerator(tuple(c), a)
+    return out
+
+
 def multinomial_pmf_oracle(c, params) -> Fraction:
     out = Fraction(math.factorial(sum(c)))
     for ck, p in zip(c, params):
@@ -1094,6 +1113,17 @@ def random_plain_spec(rng: random.Random, n: int) -> PlainSpec:
     return PlainSpec(n=n, degree_dist=degree_dist, params=params)
 
 
+def redrawn_rows(rng: random.Random, pspec: PlainSpec) -> PlainSpec:
+    """A copy of the plain spec with every parameter row redrawn on the same
+    support: the cycle identity then fails wherever the label graph has a
+    cycle."""
+    params = {}
+    for i, row in pspec.params.items():
+        raw = [rng.randint(1, 9) if p > 0 else 0 for p in row]
+        params[i] = tuple(Fraction(r, sum(raw)) for r in raw)
+    return PlainSpec(n=pspec.n, degree_dist=pspec.degree_dist, params=params)
+
+
 def random_single_type_law(rng: random.Random):
     """Finite offspring law for one label: {child count: probability}."""
     counts = sorted(rng.sample(range(0, 5), rng.randint(2, 4)))
@@ -1152,13 +1182,13 @@ def random_corpus():
         yield spec_to_obj(spec)
         yield fileformats.report_to_obj(report)
         if report.ok():
-            yield construct_measure(spec, report)
+            yield construct_measure(spec)
     for _ in range(60):
         template, weights = random_admissible_instance(rng, rng.randint(1, 4))
         yield assemble_measure(template, weights)
     for _ in range(60):
         pspec = random_plain_spec(rng, rng.randint(1, 4))
-        report = check_plain_spec(pspec)
+        report = run_plain_checks(pspec)
         yield plain_spec_to_obj(pspec)
         yield fileformats.plain_report_to_obj(report)
         if report.ok():

@@ -26,9 +26,9 @@ from gwrev.core import ChecksFailedError, GWSpec, PAIR, SupportClass, degrees
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
 from gwrev.norelabel import (
     NotMultinomialError,
-    check_plain_cycles,
     construct_plain_measure,
     extract_plain_spec,
+    run_plain_checks,
 )
 from gwrev.parametrizer import assemble_measure
 from gwrev.simulator import estimate_flow, mass_transport_check
@@ -201,8 +201,7 @@ def test_criterion_6_plain_regime():
     assert (p31, p32) == (F(1, 2), F(1, 2))
 
     pspec = three_label_plain(p31=p31, p32=p32)
-    ok_cycles, _ = check_plain_cycles(pspec)
-    assert ok_cycles
+    assert run_plain_checks(pspec).cycles is True
     mu = construct_plain_measure(pspec)
     assert mu.root_dist == {1: F(3, 7), 2: F(2, 7), 3: F(2, 7)}
     for i in (1, 2, 3):

@@ -8,7 +8,6 @@ from gwrev.checker import (
     check_strong_connectivity,
     labels_realized,
     run_checks,
-    solve_potentials,
 )
 from gwrev.core import GWSpec, PAIR, SupportClass, side_key
 from gwrev.parametrizer import assemble_measure
@@ -139,12 +138,12 @@ def test_edge_ratio_antisymmetry(pair_spec):
 # ---------------------------------------------------------------------------
 
 def test_condition_ii_on_worked_instance(pair_spec):
-    assert solve_potentials(pair_spec)[2] is None
+    assert run_checks(pair_spec).violating_cycle is None
 
 
 def test_condition_ii_violating_cycle(pair_spec):
     broken = break_condition_ii(pair_spec)
-    cycle = solve_potentials(broken)[2]
+    cycle = run_checks(broken).violating_cycle
     assert cycle is not None
     assert cycle[0] == cycle[-1]
     graph = build_balance_graph(broken)
@@ -166,7 +165,7 @@ def test_condition_ii_tree_graph_vacuous():
     })
     graph = build_balance_graph(spec)
     assert len(graph.edges()) == len(graph.nodes) - 1
-    assert solve_potentials(spec)[2] is None
+    assert run_checks(spec).violating_cycle is None
     assert propagate_potentials(graph)[1] is None
 
 
@@ -179,7 +178,7 @@ def test_condition_ii_invariant_under_entry_reordering(pair_spec):
             for key, dist in reversed(list(pair_spec.offspring.items()))
         },
     )
-    assert solve_potentials(reordered)[2] == solve_potentials(pair_spec)[2]
+    assert run_checks(reordered).violating_cycle == run_checks(pair_spec).violating_cycle
 
 
 def test_worked_instance_specific_cycle_balances(pair_spec):
@@ -239,7 +238,7 @@ def test_potentials_match_worked_instance(pair_spec):
 
 
 @pytest.mark.parametrize("k, expected", [(4, 64), (8, 256), (10, 400)])
-def test_solve_potentials_reads_each_balance_key_once(monkeypatch, k, expected):
+def test_potentials_read_each_balance_key_once(monkeypatch, k, expected):
     # the factor table holds one key per (class, neighbor label), 2 labels x
     # 2 K^2 classes, and the walk reads the table, not the laws
     spec = solve_offspring(*dense_grid(k, seed=1, bits=64))
@@ -250,7 +249,7 @@ def test_solve_potentials_reads_each_balance_key_once(monkeypatch, k, expected):
         return side_key(law, u, j, weight)
 
     monkeypatch.setattr(checker, "side_key", counted)
-    assert checker.solve_potentials(spec)[2] is None
+    assert checker._potentials(checker.factor_table(spec))[2] is None
     assert len(reads) == len(set(reads)) == expected
 
 

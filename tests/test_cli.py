@@ -29,7 +29,9 @@ from .oracles import (
     cycle_product,
     measure_obj,
     plain_spec_to_obj,
+    random_corpus,
     random_plain_spec,
+    redrawn_rows,
     solve_offspring,
     spec_to_obj,
     template_to_obj,
@@ -129,6 +131,50 @@ def test_asymmetric_plain_spec_fails_in_either_form(capsys, tmp_path, rows, witn
         code, report = run(capsys, "construct", path, str(out))
         assert code == 1 and report["failed"] == ["asymmetric-adjacency"]
         assert not out.exists()
+
+
+def test_check_and_construct_agree_on_failure(capsys, tmp_path):
+    # every failing spec of the random corpus: the pair specs, and each
+    # direct plain spec, as it is and with its rows redrawn, also in its
+    # explicit form.  construct fails as check does and writes nothing; it
+    # prints check's report, except on the direct form, where it prints
+    # check's first failed name and its cycle
+    rng = random.Random(27)
+    specs = []
+    for doc in random_corpus():
+        if isinstance(doc, dict) and "offspring" in doc:
+            specs.append(("pair", doc))
+        elif isinstance(doc, dict) and "params" in doc:
+            pspec = ff.obj_to_spec(doc)
+            for p in (pspec, redrawn_rows(rng, pspec)):
+                specs.append(("direct", plain_spec_to_obj(p)))
+                specs.append(("explicit", spec_to_obj(expand_plain_spec(p))))
+    out = tmp_path / "measure.json"
+    failing = {"pair": 0, "direct": 0, "explicit": 0}
+    cycles = 0
+    for form, doc in specs:
+        path = write(tmp_path / "spec.json", doc)
+        code = main(["check", path])
+        checked = capsys.readouterr().out
+        if code == 0:
+            continue
+        assert main(["construct", path, str(out)]) == code
+        constructed = capsys.readouterr().out
+        assert not out.exists()
+        if code == 2:
+            continue
+        failing[form] += 1
+        if form == "direct":
+            report = json.loads(checked)
+            short = {"ok": False, "failed": report["failed"][:1]}
+            if "violating_cycle" in report:
+                short["violating_cycle"] = report["violating_cycle"]
+                cycles += 1
+            assert constructed == ff.canonical_json(short)
+        else:
+            assert constructed == checked
+    assert failing["pair"] > 50 and failing["direct"] == failing["explicit"] > 10, failing
+    assert cycles > 5
 
 
 @pytest.mark.parametrize("n, params", [

@@ -4,19 +4,21 @@ from fractions import Fraction as F
 import pytest
 
 import gwrev.constructor as constructor
-from gwrev.checker import MissingOffspringTermError, run_checks, solve_potentials
+from gwrev.checker import run_checks
 from gwrev.constructor import construct_measure, verify_reversibility
 from gwrev.core import (
     ChecksFailedError,
     GWSpec,
     PAIR,
     RootMeasure,
+    SupportClass,
     candidate_support,
 )
 from gwrev.parametrizer import assemble_measure
 
 from .conftest import A, B, D, break_condition_i, break_condition_ii, dense_grid, two_label_spec
 from .oracles import (
+    MissingOffspringTermError,
     assert_support_consistency,
     balance_violations,
     fraction_solve_potentials,
@@ -241,15 +243,18 @@ def test_verify_forms_flows_only_for_the_pairs_it_lists(monkeypatch):
     assert len(calls) == 2 * (len(found) - leaks) + leaks
 
 
-def test_solve_potentials_missing_offspring_term():
-    # condition i fails: class 1:(1,1) needs p(2,1)(1, 0), which is unstored
+def test_missing_offspring_term():
+    # condition i fails: class 1:(1,1) needs p(2,1)(1, 0), which is unstored;
+    # the report names it and the reference refuses to solve
     spec = break_condition_i(two_label_spec())
-    with pytest.raises(MissingOffspringTermError) as fast:
-        solve_potentials(spec)
+    report = run_checks(spec)
+    i, _, k, c = report.condition_i_counterexample
     with pytest.raises(MissingOffspringTermError) as reference:
         fraction_solve_potentials(spec)
-    assert str(fast.value) == str(reference.value)
-    assert "1:(1,1)" in str(fast.value)
+    assert str(reference.value) == (f"class {SupportClass(i, c)} needs an unstored "
+                                    f"offspring probability for parent {k}")
+    assert "1:(1,1)" in str(reference.value)
+    assert report.condition_ii is report.potentials is None
 
 
 def test_constructed_measures_satisfy_detailed_balance_randomized():

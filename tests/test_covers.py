@@ -280,7 +280,8 @@ def test_vertex_id_beyond_the_digit_limit_is_refused_before_conversion(capsys, t
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "4300 digits" in captured.err and len(captured.err) < 1000
+    assert "line 2" in captured.err and "4300 digits" in captured.err
+    assert "set_int_max_str_digits" not in captured.err and len(captured.err) < 1000
     assert elapsed < 0.5, f"cover took {elapsed:.2f} s"
     assert not (tmp_path / "out.json").exists()
     # an id of 4,300 digits is read, and the vertex cap refuses the graph
@@ -288,6 +289,18 @@ def test_vertex_id_beyond_the_digit_limit_is_refused_before_conversion(capsys, t
     assert load_graph(path).vertex_count == 10**4300
     assert main(["cover", str(path), str(tmp_path / "out.json")]) == 2
     assert "exceeds the bound 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["1 2 " + "9" * 300_000, "1 " + "x" * 300_000])
+def test_bad_edge_line_is_named_not_echoed(capsys, tmp_path, line):
+    # a line of three fields, or an id that is not an integer, is named by
+    # its number and a short prefix
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n" + line + "\n")
+    assert main(["cover", str(path), str(tmp_path / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 2: " in captured.err and len(captured.err) < 1000
+    assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,15 @@ from fractions import Fraction as F
 import pytest
 
 from gwrev.checker import (
-    MissingOffspringTermError,
     _condition_i,
+    _potentials,
     check_strong_connectivity,
     factor_table,
     run_checks,
-    solve_potentials,
 )
 from gwrev.constructor import construct_measure, verify_reversibility
-from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass, decrement, exact_flow
-from gwrev.norelabel import PlainSpec, check_plain_spec, construct_plain_measure
+from gwrev.core import GWSpec, PAIR, RootMeasure, decrement, exact_flow
+from gwrev.norelabel import construct_plain_measure, run_plain_checks
 from gwrev.parametrizer import (
     InconsistentRatiosError,
     SupportTemplate,
@@ -55,6 +54,7 @@ from .oracles import (
     random_template_candidate,
     random_plain_spec,
     random_template_weights,
+    redrawn_rows,
     solve_offspring,
     support_classes,
     unreachable_pair_bruteforce,
@@ -106,11 +106,16 @@ def condition_i(spec):
     return _condition_i(factor_table(spec))
 
 
+def table_potentials(spec):
+    """(nodes, potentials, cycle, components) of a spec on which condition i
+    holds, read off its factor table."""
+    return _potentials(factor_table(spec))
+
+
 def test_condition_i_matches_the_every_visit_loop():
     # the verdict and the witness (first failing class, at its first label)
     # against both loops, on specs with law entries dropped and added; on a
-    # failing spec run_checks leaves the potentials out, and solve_potentials
-    # raises, naming the witness's class and missing label
+    # failing spec run_checks leaves the potentials out
     rng = random.Random(9)
     checked = failing = 0
     for _, _, spec in corpus(9):
@@ -127,11 +132,6 @@ def test_condition_i_matches_the_every_visit_loop():
                 continue
             failing += 1
             assert report.condition_ii is report.potentials is None
-            i, _, k, c = result[1]
-            with pytest.raises(MissingOffspringTermError) as error:
-                solve_potentials(s)
-            assert str(error.value) == (f"class {SupportClass(i, c)} needs an unstored "
-                                        f"offspring probability for parent {k}")
     template, weights = dense_grid(4, seed=3)
     grid = solve_offspring(template, weights)
     for s in (grid, dropped_entry(rng, grid), added_entry(rng, grid), two_label_spec(),
@@ -147,31 +147,31 @@ def graph_path(spec):
     return graph.nodes, potentials, cycle, len(graph.components())
 
 
-def test_solve_potentials_matches_the_balance_graph():
+def test_potentials_match_the_balance_graph():
     inconsistent = 0
     for _, _, spec in corpus(1):
         assert condition_i(spec)[0]
-        fast = solve_potentials(spec)
+        fast = table_potentials(spec)
         assert fast == graph_path(spec) == fraction_solve_potentials(spec)
         inconsistent += fast[2] is not None
     # both verdicts are well represented
     assert CORPUS // 5 < inconsistent < CORPUS - CORPUS // 5
 
 
-def test_solve_potentials_matches_on_reweighted_laws():
+def test_potentials_match_on_reweighted_laws():
     # several label pairs fail at once, so the witness must be the first
     # inconsistent edge over all of them
     rng = random.Random(6)
     inconsistent = 0
     for _, _, spec in corpus(6):
         spec = reweighted(rng, spec)
-        fast = solve_potentials(spec)
+        fast = table_potentials(spec)
         assert fast == graph_path(spec) == fraction_solve_potentials(spec)
         inconsistent += fast[2] is not None
     assert inconsistent > CORPUS // 3
 
 
-def test_solve_potentials_matches_on_dense_and_broken_grids():
+def test_potentials_match_on_dense_and_broken_grids():
     template, weights = dense_grid(4, seed=3)
     spec = solve_offspring(template, weights)
     flat = dict(spec.offspring)
@@ -179,8 +179,8 @@ def test_solve_potentials_matches_on_dense_and_broken_grids():
     flat[(2, 1)] = {c: F(1, len(flat[(2, 1)])) for c in flat[(2, 1)]}
     broken = GWSpec(n=2, mode=PAIR, offspring=flat)
     for s in (spec, broken, two_label_spec(), break_condition_ii(two_label_spec())):
-        assert solve_potentials(s) == graph_path(s)
-    assert solve_potentials(broken)[2] is not None
+        assert table_potentials(s) == graph_path(s)
+    assert table_potentials(broken)[2] is not None
 
 
 def test_strong_connectivity_matches_all_sources_reachability():
@@ -226,7 +226,7 @@ def test_depth_one_flow_equations_decide_the_theorem():
         holding += holds
         dimensions.add(len(basis))
         if report.ok():
-            measure = construct_measure(s, report)
+            measure = construct_measure(s)
             mass = sum(basis[0])
             assert [w / mass for w in basis[0]] == [measure.class_prob(u) for u in classes]
             built += 1
@@ -304,7 +304,7 @@ def test_integer_balance_keys_match_fractions_on_64_bit_grids(k):
         flat[key] = {c: F(1, len(flat[key])) for c in flat[key]}
     broken = GWSpec(n=2, mode=PAIR, offspring=flat)
     for s in (spec, broken):
-        fast = solve_potentials(s)
+        fast = table_potentials(s)
         assert fast == fraction_solve_potentials(s) == graph_path(s)
         assert (fast[2] is None) == (s is spec)
     measure = construct_measure(spec)
@@ -416,17 +416,6 @@ def test_pair_pipeline_is_label_permutation_invariant():
     assert CORPUS // 5 < failing < CORPUS - CORPUS // 5 and cycles > CORPUS // 5
 
 
-def redrawn_rows(rng, pspec):
-    """A copy of the plain spec with every parameter row redrawn on the same
-    support: the cycle identity then fails wherever the label graph has a
-    cycle."""
-    params = {}
-    for i, row in pspec.params.items():
-        raw = [rng.randint(1, 9) if p > 0 else 0 for p in row]
-        params[i] = tuple(F(r, sum(raw)) for r in raw)
-    return PlainSpec(n=pspec.n, degree_dist=pspec.degree_dist, params=params)
-
-
 def test_plain_pipeline_is_label_permutation_invariant():
     rng = random.Random(9)
     failing = cycles = 0
@@ -436,7 +425,7 @@ def test_plain_pipeline_is_label_permutation_invariant():
             pspec = redrawn_rows(rng, pspec)
         tau = random_permutation(rng, pspec.n)
         moved = permute_spec(pspec, tau)
-        report, moved_report = check_plain_spec(pspec), check_plain_spec(moved)
+        report, moved_report = run_plain_checks(pspec), run_plain_checks(moved)
         assert moved_report.failed_names() == report.failed_names()
         if moved_report.violating_cycle is not None:
             cycles += 1

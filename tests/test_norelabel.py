@@ -14,8 +14,6 @@ from gwrev.norelabel import (
     DegreeDependentParametersError,
     NotMultinomialError,
     PlainSpec,
-    check_plain_cycles,
-    check_plain_spec,
     construct_plain_measure,
     expand_plain_spec,
     extract_plain_spec,
@@ -25,6 +23,7 @@ from gwrev.norelabel import (
 from .conftest import three_label_plain
 from .oracles import (
     balance_violations,
+    combinations_numerators,
     conditional_by_degree,
     factorial_numerator,
     fraction_mixture,
@@ -35,6 +34,7 @@ from .oracles import (
     pmf_extract_plain_spec,
     random_fraction,
     random_plain_spec,
+    redrawn_rows,
 )
 
 
@@ -128,6 +128,42 @@ def test_construct_cost_follows_the_measure_not_the_degree(tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
+def test_numerators_match_the_draw_by_draw_enumeration():
+    # the same table, in the same order, as one count vector per
+    # combinations_with_replacement draw; zero parameters included
+    rng = random.Random(43)
+    zero_param = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [rng.choice([0, 1, 2, rng.randint(3, 50)]) for _ in range(n)]
+        a[rng.randrange(n)] = rng.randint(1, 50)
+        for degree in range(8):
+            table = norelabel._numerators(degree, a)
+            assert list(table.items()) == list(combinations_numerators(degree, a).items())
+        zero_param += 0 in a
+    assert zero_param > 100
+    # degree 0 of an all-zero row: the one empty vector
+    assert norelabel._numerators(0, [0, 0]) == combinations_numerators(0, [0, 0]) == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("body", [
+    '"degree_dist": [{"type": 1, "dist": [{"d": 1000000000000, "p": "1"}]}], "params": [["1"]]',
+    '"offspring": [{"type": 1, "dist": [{"c": [1000000000000], "p": "1"}]}]',
+], ids=["direct", "explicit"])
+def test_construct_cost_does_not_grow_with_the_degree(tmp_path, capsys, body):
+    # one degree of 10^12 on one label: one count vector per table
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mode": "plain", "n": 1, ' + body + '}')
+    out = tmp_path / "m.json"
+    start = time.perf_counter()
+    code = main(["construct", str(spec), str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(capsys.readouterr().out)["verified"] is True
+    assert elapsed < 2.0, f"construct took {elapsed:.2f} s"
+    assert main(["verify", str(out)]) == 0
+    assert json.loads(out.read_text())["neighbors"][0]["dist"][0]["c"] == [10**12 + 1]
+
+
 def random_degrees(rng, pspec):
     """Copy of a PlainSpec with new degree laws on 0..5: some labels only
     ever have zero children, and rows keep their zero entries."""
@@ -187,8 +223,8 @@ def test_extraction_rejects_non_multinomial():
     with pytest.raises(NotMultinomialError) as err:
         extract_plain_spec(spec)
     assert err.value.witness == (1, 2, (0, 2))
-    report, pspec = run_plain_checks(spec)
-    assert pspec is None
+    report = run_plain_checks(spec)
+    assert report.pspec is None
     assert not report.ok()
     assert "not-multinomial" in report.failed_names()
 
@@ -204,7 +240,7 @@ def test_extraction_rejects_degree_dependent_parameters():
     })
     with pytest.raises(DegreeDependentParametersError):
         extract_plain_spec(spec)
-    report, _ = run_plain_checks(spec)
+    report = run_plain_checks(spec)
     assert "degree-dependent-parameters" in report.failed_names()
 
 
@@ -214,8 +250,8 @@ def test_extraction_rejects_asymmetric_adjacency():
         1: {(0, 1): F(1)},
         2: {(0, 2): F(1)},
     })
-    assert check_plain_spec(extract_plain_spec(spec)).multinomial_witness == (1, 2)
-    report, _ = run_plain_checks(spec)
+    assert run_plain_checks(extract_plain_spec(spec)).multinomial_witness == (1, 2)
+    report = run_plain_checks(spec)
     assert "asymmetric-adjacency" in report.failed_names()
 
 
@@ -324,14 +360,15 @@ def test_swap_oracle_rejects_perturbed_conditionals():
 # ---------------------------------------------------------------------------
 
 def test_cycles_pass_on_worked_instance(plain_spec):
-    ok, cycle = check_plain_cycles(plain_spec)
-    assert ok and cycle is None
+    report = run_plain_checks(plain_spec)
+    assert report.cycles is True and report.violating_cycle is None
 
 
 def test_cycles_fail_with_replayable_witness():
     broken = three_label_plain(p31=F(1, 4), p32=F(3, 4))
-    ok, cycle = check_plain_cycles(broken)
-    assert not ok
+    report = run_plain_checks(broken)
+    assert report.cycles is False
+    cycle = report.violating_cycle
     assert cycle[0] == cycle[-1]
     assert plain_cycle_product(broken, cycle) != 1
 
@@ -356,10 +393,11 @@ def test_label_potentials_cycle_replays_on_a_broken_row():
     # the cycle closes through its first inconsistent edge (i, j): ..., j, i
     i, j = cycle[-1], cycle[-2]
     assert ratio[(i, j)] != pot[i] / pot[j]
-    assert check_plain_cycles(broken) == (False, cycle)
+    report = run_plain_checks(broken)
+    assert (report.cycles, report.violating_cycle) == (False, cycle)
 
 
-def test_check_plain_spec_reports_disconnected_labels():
+def test_plain_checks_report_disconnected_labels():
     # label 3 only ever has label-3 children and neighbours
     pspec = PlainSpec(
         n=3,
@@ -367,7 +405,7 @@ def test_check_plain_spec_reports_disconnected_labels():
         params={1: (F(1, 2), F(1, 2), F(0)), 2: (F(1), F(0), F(0)),
                 3: (F(0), F(0), F(1))},
     )
-    report = check_plain_spec(pspec)
+    report = run_plain_checks(pspec)
     assert report.failed_names() == ["connected"] and report.violating_cycle is None
     with pytest.raises(ChecksFailedError, match="disconnected"):
         construct_plain_measure(pspec)
@@ -377,7 +415,39 @@ def test_cycles_vacuous_single_label():
     pspec = PlainSpec(
         n=1, degree_dist={1: {2: F(1)}}, params={1: (F(1),)}
     )
-    assert check_plain_cycles(pspec) == (True, None)
+    report = run_plain_checks(pspec)
+    assert (report.cycles, report.violating_cycle) == (True, None)
+
+
+def test_checks_and_construct_read_either_form():
+    # an explicit spec is decided and built as the PlainSpec it expands;
+    # both forms carry the plain mode
+    rng = random.Random(23)
+    specs = [three_label_plain(), three_label_plain(p31=F(1, 4), p32=F(3, 4))]
+    for _ in range(60):
+        pspec = random_plain_spec(rng, rng.randint(2, 4))
+        specs += [pspec, redrawn_rows(rng, pspec)]
+    failing = 0
+    for pspec in specs:
+        explicit = expand_plain_spec(pspec)
+        assert pspec.mode == explicit.mode == PLAIN
+        report = run_plain_checks(pspec)
+        assert run_plain_checks(explicit) == report
+        assert run_plain_checks(explicit).pspec == report.pspec == pspec
+        if report.ok():
+            assert construct_plain_measure(explicit) == construct_plain_measure(pspec)
+        else:
+            failing += 1
+            with pytest.raises(ChecksFailedError) as err:
+                construct_plain_measure(explicit)
+            assert err.value.report == report
+    assert 10 < failing < len(specs) - 10, failing
+    # an explicit law that is not multinomial fails the report it carries
+    bad = GWSpec(n=2, mode=PLAIN, offspring={1: {(2, 0): F(1, 2), (0, 2): F(1, 2)},
+                                             2: {(1, 0): F(1)}})
+    with pytest.raises(ChecksFailedError, match="not-multinomial") as err:
+        construct_plain_measure(bad)
+    assert err.value.report.failed_names() == ["not-multinomial"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +516,8 @@ def test_randomized_plain_measures_balance_exactly():
     rng = random.Random(77)
     for _ in range(15):
         pspec = random_plain_spec(rng, rng.randint(1, 4))
-        ok, cycle = check_plain_cycles(pspec)
-        assert ok, cycle
+        report = run_plain_checks(pspec)
+        assert report.cycles is True, report.violating_cycle
         mu = construct_plain_measure(pspec)
         assert verify_reversibility(mu) == []
         assert balance_violations(mu) == []
@@ -465,7 +535,7 @@ def test_plain_spec_validation():
         degree_dist={1: {1: F(1)}, 2: {1: F(1)}},
         params={1: (F(0), F(1)), 2: (F(0), F(1))},
     )
-    report = check_plain_spec(asymmetric)
+    report = run_plain_checks(asymmetric)
     assert report.failed_names() == ["asymmetric-adjacency"]
     assert report.multinomial_witness == (1, 2)
     with pytest.raises(ChecksFailedError):

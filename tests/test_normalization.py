@@ -117,7 +117,7 @@ def assert_normalizations_match(template, weights):
     ref_neighbor, ref_root = fraction_normalize(spec.n, report.potentials)
     assert items(neighbor) == items(ref_neighbor)
     assert items(root) == items(ref_root)
-    constructed = construct_measure(spec, report)
+    constructed = construct_measure(spec)
     assert_support_consistency(constructed)
     assert measure_doc(constructed) == measure_doc(reference_constructed(spec))
     # the constructed measure is the assembled one
