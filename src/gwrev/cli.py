@@ -53,7 +53,8 @@ def _save_verified(measure, out, fields=None, extra=None) -> int:
                 if not existed:
                     os.remove(path)
                 raise
-            fh.truncate(0)
+            if os.path.isfile(path):  # a device or a pipe cannot be truncated
+                fh.truncate(0)
             fh.write(text)
     _emit({"ok": True, "written": out, "verified": True, **(fields or {})})
     return 0

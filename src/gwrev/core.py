@@ -119,11 +119,22 @@ def normalize(weights: Mapping) -> Tuple[Dict, Tuple[int, int]]:
     return {key: Fraction(x, norm) for key, x in zip(weights, nums)}, (norm, common)
 
 
-def sums_to_one(values: Collection[Fraction]) -> bool:
-    """Whether the Fractions sum to exactly 1, decided over their common
-    denominator."""
-    num, common = common_sum([(p.numerator, p.denominator) for p in values])
-    return num == common
+def check_weights(weights: Mapping, what: str, *, zero: bool = False) -> None:
+    """Check weights given by key: each a Fraction in (0, 1], in [0, 1] with
+    `zero`, and all summing to exactly 1, decided over their common
+    denominator.  Else SpecError names `what` and the first key out of
+    range, or the sum."""
+    low = 0 if zero else 1
+    terms = []
+    for key, w in weights.items():
+        # low <= numerator <= denominator, the denominator being positive
+        if not isinstance(w, Fraction) or not low <= w.numerator <= w.denominator:
+            raise SpecError(f"{what}: the weight of {key} is {w}, "
+                            f"not a Fraction in {'[' if zero else '('}0, 1]")
+        terms.append((w.numerator, w.denominator))
+    num, common = common_sum(terms)
+    if num != common:
+        raise SpecError(f"{what} sum to {sum(weights.values(), ZERO)}, expected 1")
 
 
 def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0) -> None:
@@ -350,12 +361,7 @@ class RootMeasure:
             raise SpecError("measure and descendant spec disagree on n")
         if sorted(self.root_dist) != list(range(1, self.n + 1)):
             raise SpecError("root distribution must cover every label exactly once")
-        for i, p in self.root_dist.items():
-            if not isinstance(p, Fraction) or p.numerator <= 0:
-                raise SpecError(f"root weight of label {i} must be a positive Fraction")
-        if not sums_to_one(self.root_dist.values()):
-            raise SpecError(
-                f"root weights sum to {sum(self.root_dist.values(), ZERO)}, expected 1")
+        check_weights(self.root_dist, "root weights")
         if sorted(self.neighbor_dist) != list(range(1, self.n + 1)):
             raise SpecError("neighbor distributions must cover every label exactly once")
         for i, dist in self.neighbor_dist.items():

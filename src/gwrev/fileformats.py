@@ -125,7 +125,7 @@ def _unique(pairs, what: str) -> dict:
     return out
 
 
-def _obj_to_dist(entries, n: int) -> Dist:
+def _obj_to_dist(entries) -> Dist:
     if not isinstance(entries, list) or not entries:
         raise SpecError("distribution must be a non-empty list")
     dist: Dist = {}
@@ -136,8 +136,6 @@ def _obj_to_dist(entries, n: int) -> Dist:
         for x in c:
             if type(x) is not int:
                 raise TypeError(f"{x!r} is not an integer")
-        if len(c) != n:
-            raise SpecError(f"vector {c} has length {len(c)}, expected {n}")
         if c in dist:
             raise SpecError(f"duplicate vector {c} in distribution")
         dist[c] = parse_fraction(entry["p"])
@@ -199,7 +197,7 @@ def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
         return _int(entry["type"])
 
     offspring = _unique((
-        (key(entry), _obj_to_dist(entry["dist"], n))
+        (key(entry), _obj_to_dist(entry["dist"]))
         for entry in _list(obj.get("offspring", []))
     ), "offspring entry for")
     return GWSpec(n=n, mode=mode, offspring=offspring)
@@ -286,20 +284,18 @@ def obj_to_measure(obj) -> RootMeasure:
         raise SpecError("measure document lacks descendants") from None
     if isinstance(descendants, PlainSpec):
         raise SpecError("measure descendants must be explicit offspring laws")
-    n = descendants.n
     try:
         root_dist = _unique((
             (_int(e["label"]), parse_fraction(e["p"])) for e in _list(obj.get("root", []))
         ), "root entry for label")
         neighbor_dist = _unique((
-            (_int(e["label"]), _obj_to_dist(e["dist"], n))
+            (_int(e["label"]), _obj_to_dist(e["dist"]))
             for e in _list(obj.get("neighbors", []))
         ), "neighbors entry for label")
     except _SHAPE_ERRORS as err:
         raise SpecError(f"bad measure document: {err}") from None
-    return RootMeasure(
-        n=n, root_dist=root_dist, neighbor_dist=neighbor_dist, descendants=descendants
-    )
+    return RootMeasure(n=descendants.n, root_dist=root_dist, neighbor_dist=neighbor_dist,
+                       descendants=descendants)
 
 
 # ---------------------------------------------------------------------------

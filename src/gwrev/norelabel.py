@@ -20,7 +20,10 @@ value the one Fraction u * N(c) / (v * b^D).  A label builds each
 degree's table once and both laws read it.  Extraction scales each
 degree's entries and row once and checks each listed entry against
 N(c) / b^d in integers, so its cost follows the entries a law lists, not
-the size of the expansion.
+the size of the expansion.  A degree d whose b^d has more than
+`_EXACT_BITS` bits and that lists fewer vectors than the
+C(d + k - 1, k - 1) its k labels' multinomial law puts mass on fails at
+its first vector, with no comparison that costs more than the document.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ from .core import (
     RootMeasure,
     SpecError,
     Vector,
-    ZERO,
+    check_weights,
     normalize,
     over_common_denominator,
-    sums_to_one,
     total,
 )
 
@@ -99,24 +101,15 @@ class PlainSpec:
         if sorted(self.params) != list(range(1, self.n + 1)):
             raise SpecError("parameter rows must cover every label")
         for i, dd in self.degree_dist.items():
-            if not dd:
-                raise SpecError(f"label {i} has an empty degree distribution")
-            for d, p in dd.items():
+            for d in dd:
                 if d < 0:
                     raise SpecError(f"label {i} has a negative degree {d}")
-                if not isinstance(p, Fraction) or not 0 < p.numerator <= p.denominator:
-                    raise SpecError(f"degree weight of ({i}, {d}) must be in (0, 1]")
-            if not sums_to_one(dd.values()):
-                raise SpecError(
-                    f"degree weights of label {i} sum to {sum(dd.values(), ZERO)}")
+            check_weights(dd, f"degree weights of label {i}")
         for i, row in self.params.items():
             if len(row) != self.n:
                 raise SpecError(f"parameter row of label {i} has wrong length")
-            for p in row:
-                if not isinstance(p, Fraction) or not 0 <= p.numerator <= p.denominator:
-                    raise SpecError(f"parameter row of label {i} leaves [0, 1]")
-            if not sums_to_one(row):
-                raise SpecError(f"parameter row of label {i} sums to {sum(row)}")
+            # keyed by the child label
+            check_weights(dict(enumerate(row, start=1)), f"parameters of label {i}", zero=True)
 
     def prob(self, i: int, j: int) -> Fraction:
         return self.params[i][j - 1]
@@ -143,11 +136,9 @@ def _numerators(degree: int, a: List[int]) -> Dict[Vector, int]:
     a_k > 0, in `combinations_with_replacement` order: the first active
     label's count falls from `degree` to 0, and for each the rest follow in
     this order on the remaining total.  Each vector costs O(n) work, however
-    large the degree."""
+    large the degree.  A parameter row sums to 1, so some a_k > 0."""
     n = len(a)
     active = [k for k in range(n) if a[k] > 0]
-    if degree and not active:
-        raise SpecError("positive degree with an all-zero parameter row")
     # the counts on the active labels (a single zero when there are none)
     x = [degree] + [0] * (len(active) - 1)
     c = [0] * n
@@ -195,6 +186,10 @@ def _mixtures(pspec: PlainSpec, i: int, shifts: Tuple[int, ...]) -> List[Dist]:
 # Extraction from an explicit plain spec
 # ---------------------------------------------------------------------------
 
+# the most bits of b^d a degree with too few vectors is compared in
+_EXACT_BITS = 1 << 16
+
+
 def extract_plain_spec(spec: GWSpec) -> PlainSpec:
     """Verify that each per-label law is multinomial given its degree, with
     degree-independent parameters, and read those parameters off.
@@ -227,6 +222,9 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
             row = tuple(Fraction(sum([x * c[k] for c, x in zip(sub, xs)]), d * mass)
                         for k in range(spec.n))
             a, b = over_common_denominator([p.as_integer_ratio() for p in row])
+            k = len(a) - a.count(0)
+            if d * b.bit_length() > _EXACT_BITS and len(sub) < math.comb(d + k - 1, k - 1):
+                raise NotMultinomialError(i, d, next(iter(sub)))
             scale = b ** d
             for c, x in zip(sub, xs):
                 if x * scale != mass * _numerator(c, a):

@@ -35,11 +35,10 @@ from .core import (
     RootMeasure,
     SpecError,
     SupportClass,
-    ZERO,
+    check_weights,
     class_forest,
     decrement,
     normalize,
-    sums_to_one,
     total,
 )
 
@@ -142,14 +141,8 @@ def validate_weights(template: SupportTemplate, weights: Weights) -> None:
     """Weights must be positive exactly on M and sum to 1 within each label."""
     if set(weights) != set(template.classes):
         raise SpecError("weights must be given for exactly the template classes")
-    by_label: Dict[int, List[Fraction]] = {i: [] for i in range(1, template.n + 1)}
-    for cls, w in weights.items():
-        if not isinstance(w, Fraction) or not 0 < w.numerator <= w.denominator:
-            raise SpecError(f"weight of {cls} must be a Fraction in (0, 1]")
-        by_label[cls.label].append(w)
-    for i, ws in by_label.items():
-        if not sums_to_one(ws):
-            raise SpecError(f"weights of label {i} sum to {sum(ws, ZERO)}, expected 1")
+    for i, classes in template.by_label().items():
+        check_weights({cls: weights[cls] for cls in classes}, f"class weights of label {i}")
 
 
 def _forced_laws(template: SupportTemplate, weights: Weights):

@@ -375,30 +375,31 @@ def fraction_solve_potentials(
       S(i, j) and S(j, i) is inconsistent iff g(u) != g(v), so the first one
       of each label pair is read off the two sides in linear time.
 
-    Requires condition i (MissingOffspringTermError otherwise).
+    Requires condition i: every balance factor is read before the walk, in
+    the order of `every_visit_condition_i`, and the first zero one raises
+    MissingOffspringTermError for the report's witness class and label.
     """
+    # h(u, j) for every class u of a law and every j with c_j > 0
+    h: Dict[Tuple[SupportClass, int], Fraction] = {}
+    for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
+        for e in sorted(spec.offspring[(j, i)]):
+            u = SupportClass(i, increment(e, j))
+            for k, ck in enumerate(u.vector, start=1):
+                if ck > 0 and (u, k) not in h:
+                    h[(u, k)] = balance_factor(spec, u, k)
+                    if h[(u, k)] == 0:
+                        raise MissingOffspringTermError(
+                            f"class {u} needs an unstored offspring probability for parent {k}"
+                        )
     # the candidate classes of every label, read off the stored laws only
-    nodes = sorted({
-        SupportClass(i, increment(e, j))
-        for (j, i), dist in spec.offspring.items()
-        for e in dist
-    })
+    nodes = sorted({u for u, _ in h})
     side, order, parent = class_forest(nodes)
-
-    @cache
-    def h(u: SupportClass, j: int) -> Fraction:
-        f = balance_factor(spec, u, j)
-        if f == 0:
-            raise MissingOffspringTermError(
-                f"class {u} needs an unstored offspring probability for parent {j}"
-            )
-        return f
 
     @cache
     def g(u: SupportClass, j: int) -> Fraction:
         # (u, v) across sides S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i);
         # called only once pot[u] is set
-        return pot[u] / h(u, j)
+        return pot[u] / h[(u, j)]
 
     pot: Dict[SupportClass, Fraction] = {}
     components = 0
@@ -409,7 +410,7 @@ def fraction_solve_potentials(
             pot[v] = ONE
         else:
             # ratio(u, v) = pot(u) / pot(v) = h(u, j) / h(v, i), u = (i, c), v = (j, d)
-            pot[v] = g(u, v.label) * h(v, u.label)
+            pot[v] = g(u, v.label) * h[(v, u.label)]
 
     first = None
     for (i, j), a_side in side.items():

@@ -361,6 +361,17 @@ def test_cover_refuses_a_dot_path_that_names_the_measure_output(capsys, tmp_path
     assert not os.path.lexists("same.json") and capsys.readouterr().out == ""
 
 
+def test_cover_writes_the_dot_text_to_a_device(capsys, tmp_path):
+    # a device cannot be truncated: the DOT text is written to it as it is
+    gpath = tmp_path / "tri.txt"
+    gpath.write_text("0 1\n1 2\n2 0\n")
+    out = tmp_path / "out.json"
+    code, result = run(capsys, "cover", str(gpath), str(out), "--dot", os.devnull)
+    assert code == 0
+    assert result["dot"] == os.devnull and result["written"] == str(out)
+    assert run(capsys, "verify", str(out))[0] == 0
+
+
 @pytest.mark.parametrize("edges, head", [
     # a triangle numbered from 1: four vertices, vertex 0 alone
     ("1 2\n2 3\n3 1\n", "graph must be connected"),
@@ -660,6 +671,48 @@ def test_document_of_the_wrong_shape(capsys, tmp_path, command, document, key, v
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: bad {document} document" in captured.err
+
+
+# each site of weights that sum to 1: the command that reads it, the path of
+# its first weight in the document, that weight with the sum moved off 1,
+# what the refusal names and the first weight's key
+_WEIGHT_SITES = {
+    "root": ("verify", ["root", 0, "p"], "3/16", "root weights", "1"),
+    "degree": ("check", ["degree_dist", 0, "dist", 0, "p"], "1/4",
+               "degree weights of label 1", "1"),
+    "parameters": ("check", ["params", 0, 0], "1/6", "parameters of label 1", "1"),
+    "class": ("parametrize", ["weights", 0, "p"], "1/4", "class weights of label 1",
+              "1:(1,1)"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_WEIGHT_SITES))
+@pytest.mark.parametrize("fault", ["range", "sum"])
+def test_each_weight_site_refuses_a_weight_out_of_range_and_a_sum_other_than_1(
+        capsys, tmp_path, site, fault):
+    command, path, moved, what, key = _WEIGHT_SITES[site]
+    value = "3/2" if fault == "range" else moved
+    out = tmp_path / "out.json"
+    if command == "verify":
+        argv = [command, write(tmp_path / "doc.json",
+                               _replaced(_worked_measure_obj(), path, value))]
+    elif command == "check":
+        argv = [command, write(tmp_path / "doc.json",
+                               _replaced(plain_spec_to_obj(three_label_plain()), path, value))]
+    else:
+        weights = weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))
+        argv = [command, write(tmp_path / "template.json", template_to_obj(two_label_template())),
+                write(tmp_path / "weights.json", _replaced(weights, path, value)), str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    if fault == "range":
+        interval = "[0, 1]" if site == "parameters" else "(0, 1]"
+        assert captured.err == (
+            f"error: {what}: the weight of {key} is 3/2, not a Fraction in {interval}\n")
+    else:
+        assert captured.err.startswith(f"error: {what} sum to ")
+        assert captured.err.endswith(", expected 1\n")
 
 
 @pytest.mark.parametrize("command, document, path", [

@@ -1,10 +1,10 @@
 """Differential tests of the document path: the canonical writer's
 independence of key order, the one-pass measure writer against json.dumps
 of the measure's object tree, the rational parser against Fraction's own,
-and the integer sum check of `validate_dist` against the Fraction sum
-(oracles in `tests/oracles.py`), on fuzzed inputs, on every document the
-random corpora serialize and on every call of the three benchmark
-workloads."""
+and the integer sum checks of `validate_dist` and `check_weights` against
+the Fraction sum (oracles in `tests/oracles.py`), on fuzzed inputs, on
+every document the random corpora serialize and on every call of the
+three benchmark workloads."""
 
 import itertools
 import json
@@ -176,12 +176,32 @@ def test_validate_dist_matches_the_fraction_sum(case):
         summing_validate_dist, dist, n, min_total)
 
 
+def checked_weights(values, zero):
+    """None when `check_weights` accepts the values, keyed 1, 2, ..., else
+    its message."""
+    try:
+        core.check_weights(dict(enumerate(values, start=1)), "w", zero=zero)
+    except SpecError as err:
+        return str(err)
+    return None
+
+
 @FUZZ
-@given(st.lists(FRACTIONS, min_size=1, max_size=8))
-def test_sums_to_one_is_the_fraction_identity(values):
-    assert core.sums_to_one(values) == (sum(values, F(0)) == 1)
+@given(st.lists(FRACTIONS, min_size=1, max_size=8), st.booleans())
+def test_check_weights_is_the_fraction_identity(values, zero):
+    # the range of each weight, then the Fraction sum
     normalized = [v / sum(values) for v in values] if sum(values) else values
-    assert core.sums_to_one(normalized) == (sum(normalized, F(0)) == 1)
+    interval = "[0, 1]" if zero else "(0, 1]"
+    for ws in (values, normalized):
+        out = next(((k, w) for k, w in enumerate(ws, start=1)
+                    if not (0 <= w if zero else 0 < w) or w > 1), None)
+        if out is not None:
+            expected = f"w: the weight of {out[0]} is {out[1]}, not a Fraction in {interval}"
+        elif sum(ws, F(0)) != 1:
+            expected = f"w sum to {sum(ws, F(0))}, expected 1"
+        else:
+            expected = None
+        assert checked_weights(ws, zero) == expected
 
 
 # one fault of a law entry (c, p) each, by what it breaks

@@ -22,7 +22,7 @@ from gwrev.checker import (
     run_checks,
 )
 from gwrev.constructor import construct_measure, verify_reversibility
-from gwrev.core import GWSpec, PAIR, RootMeasure, decrement, exact_flow
+from gwrev.core import GWSpec, PAIR, RootMeasure, SupportClass, decrement, exact_flow
 from gwrev.norelabel import construct_plain_measure, run_plain_checks
 from gwrev.parametrizer import (
     InconsistentRatiosError,
@@ -33,6 +33,7 @@ from gwrev.parametrizer import (
 
 from .conftest import break_condition_i, break_condition_ii, dense_grid, two_label_spec
 from .oracles import (
+    MissingOffspringTermError,
     build_balance_graph,
     cycle_identity_product,
     depth_one_kernel,
@@ -132,6 +133,11 @@ def test_condition_i_matches_the_every_visit_loop():
                 continue
             failing += 1
             assert report.condition_ii is report.potentials is None
+            i, _, k, c = result[1]
+            with pytest.raises(MissingOffspringTermError) as reference:
+                fraction_solve_potentials(s)
+            assert str(reference.value) == (f"class {SupportClass(i, c)} needs an unstored "
+                                            f"offspring probability for parent {k}")
     template, weights = dense_grid(4, seed=3)
     grid = solve_offspring(template, weights)
     for s in (grid, dropped_entry(rng, grid), added_entry(rng, grid), two_label_spec(),

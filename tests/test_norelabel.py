@@ -164,6 +164,43 @@ def test_construct_cost_does_not_grow_with_the_degree(tmp_path, capsys, body):
     assert json.loads(out.read_text())["neighbors"][0]["dist"][0]["c"] == [10**12 + 1]
 
 
+def test_a_high_degree_with_too_few_vectors_fails_at_its_first(monkeypatch):
+    # past _EXACT_BITS bits of b^d, a degree that lists fewer vectors than
+    # its multinomial support fails at its first vector with no N(c): the
+    # witness the comparisons in integers give, where they are affordable
+    rng = random.Random(12)
+    calls = []
+    numerator = norelabel._numerator
+    monkeypatch.setattr(norelabel, "_numerator", lambda c, a: calls.append(c) or numerator(c, a))
+    for _ in range(20):
+        d = rng.choice([20000, 60000])
+        vectors = sorted((x, d - x) for x in rng.sample(range(1, d), rng.randint(1, 4)))
+        law = dict(zip(vectors, normalized_weights(rng, len(vectors))))
+        spec = GWSpec(n=2, mode=PLAIN, offspring={1: law, 2: {(1, 0): F(1)}})
+        with pytest.raises(NotMultinomialError) as fast:
+            extract_plain_spec(spec)
+        assert not calls and fast.value.witness == (1, d, vectors[0])
+        monkeypatch.setattr(norelabel, "_EXACT_BITS", float("inf"))
+        with pytest.raises(NotMultinomialError) as exact:
+            extract_plain_spec(spec)
+        assert calls and exact.value.witness == fast.value.witness
+        monkeypatch.setattr(norelabel, "_EXACT_BITS", 1 << 16)
+        calls.clear()
+
+
+def test_check_of_one_vector_of_degree_10_to_the_12(tmp_path, capsys):
+    # b^d would have about 4 * 10^13 bits: the check fails at once
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mode": "plain", "n": 2, "offspring": ['
+                    '{"type": 1, "dist": [{"c": [1000000000000, 1], "p": "1"}]}, '
+                    '{"type": 2, "dist": [{"c": [1, 0], "p": "1"}]}]}')
+    start = time.perf_counter()
+    code = main(["check", str(spec)])
+    elapsed = time.perf_counter() - start
+    assert code == 1 and elapsed < 2.0, f"check took {elapsed:.2f} s"
+    assert json.loads(capsys.readouterr().out)["witness"] == [1, 10**12 + 1, [10**12, 1]]
+
+
 def random_degrees(rng, pspec):
     """Copy of a PlainSpec with new degree laws on 0..5: some labels only
     ever have zero children, and rows keep their zero entries."""
