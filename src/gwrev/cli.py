@@ -34,8 +34,7 @@ def _save_verified(measure, out, fields=None, extra=None) -> int:
     `fields`.  A violation (impossible for a checked spec) is emitted as the
     failed `verify` condition.  A call that fails writes nothing: the extra
     file is opened, without being changed, before the measure is written,
-    and is removed again if the call created it and the measure's write
-    fails."""
+    and either file the call created is removed again if a write fails."""
     violations = verify_reversibility(measure)
     if violations:
         _emit({"ok": False, "failed": ["verify"],
@@ -45,17 +44,18 @@ def _save_verified(measure, out, fields=None, extra=None) -> int:
         ff.save_measure(out, measure)
     else:
         path, text = extra
-        existed = os.path.exists(path)
-        with open(path, "a") as fh:
-            try:
+        created = [p for p in (path, out) if not os.path.lexists(p)]
+        try:
+            with open(path, "a") as fh:
                 ff.save_measure(out, measure)
-            except OSError:
-                if not existed:
-                    os.remove(path)
-                raise
-            if os.path.isfile(path):  # a device or a pipe cannot be truncated
-                fh.truncate(0)
-            fh.write(text)
+                if os.path.isfile(path):  # a device or a pipe cannot be truncated
+                    fh.truncate(0)
+                fh.write(text)
+        except OSError:
+            for p in created:
+                if os.path.exists(p):
+                    os.remove(p)
+            raise
     _emit({"ok": True, "written": out, "verified": True, **(fields or {})})
     return 0
 

@@ -34,8 +34,11 @@ once:
   Fraction is compared.  `_cdf` forms each threshold in integers, as
   ceil(A * 2**53 / L) for A a running sum of the law's probabilities over
   their common denominator L, with no Fraction addition.
-  `_RootDraws` draws a block's root classes, every label's vector law at
-  once, by one search over the thresholds of all labels.
+  So outcome p is drawn exactly when k lies in [T[p - 1], T[p])
+  (`_range`), and a trial is rooted at a class when k of word 0 lies in
+  its label's range and k of word 1 in its vector's: `estimate_flow` tests
+  only its two end classes, and `mass_transport_check` draws the vectors
+  of only the trials of labels i and j.
 * Walk step.  `Generator.integers(deg)` is Lemire's method on 32-bit
   draws: the low half of the next word, word 2 + deg of a depth-2 trial,
   then its high half, then the halves of the words after it.  Only a step
@@ -58,7 +61,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -234,37 +237,29 @@ def lemire_step(seed: int, trials: np.ndarray, index: np.ndarray, deg: np.ndarra
     return (m >> _32).astype(np.int64)
 
 
-class _RootDraws:
-    """The root label (word 0) and neighbor vector (word 1) of each trial,
-    as one index into `classes`, the support classes in draw order.
+def _range(thresholds: np.ndarray, p: int) -> Tuple[int, int]:
+    """[lo, hi): the k = word >> 11 that `_pick` draws as outcome p, which
+    are [thresholds[p - 1], thresholds[p]), with no lower bound for the
+    first outcome and, as `_pick` clamps, no upper bound for the last."""
+    lo = int(thresholds[p - 1]) if p else 0
+    hi = int(thresholds[p]) if p < len(thresholds) - 1 else 1 << 53
+    return lo, hi
 
-    Every label's vector law is drawn in one search.  Class c of label
-    index a is the key a + 1j * threshold(c): numpy orders complex numbers
-    by real part, then imaginary part, and every threshold and every
-    k = word >> 11 is an integer of at most 2**53, exact in a double, so
-    the keys at or below a + 1j * k are the classes of the labels before
-    a and the classes of a whose threshold is at most k."""
 
-    def __init__(self, measure: RootMeasure):
-        labels, self.label_cdf = _cdf(measure.root_dist)
-        self.classes: List[SupportClass] = []
-        keys = []
-        for a, label in enumerate(labels):
-            vectors, cdf = _cdf(measure.neighbor_dist[label])
-            self.classes += [SupportClass(label, vec) for vec in vectors]
-            keys.append(a + 1j * cdf)
-        self.keys = np.concatenate(keys)
-        # the index of each label's last class, where `_pick` clamps
-        self.last = np.cumsum([len(k) for k in keys]) - 1
+def _in(k: np.ndarray, bounds: Tuple[int, int]) -> np.ndarray:
+    """Which of the k = word >> 11 lie in the range `bounds`."""
+    lo, hi = bounds
+    return (k >= lo) & (k < hi)
 
-    def __call__(self, words: np.ndarray) -> np.ndarray:
-        """The class drawn by each trial from `words`, its block at
-        counter 1."""
-        at = _pick(self.label_cdf, words[0])
-        query = np.empty(len(at), dtype=np.complex128)
-        query.real = at
-        query.imag = words[1] >> _11
-        return np.minimum(np.searchsorted(self.keys, query, side="right"), self.last[at])
+
+def _root_ranges(measure: RootMeasure, classes):
+    """For each class, the ranges of k0 = word0 >> 11 and k1 = word1 >> 11
+    in which a trial draws it as the root: its label's range in the root
+    law and its vector's in the label's neighbor law."""
+    labels, label_cdf = _cdf(measure.root_dist)
+    for cls in classes:
+        vectors, cdf = _cdf(measure.neighbor_dist[cls.label])
+        yield _range(label_cdf, labels.index(cls.label)), _range(cdf, vectors.index(cls.vector))
 
 
 def _blocks(trials: int):
@@ -294,8 +289,12 @@ class FlowEstimate:
     generator: str = GENERATOR
 
     def within(self, k: float = 4.0) -> bool:
-        """Is the estimate within k standard errors of the exact value?"""
-        return abs(self.empirical_mean - float(self.exact)) <= k * self.std_error
+        """Is the estimate within k standard errors of the exact value, up to
+        twice the rounding of an in-order float mean of `trials` terms, about
+        (trials + 3) * 2**-53 relative, so that one with no spread holds?"""
+        exact = float(self.exact)
+        rounding = (self.trials + 3) * 2.0**-52 * abs(exact)
+        return abs(self.empirical_mean - exact) <= k * self.std_error + rounding
 
 
 def _estimate(values_sum: float, squares_sum: float, trials: int) -> Tuple[float, float]:
@@ -347,34 +346,32 @@ def estimate_flow(
                 f"class {end} has degree {total(end.vector)}; a walk step "
                 f"needs an end class of degree below 2**32"
             )
-    roots = _RootDraws(measure)
+    ranges = list(_root_ranges(measure, (source, target)))
     law = measure.descendants.offspring_law
 
     def crossing(frm: SupportClass, to: SupportClass):
-        # (root, lo, hi, cdf, want): the step from a frm root, class index
-        # root, crosses to a `to` class when child k carries to's label
-        # (lo <= k < hi, children ordered by label) and draws outcome `want`
-        # of its law, to's vector less the parent; hi = lo when the law
-        # cannot draw it
+        # (lo, hi, cdf, want): the step from a frm root crosses to a `to`
+        # class when child k carries to's label (lo <= k < hi, children
+        # ordered by label) and draws outcome `want` of its law, to's vector
+        # less the parent; hi = lo when the law cannot draw it
         outcomes, cdf = _cdf(law(frm.label, to.label))
         want = decrement(to.vector, frm.label)
         lo = sum(frm.vector[:to.label - 1])
         if want not in outcomes:
-            return roots.classes.index(frm), lo, lo, cdf, 0
-        return (roots.classes.index(frm), lo, lo + frm.vector[to.label - 1], cdf,
-                outcomes.index(want))
+            return lo, lo, cdf, 0
+        return lo, lo + frm.vector[to.label - 1], cdf, outcomes.index(want)
 
     directions = (crossing(source, target), crossing(target, source))
-    ends = [root for root, *_ in directions]
-    degree = np.zeros(len(roots.classes), dtype=np.int64)
-    degree[ends] = total(source.vector), total(target.vector)
     counts = [0, 0]
     for trial in _blocks(trials):
         first = philox_block(seed, trial, 1)
-        cls = roots(first)
-        at = np.flatnonzero((cls == ends[0]) | (cls == ends[1]))
-        trial, cls, first = trial[at], cls[at], first[:, at]
-        deg = degree[cls]
+        # the trials rooted at each end: words 0 and 1 in its two ranges
+        k0, k1 = first[:2] >> _11
+        ends = [_in(k0, label) & _in(k1, vector) for label, vector in ranges]
+        at = np.flatnonzero(ends[0] | ends[1])
+        trial, first = trial[at], first[:, at]
+        ends = [end[at] for end in ends]
+        deg = np.where(ends[0], total(source.vector), total(target.vector))
         # the step reads word 2 + deg first, from counter 1 (`first`) or, for
         # the trials `later`, from `last`, the block of its counter
         step = 2 + deg
@@ -386,7 +383,7 @@ def estimate_flow(
             word[later] = last[step[later] % 4, np.arange(len(later))]
         k = lemire_step(seed, trial, step, deg, word)
         # child k drew its offspring vector from word 2 + k
-        go = [(cls == root) & (lo <= k) & (k < hi) for root, lo, hi, _, _ in directions]
+        go = [end & (lo <= k) & (k < hi) for end, (lo, hi, _, _) in zip(ends, directions)]
         need = np.flatnonzero(go[0] | go[1])
         index = 2 + k[need]
         counter = index // 4 + 1
@@ -457,31 +454,35 @@ def mass_transport_check(
         raise DegreeTooLargeError(
             "the mean inverse root degree z is below 2**-1074, the smallest "
             "positive float; a transport check needs z of at least that")
-    roots = _RootDraws(measure)
-    # each class's term on either side, in the per-trial loop's arithmetic;
-    # a class of another label adds 0.0, which leaves an in-order sum as it is
-    sent_v = np.array([u.vector[j - 1] / total(u.vector) / z_f if u.label == i else 0.0
-                       for u in roots.classes])
-    received_v = np.array([u.vector[i - 1] / total(u.vector) / z_f if u.label == j else 0.0
-                           for u in roots.classes])
+    labels, label_cdf = _cdf(measure.root_dist)
+
+    def side(a: int, b: int):
+        # the a-rooted trials' word-0 range, and the neighbor law and term
+        # c_b / |c| / z of each vector c of label a, in the per-trial loop's
+        # arithmetic; a trial of another label adds 0.0 in that loop, which
+        # leaves an in-order sum as it is, so it is not drawn
+        vectors, cdf = _cdf(measure.neighbor_dist[a])
+        values = np.array([c[b - 1] / total(c) / z_f for c in vectors])
+        return _range(label_cdf, labels.index(a)), cdf, values
+
+    sides = (side(i, j), side(j, i))
     # every sum of squares stays below trials * top**2; when that is a
     # float, so are the values and the exact references, which are at most
     # top (and `within` compares with float(exact))
-    top = float(max(sent_v.max(), received_v.max()))
+    top = float(max(values.max() for *_, values in sides))
     if not math.isfinite(top * top * trials):
         raise DegreeTooLargeError(
             f"the largest transport value c_j / |c| / z is {top:.3g}; a transport "
             f"check needs its square times the {trials} trials below the largest "
             f"float, {sys.float_info.max:.3g}")
-    sum_f = sq_f = sum_b = sq_b = 0.0
+    sums = [[0.0, 0.0], [0.0, 0.0]]
     for trial in _blocks(trials):
-        cls = roots(philox_block(seed, trial, 1))
-        v = sent_v[cls]
-        sum_f, sq_f = _add_in_order(sum_f, v), _add_in_order(sq_f, v * v)
-        v = received_v[cls]
-        sum_b, sq_b = _add_in_order(sum_b, v), _add_in_order(sq_b, v * v)
-    mean_f, se_f = _estimate(sum_f, sq_f, trials)
-    mean_b, se_b = _estimate(sum_b, sq_b, trials)
+        first = philox_block(seed, trial, 1)
+        k0 = first[0] >> _11
+        for s, (bounds, cdf, values) in zip(sums, sides):
+            v = values[_pick(cdf, first[1, np.flatnonzero(_in(k0, bounds))])]
+            s[:] = _add_in_order(s[0], v), _add_in_order(s[1], v * v)
+    (mean_f, se_f), (mean_b, se_b) = (_estimate(*s, trials) for s in sums)
     return (
         FlowEstimate(mean_f, se_f, _transport_mass(measure, i, j) / z, trials, seed),
         FlowEstimate(mean_b, se_b, _transport_mass(measure, j, i) / z, trials, seed),

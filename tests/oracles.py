@@ -1578,12 +1578,18 @@ def fraction_transport_mass(measure: RootMeasure, i: int, j: int) -> Fraction:
     return num
 
 
+def draw_order_classes(measure) -> List[SupportClass]:
+    """The support classes in draw order: label by label, and each label's
+    vectors, in sorted order."""
+    return [SupportClass(label, vector) for label in sorted(measure.root_dist)
+            for vector in sorted(measure.neighbor_dist[label])]
+
+
 def loop_root_draws(measure, words: np.ndarray) -> np.ndarray:
-    """`simulator._RootDraws` as a loop over the labels a block draws: each
-    label's trials picked by a full-length mask and drawn by their own
-    `searchsorted`, the body the bulk draw had before its one search.
-    Class indices count the classes of `_RootDraws.classes`, label by label
-    in sorted order."""
+    """The root class of each trial of a block at counter 1, by a loop over
+    the labels it draws: each label's trials picked by a full-length mask
+    and drawn by their own `searchsorted`.  Class indices count the classes
+    of `draw_order_classes`."""
     from gwrev.simulator import _cdf, _pick
 
     labels, label_cdf = _cdf(measure.root_dist)

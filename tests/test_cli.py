@@ -372,6 +372,17 @@ def test_cover_writes_the_dot_text_to_a_device(capsys, tmp_path):
     assert run(capsys, "verify", str(out))[0] == 0
 
 
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_cover_with_a_dot_write_that_fails_writes_no_measure(capsys, tmp_path):
+    # every write to /dev/full fails: the measure written before it goes again
+    gpath = tmp_path / "tri.txt"
+    gpath.write_text("0 1\n1 2\n2 0\n")
+    assert main(["cover", str(gpath), str(tmp_path / "tri_m.json"), "--dot", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "No space left on device" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.txt"]
+
 @pytest.mark.parametrize("edges, head", [
     # a triangle numbered from 1: four vertices, vertex 0 alone
     ("1 2\n2 3\n3 1\n", "graph must be connected"),
@@ -460,7 +471,7 @@ def test_simulate_trial_indices_must_fit_in_64_bits(capsys, tmp_path, spec_path,
 
     out = tmp_path / "measure.json"
     run(capsys, "construct", spec_path, str(out))
-    monkeypatch.setattr(gwrev.simulator, "_RootDraws", no_draws)
+    monkeypatch.setattr(gwrev.simulator, "philox_block", no_draws)
     code = main(["simulate", str(out), "--trials", str(trials), "--seed", "1", *selector])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -499,7 +510,7 @@ def test_simulate_refuses_an_end_of_degree_2_to_the_32_or_more(capsys, tmp_path,
         raise AssertionError("drew a trial")
 
     # refused before any array is built: no draw, and no array sized by the degree
-    monkeypatch.setattr(gwrev.simulator, "_RootDraws", no_draws)
+    monkeypatch.setattr(gwrev.simulator, "philox_block", no_draws)
     huge = f"1:({degree})"
     for ends in ((huge, huge), ("1:(1)", huge)):
         code = main(["simulate", path, "--trials", "10", "--seed", "1",
@@ -556,6 +567,21 @@ def test_mtp_estimates_a_measure_of_degree_2_to_the_510(capsys, tmp_path):
     for estimate in result["estimates"]:
         assert estimate["empirical_mean"] == float(2**510)
         assert estimate["exact"] == str(2**510)
+
+
+def test_mtp_allows_the_rounding_of_an_estimate_with_no_spread(capsys, tmp_path):
+    # every root has 10**6 neighbors: each trial's value is the exact mean
+    # but for the rounding of its float arithmetic, and the standard error is 0
+    spec = write(tmp_path / "spec.json", {"n": 1, "mode": "pair", "offspring": [
+        {"parent": 1, "child": 1, "dist": [{"c": [1000000], "p": "1"}]}]})
+    out = tmp_path / "m.json"
+    assert run(capsys, "construct", spec, str(out))[0] == 0
+    code, result = run(capsys, "simulate", str(out), "--mtp", "1,1", "--trials", "3",
+                       "--seed", "1")
+    assert code == 0 and result["ok"]
+    for estimate in result["estimates"]:
+        assert estimate["exact"] == "1000001" and estimate["std_error"] == 0.0
+        assert estimate["empirical_mean"] != 1000001.0 and estimate["within_4se"]
 
 
 def test_verify_detects_tampering(capsys, tmp_path, spec_path):

@@ -205,7 +205,7 @@ def test_integer_references_equal_the_fraction_loops_on_every_measure():
 
 
 # ---------------------------------------------------------------------------
-# Root draws: one search against the per-label loop
+# Root draws: two range tests per class against the per-label loop
 # ---------------------------------------------------------------------------
 
 def draw_words(k0, k1, rng):
@@ -234,10 +234,16 @@ def boundary_words(measure, rng, every_label=True):
 
 
 def assert_same_root_draws(measure, words):
-    got = simulator._RootDraws(measure)(words)
-    assert got.dtype == np.int64
-    assert got.tolist() == oracles.loop_root_draws(measure, words).tolist()
-    return got
+    """For every class u, the range tests on words 0 and 1 select exactly
+    the trials that the per-label loop roots at u; returns the loop's
+    class indices."""
+    drawn = oracles.loop_root_draws(measure, words)
+    classes = oracles.draw_order_classes(measure)
+    k0, k1 = words[:2] >> np.uint64(11)
+    for index, (label, vector) in enumerate(simulator._root_ranges(measure, classes)):
+        rooted = simulator._in(k0, label) & simulator._in(k1, vector)
+        assert np.array_equal(rooted, drawn == index)
+    return drawn
 
 
 def test_root_draws_equal_the_per_label_loop_on_every_measure():
@@ -252,7 +258,7 @@ def test_root_draws_equal_the_per_label_loop_on_every_measure():
 
 def test_root_draws_on_blocks_that_miss_a_label():
     three, centre, _ = rare_label_measure()
-    classes = simulator._RootDraws(three).classes
+    classes = oracles.draw_order_classes(three)
     words = simulator.philox_block(SEED, np.arange(1200, dtype=np.uint64), 1)
     missed = hit = 0
     for lo in range(0, 1200, 64):
@@ -267,7 +273,7 @@ def test_root_draws_on_blocks_that_miss_a_label():
 
 def many_label_laws(labels, rng):
     """Root and neighbor laws on `labels` labels, one to four vectors each
-    and some of probability zero, as `_RootDraws` reads them; every third
+    and some of probability zero, as the range tests read them; every third
     neighbor law sums to less than one, so a draw past its last threshold
     clamps to its last vector."""
     weights = [rng.randint(1, 9) for _ in range(labels)]
@@ -283,15 +289,54 @@ def many_label_laws(labels, rng):
 
 
 def test_root_draws_with_more_labels_than_an_offset_per_label_allows():
-    """Past about 1,000 labels, label offsets of 2**53 + 1 leave int64."""
+    """Past about 1,000 labels, where label offsets of 2**53 + 1 would leave
+    int64, each class's ranges still select its trials."""
     rng = random.Random(1100)
     laws = many_label_laws(1100, rng)
     assert 1100 * (2**53 + 1) > 2**63
     words = simulator.philox_block(SEED, np.arange(20_000, dtype=np.uint64), 1)
-    classes = simulator._RootDraws(laws).classes
+    classes = oracles.draw_order_classes(laws)
     drawn = assert_same_root_draws(laws, words)
     assert len({classes[c].label for c in drawn.tolist()}) > 1000
     assert_same_root_draws(laws, boundary_words(laws, rng, every_label=False))
+
+
+def test_vector_laws_are_drawn_only_for_the_trials_that_read_them(monkeypatch):
+    """No `_pick` call receives a whole block: a flow draws no root label or
+    vector (its root step is range tests), only the child laws of trials
+    rooted at an end class, and a transport check draws the vectors of the
+    trials rooted at labels i and j alone."""
+    three, centre, side = rare_label_measure()
+    trials = simulator.BLOCK + 500
+    blocks = [np.arange(lo, min(lo + simulator.BLOCK, trials)) for lo in (0, simulator.BLOCK)]
+    words = simulator.philox_block(SEED, np.arange(trials, dtype=np.uint64), 1)
+    classes = oracles.draw_order_classes(three)
+    drawn = [classes[c] for c in oracles.loop_root_draws(three, words).tolist()]
+    calls = []
+    pick = simulator._pick
+
+    def counting_pick(thresholds, words):
+        calls.append((thresholds.tolist(), len(words)))
+        return pick(thresholds, words)
+
+    monkeypatch.setattr(simulator, "_pick", counting_pick)
+    assert_same_flow(three, centre, side, trials, SEED)
+    child_laws = [simulator._cdf(three.descendants.offspring_law(a.label, b.label))[1].tolist()
+                  for a, b in ((centre, side), (side, centre))]
+    assert [t for t, _ in calls] == child_laws * len(blocks)
+    for k, (_, lanes) in enumerate(calls):
+        block = blocks[k // 2]
+        assert lanes <= sum(drawn[t] in (centre, side) for t in block.tolist()) < len(block)
+    calls.clear()
+    i, j = centre.label, side.label
+    assert_same_transport(three, i, j, trials, SEED)
+    expected = []
+    for block in blocks:
+        for label in (i, j):
+            expected.append((simulator._cdf(three.neighbor_dist[label])[1].tolist(),
+                             sum(drawn[t].label == label for t in block.tolist())))
+    assert calls == expected
+    assert all(n < len(blocks[k // 2]) for k, (_, n) in enumerate(calls))
 
 
 # ---------------------------------------------------------------------------

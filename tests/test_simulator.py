@@ -8,6 +8,7 @@ from gwrev.core import RootMeasure, SupportClass
 from gwrev.covers import FiniteGraph, label_vertices, lift_measure
 from gwrev.simulator import (
     ClassNotInSupportError,
+    FlowEstimate,
     estimate_flow,
     exact_flow,
     exact_transport,
@@ -162,6 +163,14 @@ def test_flow_estimates_within_four_standard_errors(measure):
     assert fwd.within(4.0) and bwd.within(4.0)
     assert fwd.trials == 20000 and fwd.seed == SEED
     assert "philox" in fwd.generator
+
+
+def test_within_allows_the_rounding_of_a_float_mean_and_no_more():
+    # the mean of three values c_1 / |c| / z that round below 1000001
+    exact = F(1000001)
+    assert FlowEstimate(1000000.9999999999, 0.0, exact, 3, SEED).within(4.0)
+    assert not FlowEstimate(1000000.99999, 0.0, exact, 3, SEED).within(4.0)
+    assert not FlowEstimate(0.5, 0.1, F(1), 10, SEED).within(4.0)
 
 
 def test_flow_estimates_are_deterministic(measure):
