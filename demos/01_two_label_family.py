@@ -53,7 +53,7 @@ print(f"\nexact detailed balance violations: {len(violations)}")
 lhs = (
     measure.root_dist[1]
     * measure.neighbor_dist[1][(1, 1)]
-    * spec.pair_prob(1, 2, (0, 1))
+    * spec.offspring_prob(1, 2, (0, 1))
     * F(1, 2)
 )
 print(f"flow between classes 1:(1,1) and 2:(1,1): {lhs} each way")

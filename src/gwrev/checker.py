@@ -272,13 +272,7 @@ class CheckReport:
     )
 
     def ok(self) -> bool:
-        return (
-            self.labels_realized
-            and self.strongly_connected
-            and self.condition_i
-            and self.condition_ii is True
-            and self.connected_support is True
-        )
+        return not self.failed_names()
 
     def failed_names(self) -> List[str]:
         out = []

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import tempfile
 
 from . import fileformats as ff
 from .checker import run_checks
@@ -28,13 +29,27 @@ def _emit(obj) -> None:
     sys.stdout.write(ff.canonical_json(obj))
 
 
+def _file_mode(path) -> int:
+    """The permission bits of the file at `path`, or those that open()
+    gives a new file when there is none."""
+    try:
+        return os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        mask = os.umask(0)
+        os.umask(mask)
+        return 0o666 & ~mask
+
+
 def _save_verified(measure, out, fields=None, extra=None) -> int:
     """Verify the measure exactly, write it to `out`, and with it the text
     `extra[1]` to the path `extra[0]` when given, and report success with
     `fields`.  A violation (impossible for a checked spec) is emitted as the
     failed `verify` condition.  A call that fails writes nothing: the extra
     file is opened, without being changed, before the measure is written,
-    and either file the call created is removed again if a write fails."""
+    a measure bound for a regular file (or for none) is written under a
+    temporary name beside it and renamed over it only once the extra text
+    is written, and a file the call created is removed again if a write
+    fails."""
     violations = verify_reversibility(measure)
     if violations:
         _emit({"ok": False, "failed": ["verify"],
@@ -44,13 +59,21 @@ def _save_verified(measure, out, fields=None, extra=None) -> int:
         ff.save_measure(out, measure)
     else:
         path, text = extra
-        created = [p for p in (path, out) if not os.path.lexists(p)]
+        target, temp = os.path.realpath(out), None
+        created = [] if os.path.lexists(path) else [path]
         try:
             with open(path, "a") as fh:
-                ff.save_measure(out, measure)
+                if not os.path.exists(target) or os.path.isfile(target):
+                    fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".json")
+                    os.close(fd)
+                    created.append(temp)
+                    os.chmod(temp, _file_mode(target))
+                ff.save_measure(temp or out, measure)
                 if os.path.isfile(path):  # a device or a pipe cannot be truncated
                     fh.truncate(0)
                 fh.write(text)
+            if temp:
+                os.replace(temp, target)
         except OSError:
             for p in created:
                 if os.path.exists(p):

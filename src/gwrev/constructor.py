@@ -18,6 +18,7 @@ from .core import (
     GWSpec,
     PAIR,
     RootMeasure,
+    SpecError,
     SupportClass,
     ZERO,
     block_mismatches,
@@ -41,13 +42,10 @@ def construct_measure(spec: GWSpec) -> RootMeasure:
     distribution (`_normalize`).
     """
     if spec.mode != PAIR:
-        raise ChecksFailedError("construct_measure requires a pair-mode spec")
+        raise SpecError("construct_measure requires a pair-mode spec")
     report = run_checks(spec)
     if not report.ok():
-        raise ChecksFailedError(
-            f"spec fails admissibility checks: {', '.join(report.failed_names())}",
-            report=report,
-        )
+        raise ChecksFailedError(report)
     neighbor_dist, root_dist = _normalize(spec.n, report.potentials)
     return RootMeasure(
         n=spec.n,

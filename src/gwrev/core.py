@@ -53,10 +53,11 @@ class SpecError(GwrevError):
 
 
 class ChecksFailedError(GwrevError):
-    """An operation requiring a fully checked spec was given a failing one."""
+    """An operation requiring a fully checked spec was given a failing one;
+    carries the failing check report, whose failed checks the message names."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
+    def __init__(self, report):
+        super().__init__(f"spec fails admissibility checks: {', '.join(report.failed_names())}")
         self.report = report
 
 
@@ -244,11 +245,6 @@ class GWSpec:
                     )
 
     # -- lookup helpers ----------------------------------------------------
-
-    def pair_prob(self, i: int, j: int, c: Vector) -> Fraction:
-        """Probability that a vertex labeled j with parent labeled i has
-        children c.  Zero if unstored.  Pair mode only."""
-        return self.offspring.get((i, j), {}).get(c, ZERO)
 
     def offspring_prob(self, parent: int, label: int, c: Vector) -> Fraction:
         """Offspring probability for a (parent, label) vertex in either mode."""

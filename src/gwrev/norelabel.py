@@ -24,6 +24,9 @@ the size of the expansion.  A degree d whose b^d has more than
 `_EXACT_BITS` bits and that lists fewer vectors than the
 C(d + k - 1, k - 1) its k labels' multinomial law puts mass on fails at
 its first vector, with no comparison that costs more than the document.
+An expansion is refused with SpecError before any table is built when
+`_expansion_bytes`, counted from each degree's vectors and value sizes,
+puts the document it fills past `_MAX_DOCUMENT_BYTES`.
 """
 
 from __future__ import annotations
@@ -182,6 +185,74 @@ def _mixtures(pspec: PlainSpec, i: int, shifts: Tuple[int, ...]) -> List[Dist]:
     return laws
 
 
+# the most bytes of expanded laws one call writes
+_MAX_DOCUMENT_BYTES = 1 << 27
+
+# about the fixed text of a measure document as `fileformats` lays it out,
+# in bytes: per document, per label (its law headers and root entry), per
+# law entry and per coordinate of an entry
+_DOCUMENT_TEXT, _LABEL_TEXT, _ENTRY_TEXT, _COORDINATE_TEXT = 150, 200, 73, 15
+
+
+def _digits(bits: float) -> int:
+    """About the decimal digits of a number of `bits` bits."""
+    return 1 + int(bits * 0.30103)
+
+
+def _vector_count(degree: int, k: int, limit: int) -> int:
+    """C(degree + k - 1, k - 1), the count vectors of total `degree` on k
+    labels, formed as C(degree + j, j) for j < k, or limit + 1 as soon as
+    it passes `limit`: at most `limit` steps."""
+    count = 1
+    for j in range(1, k if degree else 1):
+        count = count * (degree + j) // j
+        if count > limit:
+            return limit + 1
+    return count
+
+
+def _expansion_bytes(pspec: PlainSpec, shifts: Tuple[int, ...],
+                     limit: int = _MAX_DOCUMENT_BYTES) -> int:
+    """About the bytes of the document that every label's `_mixtures` at
+    these shifts fill, formed before any is expanded, or a figure past
+    `limit` as soon as the sum passes it.  A degree d of weight u / v at a
+    shift has C(D + k - 1, k - 1) entries, D = d + shift and k the active
+    labels, each with n counts of at most D and a value u * N(c) /
+    (v * b^D) of at most bitlen(v) + D * log2(b) bits in numerator and in
+    denominator.  Its cost follows the entries it counts, so it never
+    costs more than the document."""
+    n, entries = pspec.n, limit // _ENTRY_TEXT
+    size = _DOCUMENT_TEXT + n * _LABEL_TEXT
+    for i in range(1, n + 1):
+        a, b = over_common_denominator([p.as_integer_ratio() for p in pspec.params[i]])
+        k = len(a) - a.count(0)
+        for shift in shifts:
+            for d, pd in pspec.degree_dist[i].items():
+                D = d + shift
+                count = _vector_count(D, k, entries)
+                if count > entries:
+                    return size + count * _ENTRY_TEXT
+                # b > 1 puts mass on two labels or more, so D < count here
+                value = 2 * _digits(pd.denominator.bit_length()
+                                    + (D * math.log2(b) if b > 1 else 0)) + 1
+                counts = (n - k) + k * _digits(D.bit_length())
+                size += count * (_ENTRY_TEXT + n * _COORDINATE_TEXT + counts + value)
+                if size > limit:
+                    return size
+    return size
+
+
+def _expansion(pspec: PlainSpec, shifts: Tuple[int, ...]) -> Dict[int, List[Dist]]:
+    """Every label's `_mixtures` at these shifts, refused with SpecError
+    before any is expanded when `_expansion_bytes` puts the document they
+    fill past `_MAX_DOCUMENT_BYTES`."""
+    size = _expansion_bytes(pspec, shifts)
+    if size > _MAX_DOCUMENT_BYTES:
+        raise SpecError(f"the expanded laws would take an estimated {size} bytes or more, "
+                        f"past the bound of {_MAX_DOCUMENT_BYTES} bytes")
+    return {i: _mixtures(pspec, i, shifts) for i in range(1, pspec.n + 1)}
+
+
 # ---------------------------------------------------------------------------
 # Extraction from an explicit plain spec
 # ---------------------------------------------------------------------------
@@ -245,7 +316,7 @@ def extract_plain_spec(spec: GWSpec) -> PlainSpec:
 
 def expand_plain_spec(pspec: PlainSpec) -> GWSpec:
     """Explicit per-label offspring distributions for a PlainSpec."""
-    offspring = {i: _mixtures(pspec, i, (0,))[0] for i in range(1, pspec.n + 1)}
+    offspring = {i: law for i, (law,) in _expansion(pspec, (0,)).items()}
     return GWSpec(n=pspec.n, mode=PLAIN, offspring=offspring)
 
 
@@ -270,7 +341,7 @@ class PlainCheckReport:
     potentials: Optional[Dict[int, Fraction]] = field(default=None, repr=False, compare=False)
 
     def ok(self) -> bool:
-        return self.multinomial and self.cycles is True and self.connected is True
+        return not self.failed_names()
 
     def failed_names(self) -> List[str]:
         out = []
@@ -330,16 +401,10 @@ def construct_plain_measure(spec: Union[GWSpec, PlainSpec]) -> RootMeasure:
     """
     report = run_plain_checks(spec)
     if not report.ok():
-        if report.cycles is False:
-            reason = f"cycle identity fails along {report.violating_cycle}"
-        elif report.connected is False:
-            reason = "label graph is disconnected"
-        else:
-            reason = f"{report.multinomial_error}, witness {report.multinomial_witness}"
-        raise ChecksFailedError(reason, report=report)
+        raise ChecksFailedError(report)
     pspec, pot = report.pspec, report.potentials
     root_dist, _ = normalize({i: pot[i].as_integer_ratio() for i in range(1, pspec.n + 1)})
-    laws = {i: _mixtures(pspec, i, (0, 1)) for i in range(1, pspec.n + 1)}
+    laws = _expansion(pspec, (0, 1))
     return RootMeasure(
         n=pspec.n,
         root_dist=root_dist,

@@ -137,7 +137,7 @@ def assert_support_consistency(measure: RootMeasure) -> None:
     for cls in support_classes(measure):
         i, c = cls
         for j, cj in enumerate(c, start=1):
-            if cj > 0 and spec.pair_prob(j, i, decrement(c, j)) == 0:
+            if cj > 0 and spec.offspring_prob(j, i, decrement(c, j)) == 0:
                 raise AssertionError(
                     f"constructed class {cls} lacks the offspring term for parent {j}"
                 )
@@ -261,8 +261,8 @@ def edge_ratio(spec: GWSpec, u: SupportClass, v: SupportClass) -> Fraction:
     v = (j, d): [p(j,i)(c-j) * d_i * |c|] / [p(i,j)(d-i) * c_j * |d|]."""
     i, c = u
     j, d = v
-    num = spec.pair_prob(j, i, decrement(c, j))
-    den = spec.pair_prob(i, j, decrement(d, i))
+    num = spec.offspring_prob(j, i, decrement(c, j))
+    den = spec.offspring_prob(i, j, decrement(d, i))
     if num == 0 or den == 0:
         raise MissingOffspringTermError(
             f"edge {u} -- {v} needs an unstored offspring probability"
@@ -539,13 +539,14 @@ def depth_one_kernel(spec: GWSpec) -> Tuple[List[SupportClass], List[List[Fracti
     classes = sorted(SupportClass(i, c) for i in range(1, spec.n + 1)
                      for c in candidate_support(spec, i))
     column = {u: k for k, u in enumerate(classes)}
+    prob = spec.offspring_prob
     rows = []
     for u, v in itertools.combinations(classes, 2):
         (i, c), (j, d) = u, v
         if c[j - 1] and d[i - 1]:
             row = [Fraction(0)] * len(classes)
-            row[column[u]] = spec.pair_prob(i, j, decrement(d, i)) * Fraction(c[j - 1], total(c))
-            row[column[v]] = -spec.pair_prob(j, i, decrement(c, j)) * Fraction(d[i - 1], total(d))
+            row[column[u]] = prob(i, j, decrement(d, i)) * Fraction(c[j - 1], total(c))
+            row[column[v]] = -prob(j, i, decrement(c, j)) * Fraction(d[i - 1], total(d))
             if any(row):
                 rows.append(row)
     return classes, kernel_basis(rows, len(classes))
@@ -777,7 +778,7 @@ def first_visit_condition_i(spec: GWSpec):
     """Condition i (`checker._condition_i`) as a loop over the laws: the stored keys
     (j, i) in (i, j) order, their sorted entries e, c = e + e_j, each class
     (i, c) checked at its first visit, every positive coordinate k of c
-    looked up with `pair_prob`."""
+    looked up with `offspring_prob`."""
     seen = set()
     for (j, i) in sorted(spec.offspring, key=lambda key: (key[1], key[0])):
         for e in sorted(spec.offspring[(j, i)]):
@@ -786,7 +787,7 @@ def first_visit_condition_i(spec: GWSpec):
                 continue
             seen.add((i, c))
             for k, ck in enumerate(c, start=1):
-                if ck > 0 and spec.pair_prob(k, i, decrement(c, k)) == 0:
+                if ck > 0 and spec.offspring_prob(k, i, decrement(c, k)) == 0:
                     return False, (i, j, k, c)
     return True, None
 
@@ -799,7 +800,7 @@ def every_visit_condition_i(spec: GWSpec):
         for e in sorted(spec.offspring[(j, i)]):
             c = increment(e, j)
             for k, ck in enumerate(c, start=1):
-                if ck > 0 and spec.pair_prob(k, i, decrement(c, k)) == 0:
+                if ck > 0 and spec.offspring_prob(k, i, decrement(c, k)) == 0:
                     return False, (i, j, k, c)
     return True, None
 

@@ -257,7 +257,7 @@ def test_potentials_read_each_balance_key_once(monkeypatch, k, expected):
 def test_condition_i_reads_each_class_term_once(monkeypatch, k):
     # every grid class (i, (a, b)) is forced through both labels; over a
     # whole run_checks its two terms p(k, i)(c - e_k) are each read once,
-    # for both conditions, and never through pair_prob
+    # for both conditions, and never through offspring_prob
     template, weights = dense_grid(k, seed=1, bits=64)
     spec = solve_offspring(template, weights)
     reads = []
@@ -267,10 +267,10 @@ def test_condition_i_reads_each_class_term_once(monkeypatch, k):
         return side_key(law, u, j, weight)
 
     def forbidden(*args):
-        raise AssertionError("run_checks calls pair_prob")
+        raise AssertionError("run_checks calls offspring_prob")
 
     monkeypatch.setattr(checker, "side_key", counted)
-    monkeypatch.setattr(GWSpec, "pair_prob", forbidden)
+    monkeypatch.setattr(GWSpec, "offspring_prob", forbidden)
     report = checker.run_checks(spec)
     assert report.ok() and report.condition_i_counterexample is None
     terms = sum(x > 0 for cls in template.classes for x in cls.vector)

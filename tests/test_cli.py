@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -262,6 +263,25 @@ def test_plain_direct_and_explicit_forms_agree(capsys, tmp_path):
         assert measures[0] == measures[1]
 
 
+def test_construct_refuses_a_plain_expansion_past_the_size_bound(capsys, tmp_path):
+    # 178 bytes that pass `check` and would expand to about 6 GB: exit 2
+    # before any table is built
+    spec = tmp_path / "plain.json"
+    spec.write_text('{"mode": "plain", "n": 2, "degree_dist": [{"type": 1, "dist": '
+                    '[{"d": 100000, "p": "1"}]}, {"type": 2, "dist": [{"d": 1, "p": "1"}]}], '
+                    '"params": [["1/2", "1/2"], ["1/2", "1/2"]]}')
+    assert main(["check", str(spec)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.json"
+    start = time.perf_counter()
+    code = main(["construct", str(spec), str(out)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 2.0, elapsed
+    assert "past the bound of 134217728 bytes" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json"]
+
+
 def test_construct_single_type_augmented_law(capsys, tmp_path):
     spec_obj = {
         "n": 1,
@@ -382,6 +402,25 @@ def test_cover_with_a_dot_write_that_fails_writes_no_measure(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "" and "No space left on device" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_cover_with_a_dot_write_that_fails_keeps_the_measure_there(capsys, tmp_path):
+    # the new measure is renamed over the old only once the DOT text is
+    # written; a call that succeeds keeps the old file's permissions
+    gpath = tmp_path / "tri.txt"
+    gpath.write_text("0 1\n1 2\n2 0\n")
+    out = tmp_path / "m.json"
+    out.write_text("old")
+    out.chmod(0o640)
+    assert main(["cover", str(gpath), str(out), "--dot", "/dev/full"]) == 2
+    assert capsys.readouterr().out == "" and out.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "tri.txt"]
+    code, result = run(capsys, "cover", str(gpath), str(out), "--dot", os.devnull)
+    assert code == 0 and result["written"] == str(out)
+    assert out.read_text().startswith("{") and out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "tri.txt"]
+
 
 @pytest.mark.parametrize("edges, head", [
     # a triangle numbered from 1: four vertices, vertex 0 alone

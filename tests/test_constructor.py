@@ -4,16 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 import gwrev.constructor as constructor
+from gwrev import fileformats as ff
 from gwrev.checker import run_checks
 from gwrev.constructor import construct_measure, verify_reversibility
 from gwrev.core import (
     ChecksFailedError,
     GWSpec,
     PAIR,
+    PLAIN,
     RootMeasure,
+    SpecError,
     SupportClass,
     candidate_support,
 )
+from gwrev.norelabel import construct_plain_measure, expand_plain_spec, run_plain_checks
 from gwrev.parametrizer import assemble_measure
 
 from .conftest import A, B, D, break_condition_i, break_condition_ii, dense_grid, two_label_spec
@@ -25,7 +29,9 @@ from .oracles import (
     fraction_verify_reversibility,
     listed_violations,
     random_admissible_instance,
+    random_corpus,
     random_single_type_law,
+    redrawn_rows,
     solve_offspring,
 )
 
@@ -114,8 +120,9 @@ def test_verify_reversibility_worked_values(pair_spec):
     mu = construct_measure(pair_spec)
     assert verify_reversibility(mu) == []
     # the cross-label pair ((1, A), (2, A)) carries flow exactly 3/32
-    lhs = mu.root_dist[1] * mu.neighbor_dist[1][A] * pair_spec.pair_prob(1, 2, (0, 1)) * F(1, 2)
-    rhs = mu.root_dist[2] * mu.neighbor_dist[2][A] * pair_spec.pair_prob(2, 1, (1, 0)) * F(1, 2)
+    prob = pair_spec.offspring_prob
+    lhs = mu.root_dist[1] * mu.neighbor_dist[1][A] * prob(1, 2, (0, 1)) * F(1, 2)
+    rhs = mu.root_dist[2] * mu.neighbor_dist[2][A] * prob(2, 1, (1, 0)) * F(1, 2)
     assert lhs == rhs == F(3, 32)
 
 
@@ -279,3 +286,54 @@ def test_agw_structure_random_single_type_laws():
         mu = construct_measure(spec)
         assert_support_consistency(mu)
         assert mu.neighbor_dist[1] == {(k + 1,): p for k, p in law.items()}
+
+
+# ---------------------------------------------------------------------------
+# The one verdict and the one refusal
+# ---------------------------------------------------------------------------
+
+def corpus_specs(mode):
+    """The spec documents of `random_corpus` in one regime, read as the CLI
+    reads them; a plain spec also in its explicit form and with its rows
+    redrawn, so that some fail."""
+    specs = [ff.obj_to_spec(doc) for doc in random_corpus()
+             if isinstance(doc, dict) and doc.get("mode") == mode and "ok" not in doc]
+    if mode == PAIR:
+        return specs
+    rng = random.Random(30)
+    return (specs + [expand_plain_spec(pspec) for pspec in specs]
+            + [redrawn_rows(rng, pspec) for pspec in specs])
+
+
+@pytest.mark.parametrize("mode, check, construct", [
+    (PAIR, run_checks, construct_measure),
+    (PLAIN, run_plain_checks, construct_plain_measure),
+], ids=[PAIR, PLAIN])
+def test_a_failing_spec_is_refused_with_its_report(mode, check, construct):
+    # the verdict is "no check failed", and the one refusal carries the
+    # failing report and names exactly its failed checks
+    passing = failing = 0
+    for spec in corpus_specs(mode):
+        report = check(spec)
+        assert report.ok() == (report.failed_names() == [])
+        if report.ok():
+            passing += 1
+            assert isinstance(construct(spec), RootMeasure)
+            continue
+        failing += 1
+        with pytest.raises(ChecksFailedError) as err:
+            construct(spec)
+        assert err.value.report == report
+        head, _, names = str(err.value).partition(": ")
+        assert head == "spec fails admissibility checks"
+        assert names.split(", ") == report.failed_names()
+        rebuilt = ChecksFailedError(report)
+        assert rebuilt.report is report and str(rebuilt) == str(err.value)
+    assert passing > 10 and failing > 10, (passing, failing)
+
+
+def test_construct_measure_refuses_a_plain_spec_as_malformed():
+    # in either form, passing its checks or not
+    for spec in corpus_specs(PLAIN):
+        with pytest.raises(SpecError, match="requires a pair-mode spec"):
+            construct_measure(spec)

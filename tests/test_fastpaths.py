@@ -414,8 +414,8 @@ def test_pair_pipeline_is_label_permutation_invariant():
             assert cycle_identity_product(moved, walk) != 1
         if moved_report.condition_i_counterexample is not None:
             i, j, k, c = moved_report.condition_i_counterexample
-            assert moved.pair_prob(j, i, decrement(c, j)) > 0
-            assert moved.pair_prob(k, i, decrement(c, k)) == 0
+            assert moved.offspring_prob(j, i, decrement(c, j)) > 0
+            assert moved.offspring_prob(k, i, decrement(c, k)) == 0
         if report.ok():
             assert construct_measure(moved) == permute_measure(construct_measure(spec), tau)
         failing += not report.ok()
