@@ -289,20 +289,13 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # exact values may have any number of digits: lift the int <-> str limit
-    # of Python 3.10.7 and later (0 is none) for the call, restore it after
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return globals()[f"cmd_{args.command}"](args)
-    except (GwrevError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    with ff.int_limit(0):
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else list(argv))
+            return globals()[f"cmd_{args.command}"](args)
+        except (GwrevError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+            sys.stderr.write(f"error: {err}\n")
+            return 2
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .core import (
     decrement,
     normalize,
 )
-from .fileformats import default_int_limit
+from .fileformats import int_limit
 
 
 class GraphTooLargeError(GwrevError):
@@ -106,11 +106,11 @@ class FiniteGraph:
 
 def load_graph(path) -> FiniteGraph:
     """Read an undirected edge list: one `u v` pair per line, `#` comments.
-    Vertex ids are converted under `fileformats.default_int_limit`, so an id
+    Vertex ids are converted under `fileformats.int_limit(4300)`, so an id
     of more than 4300 digits is malformed.  A refused line is named by its
     number and at most its first 40 characters."""
     edges = []
-    with open(path) as fh, default_int_limit():
+    with open(path) as fh, int_limit(4300):
         for number, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -110,8 +110,13 @@ def _list(value) -> list:
 
 
 def _ints(values) -> tuple:
-    """A list of JSON integers as a tuple, each checked by `_int`."""
-    return tuple(map(_int, _list(values)))
+    """A list of JSON integers as a tuple; TypeError, as from `_int`, for
+    an entry that is anything else."""
+    out = tuple(_list(values))
+    for x in out:
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not an integer")
+    return out
 
 
 def _unique(pairs, what: str) -> dict:
@@ -126,16 +131,11 @@ def _unique(pairs, what: str) -> dict:
 
 
 def _obj_to_dist(entries) -> Dist:
-    if not isinstance(entries, list) or not entries:
+    if not _list(entries):
         raise SpecError("distribution must be a non-empty list")
     dist: Dist = {}
     for entry in entries:
-        if not isinstance(entry, dict) or not isinstance(entry.get("c"), list):
-            raise SpecError(f"distribution entry {entry!r} needs a list \"c\"")
-        c = tuple(entry["c"])
-        for x in c:
-            if type(x) is not int:
-                raise TypeError(f"{x!r} is not an integer")
+        c = _ints(entry["c"])
         if c in dist:
             raise SpecError(f"duplicate vector {c} in distribution")
         dist[c] = parse_fraction(entry["p"])
@@ -151,6 +151,17 @@ def _obj_to_dist(entries) -> Dist:
 _SHAPE_ERRORS = (TypeError, KeyError, ValueError)
 
 
+@contextmanager
+def _document(kind: str):
+    """The block reads a `kind` document: a shape error raised in it is the
+    SpecError "bad <kind> document: ...", a missing key named as one."""
+    try:
+        yield
+    except _SHAPE_ERRORS as err:
+        what = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise SpecError(f"bad {kind} document: {what}") from None
+
+
 def obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
     """Decode a spec document.
 
@@ -158,49 +169,40 @@ def obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
     (degree distributions plus a parameter matrix) yields a PlainSpec.  A
     document of the wrong shape raises SpecError.
     """
-    try:
-        return _obj_to_spec(obj)
-    except _SHAPE_ERRORS as err:
-        raise SpecError(f"bad spec document: {err}") from None
-
-
-def _obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
     if not isinstance(obj, dict):
         raise SpecError("spec document must be a JSON object")
-    try:
+    with _document("spec"):
         n = _int(obj["n"])
         mode = obj["mode"]
-    except KeyError as err:
-        raise SpecError(f"spec document lacks key {err}") from None
-    if mode not in (PAIR, PLAIN):
-        raise SpecError(f"unknown mode {mode!r}")
+        if mode not in (PAIR, PLAIN):
+            raise SpecError(f"unknown mode {mode!r}")
 
-    if mode == PLAIN and "degree_dist" in obj:
-        degree_dist: Dict[int, Dict[int, Fraction]] = _unique((
-            (_int(entry["type"]),
-             _unique(((_int(e["d"]), parse_fraction(e["p"])) for e in _list(entry["dist"])),
-                     f"degree in the law of type {entry['type']}:"))
-            for entry in _list(obj["degree_dist"])
-        ), "degree_dist entry for type")
-        params_rows = _list(obj["params"])
-        if len(params_rows) != n:
-            raise SpecError("params matrix must have n rows")
-        params = {
-            i + 1: tuple(parse_fraction(p) for p in _list(row))
-            for i, row in enumerate(params_rows)
-        }
-        return PlainSpec(n=n, degree_dist=degree_dist, params=params)
+        if mode == PLAIN and "degree_dist" in obj:
+            degree_dist: Dict[int, Dict[int, Fraction]] = _unique((
+                (_int(entry["type"]),
+                 _unique(((_int(e["d"]), parse_fraction(e["p"])) for e in _list(entry["dist"])),
+                         f"degree in the law of type {entry['type']}:"))
+                for entry in _list(obj["degree_dist"])
+            ), "degree_dist entry for type")
+            params_rows = _list(obj["params"])
+            if len(params_rows) != n:
+                raise SpecError("params matrix must have n rows")
+            params = {
+                i + 1: tuple(parse_fraction(p) for p in _list(row))
+                for i, row in enumerate(params_rows)
+            }
+            return PlainSpec(n=n, degree_dist=degree_dist, params=params)
 
-    def key(entry):
-        if mode == PAIR:
-            return _int(entry["parent"]), _int(entry["child"])
-        return _int(entry["type"])
+        def key(entry):
+            if mode == PAIR:
+                return _int(entry["parent"]), _int(entry["child"])
+            return _int(entry["type"])
 
-    offspring = _unique((
-        (key(entry), _obj_to_dist(entry["dist"]))
-        for entry in _list(obj.get("offspring", []))
-    ), "offspring entry for")
-    return GWSpec(n=n, mode=mode, offspring=offspring)
+        offspring = _unique((
+            (key(entry), _obj_to_dist(entry["dist"]))
+            for entry in _list(obj.get("offspring", []))
+        ), "offspring entry for")
+        return GWSpec(n=n, mode=mode, offspring=offspring)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +280,10 @@ def measure_json(measure: RootMeasure) -> str:
 def obj_to_measure(obj) -> RootMeasure:
     if not isinstance(obj, dict):
         raise SpecError("measure document must be a JSON object")
-    try:
+    with _document("measure"):
         descendants = obj_to_spec(obj["descendants"])
-    except KeyError:
-        raise SpecError("measure document lacks descendants") from None
-    if isinstance(descendants, PlainSpec):
-        raise SpecError("measure descendants must be explicit offspring laws")
-    try:
+        if isinstance(descendants, PlainSpec):
+            raise SpecError("measure descendants must be explicit offspring laws")
         root_dist = _unique((
             (_int(e["label"]), parse_fraction(e["p"])) for e in _list(obj.get("root", []))
         ), "root entry for label")
@@ -292,8 +291,6 @@ def obj_to_measure(obj) -> RootMeasure:
             (_int(e["label"]), _obj_to_dist(e["dist"]))
             for e in _list(obj.get("neighbors", []))
         ), "neighbors entry for label")
-    except _SHAPE_ERRORS as err:
-        raise SpecError(f"bad measure document: {err}") from None
     return RootMeasure(n=descendants.n, root_dist=root_dist, neighbor_dist=neighbor_dist,
                        descendants=descendants)
 
@@ -303,26 +300,22 @@ def obj_to_measure(obj) -> RootMeasure:
 # ---------------------------------------------------------------------------
 
 def obj_to_template(obj) -> SupportTemplate:
-    try:
+    with _document("template"):
         n = _int(obj["n"])
         classes = tuple(
             SupportClass(_int(e["label"]), _ints(e["c"]))
             for e in _list(obj["classes"])
         )
-    except _SHAPE_ERRORS as err:
-        raise SpecError(f"bad template document: {err}") from None
     return SupportTemplate(n=n, classes=classes)
 
 
 def obj_to_weights(obj) -> Weights:
-    try:
+    with _document("weights"):
         return _unique((
             (SupportClass(_int(e["label"]), _ints(e["c"])),
              parse_fraction(e["p"]))
             for e in _list(obj["weights"])
         ), "weight for class")
-    except _SHAPE_ERRORS as err:
-        raise SpecError(f"bad weights document: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +400,17 @@ def parse_class_selector(text: str) -> SupportClass:
 
 
 @contextmanager
-def default_int_limit():
-    """Python's default int <-> str limit of 4,300 digits, where Python has
-    one, for the block, and the caller's limit restored after it: no
-    integer an input can use is longer, and converting a longer one costs
-    time quadratic in its digits, so `int()` refuses it before converting
-    it, with a ValueError."""
+def int_limit(digits: int):
+    """Python's int <-> str limit set to `digits` (0 is none), where Python
+    has one, for the block, and the caller's limit restored after it.
+    Exact values may have any number of digits, so a CLI call runs under
+    `int_limit(0)`; a JSON integer literal or a vertex id is read under
+    Python's default, `int_limit(4300)`: no integer an input can use is
+    longer, and converting a longer one costs time quadratic in its digits,
+    so `int()` refuses it before converting it, with a ValueError."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
-        sys.set_int_max_str_digits(4300)
+        sys.set_int_max_str_digits(digits)
     try:
         yield
     finally:
@@ -424,13 +419,13 @@ def default_int_limit():
 
 
 def load_json(path):
-    """The JSON document at `path`, parsed under `default_int_limit`: a
+    """The JSON document at `path`, parsed under `int_limit(4300)`: a
     longer integer literal is malformed, as is a document nested too deeply
     to parse.  Rational strings keep any length."""
     with open(path) as fh:
         text = fh.read()
     try:
-        with default_int_limit():
+        with int_limit(4300):
             return json.loads(text)
     except RecursionError:
         raise SpecError(f"{path}: JSON nested too deeply to parse") from None

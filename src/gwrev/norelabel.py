@@ -211,17 +211,16 @@ def _vector_count(degree: int, k: int, limit: int) -> int:
     return count
 
 
-def _expansion_bytes(pspec: PlainSpec, shifts: Tuple[int, ...],
-                     limit: int = _MAX_DOCUMENT_BYTES) -> int:
+def _expansion_bytes(pspec: PlainSpec, shifts: Tuple[int, ...]) -> int:
     """About the bytes of the document that every label's `_mixtures` at
     these shifts fill, formed before any is expanded, or a figure past
-    `limit` as soon as the sum passes it.  A degree d of weight u / v at a
-    shift has C(D + k - 1, k - 1) entries, D = d + shift and k the active
-    labels, each with n counts of at most D and a value u * N(c) /
-    (v * b^D) of at most bitlen(v) + D * log2(b) bits in numerator and in
-    denominator.  Its cost follows the entries it counts, so it never
+    `_MAX_DOCUMENT_BYTES` as soon as the sum passes it.  A degree d of
+    weight u / v at a shift has C(D + k - 1, k - 1) entries, D = d + shift
+    and k the active labels, each with n counts of at most D and a value
+    u * N(c) / (v * b^D) of at most bitlen(v) + D * log2(b) bits in
+    numerator and in denominator.  Its cost follows the entries it counts, so it never
     costs more than the document."""
-    n, entries = pspec.n, limit // _ENTRY_TEXT
+    n, entries = pspec.n, _MAX_DOCUMENT_BYTES // _ENTRY_TEXT
     size = _DOCUMENT_TEXT + n * _LABEL_TEXT
     for i in range(1, n + 1):
         a, b = over_common_denominator([p.as_integer_ratio() for p in pspec.params[i]])
@@ -237,7 +236,7 @@ def _expansion_bytes(pspec: PlainSpec, shifts: Tuple[int, ...],
                                     + (D * math.log2(b) if b > 1 else 0)) + 1
                 counts = (n - k) + k * _digits(D.bit_length())
                 size += count * (_ENTRY_TEXT + n * _COORDINATE_TEXT + counts + value)
-                if size > limit:
+                if size > _MAX_DOCUMENT_BYTES:
                     return size
     return size
 

@@ -196,6 +196,24 @@ def test_plain_params_must_be_a_list_of_lists(capsys, tmp_path, n, params, comma
     assert not out.exists()
 
 
+
+def test_check_and_construct_name_a_label_no_law_realizes(capsys, tmp_path):
+    # label 3 is declared, but no law has a label-3 parent or child
+    path = write(tmp_path / "spec.json", {"n": 3, "mode": "pair", "offspring": [
+        {"parent": 1, "child": 2, "dist": [{"c": [1, 0, 0], "p": "1"}]},
+        {"parent": 2, "child": 1, "dist": [{"c": [0, 1, 0], "p": "1"}]},
+    ]})
+    assert main(["check", path]) == 1
+    checked = capsys.readouterr().out
+    assert checked == ff.canonical_json({
+        "condition_i": "pass", "condition_ii": "pass", "connected_support": True,
+        "failed": ["labels_realized"], "labels_realized": False, "missing_label": 3,
+        "mode": "pair", "ok": False, "strongly_connected": True})
+    out = tmp_path / "m.json"
+    assert main(["construct", path, str(out)]) == 1
+    assert capsys.readouterr().out == checked
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
@@ -421,6 +439,45 @@ def test_cover_with_a_dot_write_that_fails_keeps_the_measure_there(capsys, tmp_p
     assert out.read_text().startswith("{") and out.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "tri.txt"]
 
+
+
+_VIOLATION = (SupportClass(1, (1, 1)), SupportClass(2, (1, 1)), F(3, 32), F(1, 32))
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["construct", "parametrize", "cover", "cover --dot"])
+def test_a_verify_violation_refuses_every_measure_write(
+        capsys, tmp_path, monkeypatch, command, existing):
+    # exit 1 with the violation, no file created, and a measure and a DOT
+    # file already there left byte-identical
+    monkeypatch.setattr("gwrev.cli.verify_reversibility", lambda measure: [_VIOLATION])
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    out, dot = outputs / "m.json", outputs / "pairs.dot"
+    if command == "construct":
+        argv = [command, write(inputs / "spec.json", spec_to_obj(two_label_spec()))]
+    elif command == "parametrize":
+        argv = [command, write(inputs / "tmpl.json", template_to_obj(two_label_template())),
+                write(inputs / "w.json", weights_to_obj(two_label_weights(F(1, 2), F(1, 2))))]
+    else:
+        graph = inputs / "tri.txt"
+        graph.write_text("0 1\n1 2\n2 0\n")
+        argv = ["cover", str(graph)]
+    argv.append(str(out))
+    if command == "cover --dot":
+        argv += ["--dot", str(dot)]
+    if existing:
+        out.write_text("old measure")
+        dot.write_text("old dot")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ff.canonical_json({"failed": ["verify"], "ok": False, "violations": [
+        {"first": {"c": [1, 1], "label": 1}, "lhs": "3/32", "rhs": "1/32",
+         "second": {"c": [1, 1], "label": 2}}]})
+    written = {p.name: p.read_text() for p in outputs.iterdir()}
+    assert written == ({"m.json": "old measure", "pairs.dot": "old dot"} if existing else {})
 
 @pytest.mark.parametrize("edges, head", [
     # a triangle numbered from 1: four vertices, vertex 0 alone
@@ -810,6 +867,86 @@ def test_duplicate_entry_is_malformed(capsys, tmp_path, command, document, path)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "error: duplicate" in captured.err
+
+
+
+# each form of document the reader takes, from the worked instances: the
+# command that reads it, the kind its refusals name, and the document
+_FORMS = {
+    "pair spec": ("check", "spec", lambda: spec_to_obj(two_label_spec())),
+    "explicit plain spec": ("check", "spec",
+                            lambda: spec_to_obj(expand_plain_spec(three_label_plain()))),
+    "direct plain spec": ("check", "spec", lambda: plain_spec_to_obj(three_label_plain())),
+    "measure": ("verify", "measure", _worked_measure_obj),
+    "template": ("parametrize", "template", lambda: template_to_obj(two_label_template())),
+    "weights": ("parametrize", "weights",
+                lambda: weights_to_obj(two_label_weights(F(1, 2), F(1, 2)))),
+}
+
+# keys whose absence is read as a default or as the other plain form, and
+# the one key no reader reads
+_UNREAD_WHEN_ABSENT = {"offspring", "root", "neighbors", "degree_dist", "verified"}
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON tree, the root first."""
+    yield path, node
+    children = (node.items() if type(node) is dict
+                else enumerate(node) if type(node) is list else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _with(obj, path, value):
+    """A copy of `obj` with the node at `path`, the root included, replaced
+    by `value`."""
+    return _replaced(obj, list(path), value) if path else value
+
+
+def _faults(obj, fault):
+    """(the path of the faulty node, the document with that one fault, the
+    text its refusal ends with) for every site of `fault` in `obj`."""
+    for path, node in _nodes(obj):
+        if fault == "drop" and type(node) is dict:
+            for key in sorted(set(node) - _UNREAD_WHEN_ABSENT):
+                kept = {k: v for k, v in node.items() if k != key}
+                yield path, _with(obj, path, kept), f"missing key {key!r}"
+        elif fault == "retype" and type(node) in (list, int):
+            value = json.dumps(node) if type(node) is list else float(node)
+            yield path, _with(obj, path, value), ""
+        elif fault == "duplicate" and type(node) is list and node and all(
+                type(entry) is dict and "c" in entry for entry in node):
+            yield path, _with(obj, path, node + [node[0]]), ""
+
+
+@pytest.mark.parametrize("form, fault", [
+    (form, fault) for form in _FORMS for fault in ("drop", "retype", "duplicate")
+    if (form, fault) != ("direct plain spec", "duplicate")  # it holds no vector
+])
+def test_the_reader_refuses_each_fault_in_the_document_it_reads(capsys, tmp_path, form, fault):
+    # exit 2 with empty stdout and no file written; the refusal names the
+    # kind of document read (a measure's descendants are a spec) and a
+    # dropped key, and a duplicate keeps its own refusal
+    command, kind, build = _FORMS[form]
+    sites = list(_faults(build(), fault))
+    assert sites
+    for path, doc, ending in sites:
+        argv = [command, write(tmp_path / "doc.json", doc)]
+        if command == "parametrize":
+            other = "weights" if kind == "template" else "template"
+            argv.insert(1 if kind == "weights" else 2,
+                        write(tmp_path / "other.json", _FORMS[other][2]()))
+            argv.append(str(tmp_path / "m.json"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), path
+        if fault == "duplicate":
+            assert captured.err.startswith("error: duplicate "), (path, captured.err)
+        else:
+            named = "spec" if path[:1] == ("descendants",) else kind
+            assert captured.err.startswith(f"error: bad {named} document: "), (path, captured.err)
+            assert captured.err.endswith(ending + "\n"), (path, captured.err)
+        assert not (tmp_path / "m.json").exists()
 
 
 NESTED = "[" * 100000 + "]" * 100000

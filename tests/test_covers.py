@@ -358,6 +358,21 @@ def test_ill_defined_labeling_rejected():
         lift_measure(graph(STAR), {0: 1, 1: 1, 2: 2, 3: 2})
 
 
+@pytest.mark.parametrize("edges, message", [
+    # numbered from 1: vertex 0 has no edge, and the refusal names it
+    ([(1, 2), (2, 3)], "graph must be connected: vertex 0 has no edge "
+                       "(vertices are numbered 0..3)"),
+    ([(0, 1), (2, 3)], "graph must be connected"),
+])
+def test_lift_refuses_a_disconnected_graph(edges, message):
+    # `cover` refuses these in `label_vertices` first; the lift refuses them
+    # on its own
+    g = graph(edges)
+    with pytest.raises(ValueError) as err:
+        lift_measure(g, {v: 1 for v in range(g.vertex_count)})
+    assert str(err.value) == message
+
+
 def test_pair_digraph_matches_the_graph_derivation():
     # the digraph read off the lift writes the DOT bytes of the derivation
     # from the graph and its labels
