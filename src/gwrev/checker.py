@@ -225,8 +225,8 @@ def _potentials(
             # so pot(v) = pot(u) * inv(u, j) / inv(v, i)
             a, b = inv[(u, v.label)]
             x, y = inv[(v, u.label)]
-            p = pot[u]
-            pot[v] = Fraction(p.numerator * a * y, p.denominator * b * x)
+            p, q = pot[u].as_integer_ratio()
+            pot[v] = Fraction(p * a * y, q * b * x)
 
     # g(u, j) = pot(u) / h(u, j) over each side S(i, j); (u, v) across
     # S(i, j), S(j, i) is consistent iff g(u, j) == g(v, i)
@@ -235,7 +235,8 @@ def _potentials(
         g[(i, j)] = keys = []
         for u in members:
             a, b = inv[(u, j)]
-            keys.append((pot[u].numerator * a, pot[u].denominator * b))
+            p, q = pot[u].as_integer_ratio()
+            keys.append((p * a, q * b))
     # the first inconsistent edge of each block, and the least of them
     edges = [next(block_mismatches(members, side[(j, i)], g[(i, j)], g[(j, i)], (1, 1)), None)
              for (i, j), members in side.items() if i <= j and (j, i) in side]

@@ -120,8 +120,9 @@ def verify_reversibility(measure: RootMeasure) -> List[Violation]:
                     violations += [(u, v, exact_flow(measure, u, v), ZERO) for u in members]
         if i > j or (j, i) not in side:
             continue
-        ri, rj = measure.root_dist[i], measure.root_dist[j]
-        scale = (ri.numerator * rj.denominator, ri.denominator * rj.numerator)
+        a, b = measure.root_dist[i].as_integer_ratio()
+        c, d = measure.root_dist[j].as_integer_ratio()
+        scale = (a * d, b * c)
         violations += [(u, v, exact_flow(measure, u, v), exact_flow(measure, v, u))
                        for u, v in block_mismatches(members, side[(j, i)], keys[(i, j)],
                                                     keys[(j, i)], scale)]

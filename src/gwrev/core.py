@@ -128,11 +128,13 @@ def check_weights(weights: Mapping, what: str, *, zero: bool = False) -> None:
     low = 0 if zero else 1
     terms = []
     for key, w in weights.items():
-        # low <= numerator <= denominator, the denominator being positive
-        if not isinstance(w, Fraction) or not low <= w.numerator <= w.denominator:
+        # low <= numerator <= denominator, the denominator being positive;
+        # (1, 0), in no range, stands for a weight that is not a Fraction
+        num, den = w.as_integer_ratio() if isinstance(w, Fraction) else (1, 0)
+        if not low <= num <= den:
             raise SpecError(f"{what}: the weight of {key} is {w}, "
                             f"not a Fraction in {'[' if zero else '('}0, 1]")
-        terms.append((w.numerator, w.denominator))
+        terms.append((num, den))
     num, common = common_sum(terms)
     if num != common:
         raise SpecError(f"{what} sum to {sum(weights.values(), ZERO)}, expected 1")
@@ -149,14 +151,14 @@ def validate_dist(dist: Mapping[Vector, Fraction], n: int, *, min_total: int = 0
     for c, p in dist.items():
         if len(c) != n:
             raise InvalidDistributionError(f"vector {c} has length {len(c)}, expected {n}")
-        if min(c, default=0) < 0:
+        if c and min(c) < 0:
             raise InvalidDistributionError(f"vector {c} has a negative count")
         # with no negative count, a total below min_total <= 0 cannot occur
         if min_total > 0 and sum(c) < min_total:
             raise InvalidDistributionError(f"vector {c} has total < {min_total}")
         if not isinstance(p, Fraction):
             raise InvalidDistributionError(f"probability of {c} is not a Fraction: {p!r}")
-        num, den = p.numerator, p.denominator
+        num, den = p.as_integer_ratio()
         # 0 < p <= 1, the denominator being positive
         if not 0 < num <= den:
             raise InvalidDistributionError(f"probability of {c} is {p}, outside (0, 1]")
@@ -414,8 +416,9 @@ def side_key(law: Dist, u: SupportClass, j: int, weight: Fraction) -> BalanceKey
     p = law.get(decrement(c, j))
     if p is None:
         return None
-    return (weight.numerator * p.denominator * c[j - 1],
-            weight.denominator * p.numerator * total(c))
+    a, b = weight.as_integer_ratio()
+    num, den = p.as_integer_ratio()
+    return a * den * c[j - 1], b * num * total(c)
 
 
 def same_key(a: BalanceKey, b: BalanceKey) -> bool:

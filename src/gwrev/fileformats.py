@@ -18,7 +18,9 @@ and `type` must be JSON integers, a probability is a rational string or a
 JSON integer, and a list is a JSON list.  A float, a bool or a numeric
 string in their place is a malformed document, never truncated to an
 integer, and so is a string or an object in place of a list, never read by
-its characters or its keys.
+its characters or its keys, and a number, a list or a string in place of an
+entry object, named with its list ("distribution entry 5 is not an
+object").
 """
 
 from __future__ import annotations
@@ -44,9 +46,19 @@ def parse_fraction(text) -> Fraction:
     digits by `str.isdecimal`, the Unicode class Nd, so a sign on b, a
     second "/", a point or an exponent is refused.  Any other type, a bool
     or a float included, raises TypeError: the document has the wrong
-    shape."""
+    shape.
+
+    The canonical forms, "a" and "a/b" with b > 0 as the writers emit
+    them, are read first with one split and two int(); every other text
+    takes the general path below."""
     if type(text) is int:
         return Fraction(text)
+    if type(text) is str and len(text) <= _DIGITS_CUTOFF:
+        num, slash, den = text.partition("/")
+        if num.isdecimal() and (not slash or den.isdecimal()):
+            divisor = int(den) if slash else 1
+            if divisor:
+                return Fraction(int(num), divisor)
     if not isinstance(text, str):
         raise TypeError(f"not a rational literal: {text!r}")
     num, slash, den = text.strip().partition("/")
@@ -109,6 +121,16 @@ def _list(value) -> list:
     return value
 
 
+def _objects(value, what: str) -> list:
+    """A JSON list of objects as it is; TypeError as from `_list`, and for
+    an entry that is not an object, named as a `what`.  Every entry is
+    tested before any is read, with no call per entry."""
+    for entry in _list(value):
+        if type(entry) is not dict:
+            raise TypeError(f"{what} {entry!r} is not an object")
+    return value
+
+
 def _ints(values) -> tuple:
     """A list of JSON integers as a tuple; TypeError, as from `_int`, for
     an entry that is anything else."""
@@ -131,7 +153,7 @@ def _unique(pairs, what: str) -> dict:
 
 
 def _obj_to_dist(entries) -> Dist:
-    if not _list(entries):
+    if not _objects(entries, "distribution entry"):
         raise SpecError("distribution must be a non-empty list")
     dist: Dist = {}
     for entry in entries:
@@ -180,9 +202,10 @@ def obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
         if mode == PLAIN and "degree_dist" in obj:
             degree_dist: Dict[int, Dict[int, Fraction]] = _unique((
                 (_int(entry["type"]),
-                 _unique(((_int(e["d"]), parse_fraction(e["p"])) for e in _list(entry["dist"])),
+                 _unique(((_int(e["d"]), parse_fraction(e["p"]))
+                          for e in _objects(entry["dist"], "distribution entry")),
                          f"degree in the law of type {entry['type']}:"))
-                for entry in _list(obj["degree_dist"])
+                for entry in _objects(obj["degree_dist"], "degree_dist entry")
             ), "degree_dist entry for type")
             params_rows = _list(obj["params"])
             if len(params_rows) != n:
@@ -200,7 +223,7 @@ def obj_to_spec(obj) -> Union[GWSpec, PlainSpec]:
 
         offspring = _unique((
             (key(entry), _obj_to_dist(entry["dist"]))
-            for entry in _list(obj.get("offspring", []))
+            for entry in _objects(obj.get("offspring", []), "offspring entry")
         ), "offspring entry for")
         return GWSpec(n=n, mode=mode, offspring=offspring)
 
@@ -285,11 +308,12 @@ def obj_to_measure(obj) -> RootMeasure:
         if isinstance(descendants, PlainSpec):
             raise SpecError("measure descendants must be explicit offspring laws")
         root_dist = _unique((
-            (_int(e["label"]), parse_fraction(e["p"])) for e in _list(obj.get("root", []))
+            (_int(e["label"]), parse_fraction(e["p"]))
+            for e in _objects(obj.get("root", []), "root entry")
         ), "root entry for label")
         neighbor_dist = _unique((
             (_int(e["label"]), _obj_to_dist(e["dist"]))
-            for e in _list(obj.get("neighbors", []))
+            for e in _objects(obj.get("neighbors", []), "neighbors entry")
         ), "neighbors entry for label")
     return RootMeasure(n=descendants.n, root_dist=root_dist, neighbor_dist=neighbor_dist,
                        descendants=descendants)
@@ -300,21 +324,25 @@ def obj_to_measure(obj) -> RootMeasure:
 # ---------------------------------------------------------------------------
 
 def obj_to_template(obj) -> SupportTemplate:
+    if not isinstance(obj, dict):
+        raise SpecError("template document must be a JSON object")
     with _document("template"):
         n = _int(obj["n"])
         classes = tuple(
             SupportClass(_int(e["label"]), _ints(e["c"]))
-            for e in _list(obj["classes"])
+            for e in _objects(obj["classes"], "class entry")
         )
     return SupportTemplate(n=n, classes=classes)
 
 
 def obj_to_weights(obj) -> Weights:
+    if not isinstance(obj, dict):
+        raise SpecError("weights document must be a JSON object")
     with _document("weights"):
         return _unique((
             (SupportClass(_int(e["label"]), _ints(e["c"])),
              parse_fraction(e["p"]))
-            for e in _list(obj["weights"])
+            for e in _objects(obj["weights"], "weight entry")
         ), "weight for class")
 
 

@@ -155,13 +155,17 @@ def _forced_laws(template: SupportTemplate, weights: Weights):
     flow(i, j) is their sum, Fraction(S, L) for the unreduced sum (S, L):
     one Fraction per stored value, and no Fraction arithmetic."""
     side = template.forest[0]
+    # w(d) / |d| of each class as (num(w(d)), den(w(d)) * |d|), read once
+    share = {}
+    for cls, w in weights.items():
+        num, den = w.as_integer_ratio()
+        share[cls] = num, den * total(cls.vector)
     laws: Dict[Tuple[int, int], Dict] = {}
     flow: Dict[Tuple[int, int], Fraction] = {}
     # the sides S(j, i) in (i, j) order
     for (j, i) in sorted(side, key=lambda key: (key[1], key[0])):
         laws[(i, j)], norm = normalize({
-            decrement(cls.vector, i): (weights[cls].numerator * cls.vector[i - 1],
-                                       weights[cls].denominator * total(cls.vector))
+            decrement(cls.vector, i): (share[cls][0] * cls.vector[i - 1], share[cls][1])
             for cls in side[(j, i)]})
         flow[(i, j)] = Fraction(*norm)
     return laws, flow

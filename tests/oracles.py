@@ -1871,6 +1871,26 @@ def fraction_parse(text) -> Fraction:
         raise SpecError(f"zero denominator in {text!r}") from None
 
 
+def reference_parse_fraction(text) -> Fraction:
+    """`fileformats.parse_fraction` as it was before canonical literals were
+    read directly: every string stripped, split at its first "/" and tested
+    digit by digit, a sign allowed on the numerator."""
+    if type(text) is int:
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise TypeError(f"not a rational literal: {text!r}")
+    num, slash, den = text.strip().partition("/")
+    if not (num[1:] if num[:1] == "-" else num).isdecimal() or (
+            slash and not den.isdecimal()):
+        raise SpecError(f"not a rational literal: {text!r}")
+    try:
+        if len(text) <= fileformats._DIGITS_CUTOFF:
+            return Fraction(int(num), int(den or 1))
+        return Fraction(fileformats._decimal(num), fileformats._decimal(den or "1"))
+    except ZeroDivisionError:
+        raise SpecError(f"zero denominator in {text!r}") from None
+
+
 def summing_validate_dist(dist, n: int, *, min_total: int = 0) -> None:
     """`core.validate_dist` by Fraction comparisons and a Fraction sum."""
     if not dist:

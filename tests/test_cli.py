@@ -887,6 +887,12 @@ _FORMS = {
 # the one key no reader reads
 _UNREAD_WHEN_ABSENT = {"offspring", "root", "neighbors", "degree_dist", "verified"}
 
+# what a refusal calls an entry of each list of objects, by the list's key
+_ENTRY_KINDS = {"dist": "distribution entry", "offspring": "offspring entry",
+                "degree_dist": "degree_dist entry", "root": "root entry",
+                "neighbors": "neighbors entry", "classes": "class entry",
+                "weights": "weight entry"}
+
 
 def _nodes(node, path=()):
     """(path, value) of every node of a JSON tree, the root first."""
@@ -914,13 +920,18 @@ def _faults(obj, fault):
         elif fault == "retype" and type(node) in (list, int):
             value = json.dumps(node) if type(node) is list else float(node)
             yield path, _with(obj, path, value), ""
+        elif fault == "entry" and type(node) is dict and path and type(path[-1]) is int:
+            # an entry object of a list: a number, a list or a string there
+            for value in (5, [5], "5"):
+                yield path, _with(obj, path, value), \
+                    f"{_ENTRY_KINDS[path[-2]]} {value!r} is not an object"
         elif fault == "duplicate" and type(node) is list and node and all(
                 type(entry) is dict and "c" in entry for entry in node):
             yield path, _with(obj, path, node + [node[0]]), ""
 
 
 @pytest.mark.parametrize("form, fault", [
-    (form, fault) for form in _FORMS for fault in ("drop", "retype", "duplicate")
+    (form, fault) for form in _FORMS for fault in ("drop", "retype", "entry", "duplicate")
     if (form, fault) != ("direct plain spec", "duplicate")  # it holds no vector
 ])
 def test_the_reader_refuses_each_fault_in_the_document_it_reads(capsys, tmp_path, form, fault):
@@ -947,6 +958,22 @@ def test_the_reader_refuses_each_fault_in_the_document_it_reads(capsys, tmp_path
             assert captured.err.startswith(f"error: bad {named} document: "), (path, captured.err)
             assert captured.err.endswith(ending + "\n"), (path, captured.err)
         assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("value", [5, [_FORMS["pair spec"][2]()], "{}", None])
+def test_a_document_that_is_not_an_object_is_refused(capsys, tmp_path, form, value):
+    command, kind, build = _FORMS[form]
+    argv = [command, write(tmp_path / "doc.json", value)]
+    if command == "parametrize":
+        other = "weights" if kind == "template" else "template"
+        argv.insert(1 if kind == "weights" else 2,
+                    write(tmp_path / "other.json", _FORMS[other][2]()))
+        argv.append(str(tmp_path / "m.json"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {kind} document must be a JSON object\n")
+    assert not (tmp_path / "m.json").exists()
 
 
 NESTED = "[" * 100000 + "]" * 100000

@@ -30,6 +30,7 @@ from .oracles import (
     json_canonical,
     measure_obj,
     random_corpus,
+    reference_parse_fraction,
     summing_validate_dist,
 )
 
@@ -122,6 +123,57 @@ def parsed(parse, text):
 @given(LITERALS)
 def test_parser_matches_fraction_on_any_string(text):
     assert parsed(ff.parse_fraction, text) == parsed(fraction_parse, text)
+
+
+def long_literal(digit, length, cut):
+    """`length` characters of `digit`, the one at `cut` a "/" if given."""
+    return digit * length if cut is None else digit * cut + "/" + digit * (length - cut - 1)
+
+
+NATURALS = st.integers(0, 10 ** 30)
+CANONICAL = st.one_of(NATURALS.map(str),
+                      st.builds("{}/{}".format, NATURALS, st.integers(1, 10 ** 30)))
+# what a document can hold where a rational belongs: the canonical forms,
+# the same signed, padded or with a zero denominator, Unicode digits,
+# literals on either side of the one-int() cutoff, and other JSON values
+DOCUMENT_VALUES = st.one_of(
+    CANONICAL,
+    st.builds("{}{}{}".format, st.sampled_from(["", "-", "+", " ", "\t", "\n", " -"]),
+              CANONICAL, st.sampled_from(["", " ", "\n", "/", "/0"])),
+    st.builds("{}/{}".format, NATURALS, st.sampled_from(["0", "00", "-0", "0 "])),
+    st.text(st.sampled_from("0123456789/-٣١٢𝟑߁"), max_size=8),
+    st.builds(long_literal, st.sampled_from("0123456789٣"), st.sampled_from(
+        [ff._DIGITS_CUTOFF - 1, ff._DIGITS_CUTOFF, ff._DIGITS_CUTOFF + 1]),
+              st.one_of(st.none(), st.integers(1, ff._DIGITS_CUTOFF - 2))),
+    LITERALS,
+    st.integers(), st.booleans(), st.floats(), st.none(),
+)
+
+
+def outcome(parse, value):
+    """(the type, the value) of what `parse` returns, or (the type, the
+    message) of what it raises."""
+    try:
+        result = parse(value)
+    except Exception as err:  # any type the reference raises, compared as such
+        return type(err), str(err)
+    return type(result), result
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(DOCUMENT_VALUES)
+def test_parser_matches_the_reference_parser(value):
+    # the direct reading of the canonical forms gives what the general path
+    # gives, and every other value takes the general path
+    assert outcome(ff.parse_fraction, value) == outcome(reference_parse_fraction, value)
+
+
+@pytest.mark.parametrize("length", [ff._DIGITS_CUTOFF, ff._DIGITS_CUTOFF + 1])
+@pytest.mark.parametrize("cut", [None, 1, ff._DIGITS_CUTOFF - 2])
+def test_parser_matches_the_reference_parser_at_the_cutoff(length, cut):
+    for digit in "19٣":
+        text = long_literal(digit, length, cut)
+        assert outcome(ff.parse_fraction, text) == outcome(reference_parse_fraction, text)
 
 
 @pytest.mark.parametrize("value", [0, 1, -3, 10 ** 40])
